@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .suites import ExperimentConfig, describe, list_suites, run_suite
+from .suites import ExperimentConfig, describe, list_suites, run_suite, run_xi
 
 _CONFIG_FIELDS = {
     "suite": str, "N": int, "M": int, "n_samples": int, "n_samples_main": int,
@@ -77,6 +77,7 @@ def write_report(cfg: ExperimentConfig, results, out_dir: Path) -> bool:
             "N": cfg.N, "M": cfg.M, "n_samples": cfg.n_samples,
             "n_samples_main": cfg.heavy_n, "dt": format_float(cfg.dt),
             "T": format_float(cfg.T), "seed": cfg.seed,
+            "xi": format_float(run_xi(cfg)),
         },
         "checks": checks,
         "passed": all_passed,
@@ -93,11 +94,11 @@ def main(argv=None) -> int:
 
     runp = sub.add_parser("run", help="run a named suite")
     runp.add_argument("--suite", required=True)
-    runp.add_argument("--seed", type=int, default=1)
-    runp.add_argument("--out", default="results")
+    runp.add_argument("--seed", type=int, help="beats the config file (default 1)")
+    runp.add_argument("--out", help="beats the config file (default results)")
     runp.add_argument("--config", default=None, help="key=value config file")
     runp.add_argument("--param", action="append", default=[],
-                      metavar="k=v", help="config override")
+                      metavar="k=v", help="override of the file and the flags")
 
     sub.add_parser("list", help="list available suites")
 
@@ -116,18 +117,21 @@ def main(argv=None) -> int:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
 
+    # lowest first: ExperimentConfig defaults, --config, --seed/--out, --param
     overrides = {}
     if args.config:
         overrides.update(parse_config_file(args.config))
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.out is not None:
+        overrides["out_dir"] = args.out
     for item in args.param:
         if "=" not in item:
             parser.error(f"--param expects k=v, got {item!r}")
         key, val = item.split("=", 1)
         overrides[key] = val
     overrides = coerce(overrides)
-    overrides.setdefault("seed", args.seed)
     overrides["suite"] = args.suite
-    overrides.setdefault("out_dir", args.out)
     try:
         cfg = ExperimentConfig(**overrides)
     except (TypeError, ValueError) as exc:

@@ -96,7 +96,6 @@ class DiskTestFunction:
         """Values on the outer product of radius and angle arrays."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast_shapes(r.shape, theta.shape) or (1,))
         out = np.zeros(np.broadcast(r, theta).shape)
         for R, T in self.terms:
             out = out + R(r) * T.value_at(theta)

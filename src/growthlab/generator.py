@@ -223,16 +223,28 @@ class _TraceBatch:
         return -(self.coeffs * (lam * kc)[None, :]).sum(axis=1)
 
 
-def _profile_eval(profile, kind, idx, args):
-    if kind == "v":
-        return profile.value(args)
-    if kind == "g":
-        if isinstance(profile, MollifiedProfile):
-            return profile.grad_entry(idx[0], args)
-        return profile.grad(args)[..., idx[0]]
-    if isinstance(profile, MollifiedProfile):
-        return profile.hess_entry(idx[0], idx[1], args)
-    return profile.hess(args)[..., idx[0], idx[1]]
+def _take_rows(rows, live):
+    """The rows in live of every per-sample array in a nested list."""
+    if isinstance(rows, list):
+        return [_take_rows(r, live) for r in rows]
+    return np.asarray(rows)[live]
+
+
+def _integrate_live(fn, rows, lo, hi, n_out: int | None = None):
+    """Per-sample integrals over [lo, hi] of fn(m, *rows), live rows only.
+
+    rows are nested lists of per-sample arrays (leading axis B).  Rows with
+    hi > lo go to batched_gauss_panels together, and fn sees exactly those
+    rows of every array; a row with an empty interval is an exact zero in
+    the output and never reaches fn.  The output has shape (B,) for an fn
+    returning (B, K), and (B, n_out) for one returning (B, K, n_out).
+    """
+    live = hi > lo
+    out = np.zeros(lo.shape if n_out is None else lo.shape + (n_out,))
+    if live.any():
+        sub = _take_rows(rows, live)
+        out[live] = batched_gauss_panels(lambda m: fn(m, *sub), lo[live], hi[live])
+    return out
 
 
 class _MIntegrand:
@@ -244,65 +256,59 @@ class _MIntegrand:
 
     def __init__(self, n_out: int):
         self.n_out = n_out
-        self.blocks = []      # (base, slopes, profile) per functional slot
-        self.terms = []       # (out, slot, kind, idx, coef (B,), rate)
+        self.blocks = []      # (slopes, profile) per functional slot
+        self.bases = []       # (B, n) pairings at m = 0 per slot
+        self.terms = []       # (out, slot, kind, idx, rate)
+        self.coefs = []       # (B,) coefficient per term
 
     def add_block(self, base, slopes, profile) -> int:
-        self.blocks.append((base, np.asarray(slopes, dtype=float), profile))
+        self.blocks.append((np.asarray(slopes, dtype=float), profile))
+        self.bases.append(base)
         return len(self.blocks) - 1
 
     def add(self, out: int, slot: int, kind: str, idx: tuple, coef, rate: float):
-        self.terms.append((out, slot, kind, idx, np.asarray(coef, dtype=float), rate))
+        self.terms.append((out, slot, kind, idx, rate))
+        self.coefs.append(np.asarray(coef, dtype=float))
 
     def support(self):
-        blocks = []
-        for base, slopes, profile in self.blocks:
-            sig = np.zeros(len(slopes))
-            if isinstance(profile, MollifiedProfile):
-                box = profile.box
-            else:
-                box = profile.box
-            blocks.append((base, slopes, box, sig))
-        return m_support(blocks)
+        return m_support([(base, slopes, profile.box, np.zeros(len(slopes)))
+                          for base, (slopes, profile) in zip(self.bases, self.blocks)])
 
-    def __call__(self, m):
+    def __call__(self, m, bases, coefs):
         B, K = m.shape
         needed: dict[int, set] = {}
-        for _, slot, kind, idx, _, _ in self.terms:
+        for _, slot, kind, idx, _ in self.terms:
             needed.setdefault(slot, set()).add((kind,) + tuple(idx))
         memo = {}
         for slot, keys in needed.items():
-            base, slopes, prof = self.blocks[slot]
-            args = base[:, None, :] + m[:, :, None] * slopes[None, None, :]
+            slopes, prof = self.blocks[slot]
             if isinstance(prof, MollifiedProfile):
+                args = bases[slot][:, None, :] + m[:, :, None] * slopes[None, None, :]
                 for kk, v in prof.eval_many(args, sorted(keys)).items():
                     memo[(slot, kk)] = v
-            else:
-                if any(k[0] == "v" for k in keys):
-                    memo[(slot, ("v",))] = prof.value(args)
-                if any(k[0] == "g" for k in keys):
-                    g = prof.grad(args)
-                    for k in keys:
-                        if k[0] == "g":
-                            memo[(slot, k)] = g[..., k[1]]
-                if any(k[0] == "h" for k in keys):
-                    hmat = prof.hess(args)
-                    for k in keys:
-                        if k[0] == "h":
-                            memo[(slot, k)] = hmat[..., k[1], k[2]]
+                continue
+            order = max({"v": 0, "g": 1, "h": 2}[k[0]] for k in keys)
+            val, grad, hess = prof.along(bases[slot], slopes, m, order)
+            for k in keys:
+                if k[0] == "v":
+                    memo[(slot, k)] = val
+                elif k[0] == "g":
+                    memo[(slot, k)] = grad[k[1]]
+                else:
+                    memo[(slot, k)] = hess[k[1]][k[2]]
         rates = {}
         out = np.zeros((B, K, self.n_out))
-        for o, slot, kind, idx, coef, rate in self.terms:
+        for (o, slot, kind, idx, rate), coef in zip(self.terms, coefs):
             if rate not in rates:
                 rates[rate] = np.exp(rate * m)
             out[:, :, o] += coef[:, None] * rates[rate] * memo[(slot, (kind,) + tuple(idx))]
         return out
 
-    def integrate(self, rel_tol: float = 1e-8):
+    def integrate(self):
         lo, hi = self.support()
-        if any(isinstance(blk[2], MollifiedProfile) for blk in self.blocks):
+        if any(isinstance(prof, MollifiedProfile) for _, prof in self.blocks):
             return self._integrate_spline_exact(lo, hi)
-        return batched_gauss_panels(self, lo, hi, rel_tol=rel_tol)
+        return _integrate_live(self, [self.bases, self.coefs], lo, hi, self.n_out)
 
     def _integrate_spline_exact(self, lo, hi, gl_order: int = 4):
         """Exact integration of spline-profile integrands along the m-line.
@@ -313,7 +319,7 @@ class _MIntegrand:
         """
         B = lo.size
         breaks = [lo[:, None], hi[:, None]]
-        for base, slopes, prof in self.blocks:
+        for base, (slopes, prof) in zip(self.bases, self.blocks):
             if not isinstance(prof, MollifiedProfile):
                 continue
             table = prof._table
@@ -329,7 +335,7 @@ class _MIntegrand:
         x, wq = gauss_legendre(0.0, 1.0, gl_order)
         nodes = (a[:, :, None] + w[:, :, None] * x[None, None, :]).reshape(B, -1)
         weights = (w[:, :, None] * wq[None, None, :]).reshape(B, -1)
-        vals = self(nodes)
+        vals = self(nodes, self.bases, self.coefs)
         return np.einsum("bkc,bk->bc", vals, weights)
 
 
@@ -582,46 +588,39 @@ def _dirichlet_integrands(tb, F, G, baseF, baseG, bF, bG, sigF, sigG, cross,
                           across, slopesF, slopesG, delta, xi):
     """Per-sample zero-mode integrals of the four Dirichlet-form integrands."""
     nF, nG = F.dim, G.dim
-    B = baseF.shape[0]
 
-    def fn(m):
-        argsF = baseF[:, None, :] + m[:, :, None] * slopesF[None, None, :]
-        argsG = baseG[:, None, :] + m[:, :, None] * slopesG[None, None, :]
-        Fv = F.profile.value(argsF)
-        Gv = G.profile.value(argsG)
-        Fg = F.profile.grad(argsF)
-        Gg = G.profile.grad(argsG)
-        Fh = F.profile.hess(argsF)
-        Gh = G.profile.hess(argsG)
+    def fn(m, baseF, baseG, bF, bG, sigF, sigG, cross, across, mass0):
+        Fv, Fg, Fh = F.profile.along(baseF, slopesF, m)
+        Gv, Gg, Gh = G.profile.along(baseG, slopesG, m)
         w = np.exp((delta - xi) * m)
         LG = np.zeros_like(m)
         LF = np.zeros_like(m)
         for j in range(nG):
-            LG += np.asarray(bG[j])[:, None] * Gg[..., j]
+            LG += bG[j][:, None] * Gg[j]
         for j in range(nG):
             for k in range(nG):
-                LG += 0.5 * np.asarray(sigG[j][k])[:, None] * Gh[..., j, k]
+                LG += 0.5 * sigG[j][k][:, None] * Gh[j][k]
         for i in range(nF):
-            LF += np.asarray(bF[i])[:, None] * Fg[..., i]
+            LF += bF[i][:, None] * Fg[i]
         for i in range(nF):
             for k in range(nF):
-                LF += 0.5 * np.asarray(sigF[i][k])[:, None] * Fh[..., i, k]
+                LF += 0.5 * sigF[i][k][:, None] * Fh[i][k]
         sym = np.zeros_like(m)
         anti = np.zeros_like(m)
         for i in range(nF):
             for j in range(nG):
-                sym += 0.5 * np.asarray(cross[i][j])[:, None] * Fg[..., i] * Gg[..., j]
-                anti += 0.5 * np.asarray(across[i][j])[:, None] * Fg[..., i] * Gg[..., j]
-        meanF = (Fg * slopesF[None, None, :]).sum(axis=-1)
-        meanG = (Gg * slopesG[None, None, :]).sum(axis=-1)
-        anti += (0.5 * TWO_PI ** 2 * xi * tb.mass0[:, None]
+                sym += 0.5 * cross[i][j][:, None] * Fg[i] * Gg[j]
+                anti += 0.5 * across[i][j][:, None] * Fg[i] * Gg[j]
+        meanF = sum(g * s for g, s in zip(Fg, slopesF))
+        meanG = sum(g * s for g, s in zip(Gg, slopesG))
+        anti += (0.5 * TWO_PI ** 2 * xi * mass0[:, None]
                  * (meanF * Gv - meanG * Fv))
-        out = np.stack([-Fv * LG * w, -Gv * LF * w, sym * w, anti * w], axis=-1)
-        return out
+        return np.stack([-Fv * LG * w, -Gv * LF * w, sym * w, anti * w], axis=-1)
 
     lo, hi = m_support([(baseF, slopesF, F.profile.box, np.zeros(nF)),
                         (baseG, slopesG, G.profile.box, np.zeros(nG))])
-    vals = batched_gauss_panels(fn, lo, hi)
+    vals = _integrate_live(fn, [baseF, baseG, bF, bG, sigF, sigG, cross, across,
+                                tb.mass0], lo, hi, 4)
     # cross/across carry (2 pi)^2 and are halved in fn, landing the closed
     # forms on their 2 pi^2 normalization; same for the mean-mass term
     return vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
@@ -699,23 +698,19 @@ def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
         KG = [TWO_PI * tb.mu_int(g) for g in left_G]
         w_rate = delta - xi
 
-        def fn(m):
-            argsF = baseF[:, None, :] + m[:, :, None] * slopesF[None, None, :]
-            argsG = baseG[:, None, :] + m[:, :, None] * slopesG[None, None, :]
-            Fv = F.profile.value(argsF)
-            Gv = G.profile.value(argsG)
-            Fg = F.profile.grad(argsF)
-            Gg = G.profile.grad(argsG)
+        def fn(m, baseF, baseG, K1, KF, KG):
+            Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
+            Gv, Gg, _ = G.profile.along(baseG, slopesG, m, 1)
             out = K1[:, None] * Fv * Gv
             for i in range(F.dim):
-                out = out + KF[i][:, None] * Fg[..., i] * Gv
+                out = out + KF[i][:, None] * Fg[i] * Gv
             for j in range(G.dim):
-                out = out + KG[j][:, None] * Fv * Gg[..., j]
+                out = out + KG[j][:, None] * Fv * Gg[j]
             return out * np.exp(w_rate * m)
 
         lo, hi = m_support([(baseF, slopesF, F.profile.box, np.zeros(F.dim)),
                             (baseG, slopesG, G.profile.box, np.zeros(G.dim))])
-        vals.append(batched_gauss_panels(fn, lo, hi))
+        vals.append(_integrate_live(fn, [baseF, baseG, K1, KF, KG], lo, hi))
         done += b
     return _single_estimate(vals)
 
@@ -864,31 +859,28 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         kern_q = [tb.mu_int(kern * qgrid[j][None, :]) for j in range(nG)]
         pi1_q = [tb.mu_int(pi1 * qgrid[j][None, :]) for j in range(nG)]
 
-        def fn(m):
-            argsF = baseF[:, None, :] + m[:, :, None] * slopesF[None, None, :]
-            argsG = baseG[:, None, :] + m[:, :, None] * slopesG[None, None, :]
-            Fv = F_profile.value(argsF)
-            Fg = F_profile.grad(argsF)
-            Gg = G.profile.grad(argsG)
-            Gh = G.profile.hess(argsG)
+        def fn(m, baseF, baseG, cross, projq_mu, kern_q, pi1_q):
+            Fv, Fg, _ = F_profile.along(baseF, slopesF, m, 1)
+            _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
             lhs = np.zeros_like(m)
             for i in range(nP):
                 for j in range(nG):
-                    lhs = lhs + cross[i][j][:, None] * Fg[..., i] * Gg[..., j]
+                    lhs = lhs + cross[i][j][:, None] * Fg[i] * Gg[j]
             inner = np.zeros_like(m)
             for j in range(nG):
                 for j2 in range(nG):
-                    inner = inner + projq_mu[j2][j][:, None] * Gh[..., j, j2]
+                    inner = inner + projq_mu[j2][j][:, None] * Gh[j][j2]
             for j in range(nG):
-                inner = inner + (xi / TWO_PI) * pi1_q[j][:, None] * Gg[..., j]
-                inner = inner + (1.0 / TWO_PI) * kern_q[j][:, None] * Gg[..., j]
+                inner = inner + (xi / TWO_PI) * pi1_q[j][:, None] * Gg[j]
+                inner = inner + (1.0 / TWO_PI) * kern_q[j][:, None] * Gg[j]
             rhs = -Fv * inner
             w = np.exp((delta - xi) * m)
             return np.stack([lhs * w, rhs * w], axis=-1)
 
         lo, hi = m_support([(baseF, slopesF, F_profile.box, np.zeros(nP)),
                             (baseG, slopesG, G.profile.box, np.zeros(nG))])
-        vals = batched_gauss_panels(fn, lo, hi)
+        vals = _integrate_live(fn, [baseF, baseG, cross, projq_mu, kern_q, pi1_q],
+                               lo, hi, 2)
         lhs_vals.append(vals[:, 0])
         rhs_vals.append(vals[:, 1])
         done += b
@@ -988,33 +980,30 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
                               - grid_conjugate(tb.dnh * qt[j][None, :]))
             dv_pair.append(-tb.mu_int(w_dnh) / TWO_PI + c * tb.mu_int(row[j]))
 
-        def fn(m):
-            argsF = baseF[:, None, :] + m[:, :, None] * slopesF[None, None, :]
-            argsG = baseG[:, None, :] + m[:, :, None] * slopesG[None, None, :]
-            Fv = F.profile.value(argsF)
-            Fg = F.profile.grad(argsF)
-            Gg = G.profile.grad(argsG)
-            Gh = G.profile.hess(argsG)
+        def fn(m, baseF, baseG, lhs_c, div_h, div_g, dv_pair):
+            Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
+            _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
             lhs = np.zeros_like(m)
             for i in range(nF):
                 for j in range(nG):
-                    lhs = lhs + lhs_c[i][j][:, None] * Fg[..., i] * Gg[..., j]
+                    lhs = lhs + lhs_c[i][j][:, None] * Fg[i] * Gg[j]
             div = np.zeros_like(m)
             for j in range(nG):
                 for k in range(nG):
-                    div = div + div_h[j][k][:, None] * Gh[..., j, k]
+                    div = div + div_h[j][k][:, None] * Gh[j][k]
             for j in range(nG):
-                div = div + div_g[j][:, None] * Gg[..., j]
+                div = div + div_g[j][:, None] * Gg[j]
             dvp = np.zeros_like(m)
             for j in range(nG):
-                dvp = dvp + dv_pair[j][:, None] * Gg[..., j]
+                dvp = dvp + dv_pair[j][:, None] * Gg[j]
             rhs = -Fv * (div - dvp)
             w = np.exp((delta - xi) * m)
             return np.stack([lhs * w, rhs * w], axis=-1)
 
         lo, hi = m_support([(baseF, slopesF, F.profile.box, np.zeros(nF)),
                             (baseG, slopesG, G.profile.box, np.zeros(nG))])
-        vals = batched_gauss_panels(fn, lo, hi)
+        vals = _integrate_live(fn, [baseF, baseG, lhs_c, div_h, div_g, dv_pair],
+                               lo, hi, 2)
         lhs_vals.append(vals[:, 0])
         rhs_vals.append(vals[:, 1])
         done += b

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spectral import BoundaryField, grid_angles
 
@@ -87,13 +86,6 @@ def chaos_density_batch(values: np.ndarray, sign: int, xi: float, N: int) -> np.
 def chaos_measure(h: BoundaryField, sign: int, xi: float, M: int) -> CircleMeasure:
     """Normalized chaos measure e^{sign xi h} of a degree-N trace sample."""
     return CircleMeasure(chaos_density_batch(h.values(M), sign, xi, h.degree))
-
-
-def chaos_total_mass(p: BoundaryField | None, density: np.ndarray) -> float:
-    M = density.shape[-1]
-    if p is None:
-        return density.sum(axis=-1) * (2.0 * np.pi / M)
-    return (density * p.values(M)).sum(axis=-1) * (2.0 * np.pi / M)
 
 
 def chaos_derivative(p: BoundaryField, f: BoundaryField, h: BoundaryField,
@@ -231,6 +223,7 @@ def second_moment_truncated(xi: float, N: int, n_grid: int = 200001) -> float:
 
 def second_moment_limit(xi: float) -> float:
     """E |mu_xi|^2 target: 2 pi times the integral of (2 sin(u/2))^{-2 xi^2}."""
+    from scipy.integrate import quad   # imported here: slow, and only needed here
     val, _ = quad(lambda u: (2.0 * np.sin(u / 2.0)) ** (-2.0 * xi * xi), 0.0, 2.0 * np.pi,
                   points=[0.0, 2.0 * np.pi], limit=200)
     return 2.0 * np.pi * val

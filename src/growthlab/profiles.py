@@ -14,41 +14,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .quadrature import gauss_hermite_standard_normal
 
 
-def _u_all(t):
-    """e^{-1/t} with first and second derivatives, zero for t <= 0."""
-    u = np.zeros_like(t)
-    u1 = np.zeros_like(t)
-    u2 = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    e = np.exp(-1.0 / tp)
-    u[pos] = e
-    u1[pos] = e / tp ** 2
-    u2[pos] = e * (1.0 / tp ** 4 - 2.0 / tp ** 3)
-    return u, u1, u2
+def _u(t):
+    """e^{-1/t} with first and second derivatives, for t > 0."""
+    e = np.exp(-1.0 / t)
+    return e, e / t ** 2, e * (1.0 / t ** 4 - 2.0 / t ** 3)
 
 
 def _step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, with two derivatives."""
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, with two derivatives.
+
+    Only points strictly inside (0, 1) need the exponentials; the rest are
+    the constants 0 or 1 with zero derivatives.
+    """
     t = np.asarray(t, dtype=float)
-    A, A1, A2 = _u_all(t)
-    B, nB1, B2 = _u_all(1.0 - t)
-    B1 = -nB1
-    D = A + B
     mid = (t > 0) & (t < 1)
     s = np.where(t >= 1, 1.0, 0.0)
-    Dm = np.where(mid, D, 1.0)
-    s = np.where(mid, A / Dm, s)
+    s1 = np.zeros_like(t)
+    s2 = np.zeros_like(t)
+    tm = t[mid]
+    A, A1, A2 = _u(tm)
+    B, nB1, B2 = _u(1.0 - tm)
+    B1 = -nB1
+    D = A + B
     num1 = A1 * B - A * B1
-    s1 = np.where(mid, num1 / Dm ** 2, 0.0)
     D1 = A1 + B1
     num2 = A2 * B - A * B2
-    s2 = np.where(mid, num2 / Dm ** 2 - 2.0 * num1 * D1 / Dm ** 3, 0.0)
+    s[mid] = A / D
+    s1[mid] = num1 / D ** 2
+    s2[mid] = num2 / D ** 2 - 2.0 * num1 * D1 / D ** 3
     return s, s1, s2
 
 
@@ -87,7 +84,6 @@ class ProductProfile:
         self.factors = factors
         self.dim = len(factors)
         self.box = [f.support for f in factors]
-        self.support_margin = 0.0
 
     @classmethod
     def bumps(cls, centers, halfwidths, rise_frac: float = 0.5) -> "ProductProfile":
@@ -98,43 +94,65 @@ class ProductProfile:
         x = np.asarray(x, dtype=float)
         return [f.pieces(x[..., k]) for k, f in enumerate(self.factors)]
 
+    def _combine(self, pieces, order: int):
+        """value, grad[i] and hess[i][j] from per-factor (value, d1, d2).
+
+        Products run factor by factor in index order, so every entry has
+        the same bits whatever the shapes of the pieces; grad and hess are
+        None below orders 1 and 2.
+        """
+        vals = [p[0] for p in pieces]
+        value = vals[0]
+        for v in vals[1:]:
+            value = value * v
+        grad = hess = None
+        if order >= 1:
+            grad = []
+            for i in range(self.dim):
+                g = pieces[i][1]
+                for k in range(self.dim):
+                    if k != i:
+                        g = g * vals[k]
+                grad.append(g)
+        if order >= 2:
+            hess = [[None] * self.dim for _ in range(self.dim)]
+            for i in range(self.dim):
+                for j in range(i, self.dim):
+                    h = pieces[i][2] if i == j else pieces[i][1] * pieces[j][1]
+                    for k in range(self.dim):
+                        if k != i and k != j:
+                            h = h * vals[k]
+                    hess[i][j] = hess[j][i] = h
+        return value, grad, hess
+
+    def along(self, base, slopes, m, order: int = 2):
+        """psi(base + m slopes) with its derivatives, in one pass per factor.
+
+        base (B, n) holds the arguments at m = 0, slopes (n,) their
+        m-derivatives and m (B, K) the line parameter per row.  Returns
+        (value, grad, hess) as in _combine: each entry equals the matching
+        entry of value/grad/hess at the same points, bit for bit.  A factor
+        with zero slope is constant along each row, so it is evaluated on
+        shape (B, 1) and broadcast; an entry none of whose factors moves
+        keeps that shape.
+        """
+        pieces = []
+        for k, f in enumerate(self.factors):
+            y = base[:, k : k + 1]
+            if slopes[k] != 0.0:
+                y = y + m * slopes[k]
+            pieces.append(f.pieces(y))
+        return self._combine(pieces, order)
+
     def value(self, x):
-        pieces = self._pieces(x)
-        out = pieces[0][0].copy()
-        for v, _, _ in pieces[1:]:
-            out = out * v
-        return out
+        return self._combine(self._pieces(x), 0)[0]
 
     def grad(self, x):
-        pieces = self._pieces(x)
-        vals = [p[0] for p in pieces]
-        out = np.empty(np.asarray(x).shape)
-        for i in range(self.dim):
-            g = pieces[i][1].copy()
-            for k in range(self.dim):
-                if k != i:
-                    g = g * vals[k]
-            out[..., i] = g
-        return out
+        return np.stack(self._combine(self._pieces(x), 1)[1], axis=-1)
 
     def hess(self, x):
-        pieces = self._pieces(x)
-        vals = [p[0] for p in pieces]
-        shape = np.asarray(x).shape[:-1]
-        out = np.empty(shape + (self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if i == j:
-                    h = pieces[i][2].copy()
-                    rest = [k for k in range(self.dim) if k != i]
-                else:
-                    h = pieces[i][1] * pieces[j][1]
-                    rest = [k for k in range(self.dim) if k not in (i, j)]
-                for k in rest:
-                    h = h * vals[k]
-                out[..., i, j] = h
-                out[..., j, i] = h
-        return out
+        hess = self._combine(self._pieces(x), 2)[2]
+        return np.stack([np.stack(row, axis=-1) for row in hess], axis=-2)
 
 
 class IndicatorProfile:
@@ -143,7 +161,6 @@ class IndicatorProfile:
     def __init__(self, box: list[tuple[float, float]]):
         self.box = box
         self.dim = len(box)
-        self.support_margin = 0.0
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -219,6 +236,8 @@ class _SplineTable:
         self.n = self.lows.size
         pts = data.shape[0]
         self.h = (self.highs - self.lows) / (pts - 1)
+        from scipy import ndimage      # imported here: slow, and only needed here
+
         coef = ndimage.spline_filter(data, order=3, mode="constant")
         self.coef = np.pad(coef, 2, mode="constant")
         self.pts = pts
@@ -292,7 +311,6 @@ class MollifiedProfile:
         lows = [b[0] - tail * sd[k] - 1e-9 for k, b in enumerate(profile.box)]
         highs = [b[1] + tail * sd[k] + 1e-9 for k, b in enumerate(profile.box)]
         self.box = list(zip(lows, highs))
-        self.support_margin = 0.0
         z1, w1 = gauss_hermite_standard_normal(gh_points)
         mesh = np.meshgrid(*([z1] * n), indexing="ij")
         self.gh_z = np.stack([m.ravel() for m in mesh], axis=-1) @ self.L.T

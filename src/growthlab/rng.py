@@ -14,8 +14,3 @@ import numpy as np
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the given experiment seed and stream index."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ (np.uint64(stream) << np.uint64(20))))
-
-
-def spawn(seed: int, n: int, base_stream: int = 1) -> list[np.random.Generator]:
-    """Independent generators for n parallel workers under one seed."""
-    return [make_rng(seed, base_stream + i) for i in range(n)]

@@ -171,12 +171,6 @@ class BoundaryField:
         a = self.coeffs[1:]
         return float(np.sqrt(np.sum(lam[1:] ** (2.0 * s) * a * a)))
 
-    def h_half_inner(self, other: "BoundaryField") -> float:
-        """Cameron-Martin pairing (1/2pi) sum lam_k a_k b_k."""
-        n = min(self.degree, other.degree)
-        lam = eigenvalues(n)
-        return float(np.sum(lam * self.coeffs[: 2 * n + 1] * other.coeffs[: 2 * n + 1])) / (2.0 * np.pi)
-
     def l2_inner(self, other: "BoundaryField") -> float:
         n = min(self.coeffs.size, other.coeffs.size)
         return float(np.sum(self.coeffs[:n] * other.coeffs[:n]))
@@ -226,14 +220,6 @@ class BoundaryField:
 
 # -- module-level operator forms (the grid <-> coefficient API) -------------
 
-def to_coeffs(grid_values: np.ndarray, degree: int | None = None) -> BoundaryField:
-    return BoundaryField.from_grid(grid_values, degree)
-
-
-def from_coeffs(p: BoundaryField, M: int) -> np.ndarray:
-    return p.values(M)
-
-
 def poisson_kernel(z, w) -> np.ndarray:
     """H(z, w) = (1/2pi) Re((w+z)/(w-z)) for |z| < 1, |w| = 1."""
     z = np.asarray(z, dtype=complex)
@@ -269,16 +255,6 @@ def grid_dirichlet_to_neumann(values: np.ndarray) -> np.ndarray:
     M = values.shape[-1]
     spec = np.fft.rfft(values, axis=-1)
     spec *= -np.arange(spec.shape[-1])
-    if M % 2 == 0:
-        spec[..., -1] = 0.0
-    return np.fft.irfft(spec, n=M, axis=-1)
-
-
-def grid_tangential_derivative(values: np.ndarray) -> np.ndarray:
-    """d/dtheta of grid samples along the last axis."""
-    M = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)
-    spec *= 1j * np.arange(spec.shape[-1])
     if M % 2 == 0:
         spec[..., -1] = 0.0
     return np.fft.irfft(spec, n=M, axis=-1)

@@ -3,10 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from growthlab.cli import main, parse_config_file
-from growthlab.suites import ExperimentConfig, describe, list_suites
+from growthlab.suites import ExperimentConfig, describe, list_suites, run_xi
 
 
 def test_list_suites():
@@ -89,3 +90,42 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "identities" in proc.stdout
+
+
+def _identities_args(out, *extra):
+    return ["run", "--suite", "identities", "--out", str(out), "--param", "N=16",
+            "--param", "M=64", "--param", "n_samples=200", *extra]
+
+
+def test_explicit_seed_beats_config_file(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 5\n")
+    assert main(_identities_args(tmp_path / "a", "--config", str(cfg),
+                                 "--seed", "9")) == 0
+    report = json.loads((tmp_path / "a" / "identities" / "report.json").read_text())
+    assert report["config"]["seed"] == 9
+    # without the flag the file's seed holds
+    assert main(_identities_args(tmp_path / "b", "--config", str(cfg))) == 0
+    report = json.loads((tmp_path / "b" / "identities" / "report.json").read_text())
+    assert report["config"]["seed"] == 5
+
+
+def test_report_records_the_xi_used(tmp_path):
+    # the gates' verdicts do not matter here, only the recorded config
+    assert main(_identities_args(tmp_path / "a", "--param", "xi=0.3")) in (0, 1)
+    report = json.loads((tmp_path / "a" / "identities" / "report.json").read_text())
+    assert report["config"]["xi"] == 0.3
+    assert main(_identities_args(tmp_path / "b")) in (0, 1)
+    report = json.loads((tmp_path / "b" / "identities" / "report.json").read_text())
+    assert report["config"]["xi"] == 1.0 / np.sqrt(6.0)
+    # the invariance and Dirichlet-form suites run at pure gravity
+    assert run_xi(ExperimentConfig(suite="dirichlet", xi=0.3)) == 1.0 / np.sqrt(6.0)
+
+
+def test_import_leaves_scipy_submodules_out():
+    code = ("import sys, growthlab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -3,9 +3,11 @@ import pytest
 
 from growthlab.disk import realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
-                              bulk_covariance_matrix, sample_trace_batch)
+                              bulk_covariance_matrix, m_support,
+                              sample_trace_batch)
 from growthlab.gmc import CircleMeasure, chaos_measure
-from growthlab.generator import (CylindricalFunctional, apply_generator,
+from growthlab.generator import (CylindricalFunctional, _integrate_live,
+                                 _TraceBatch, apply_generator,
                                  derivative_martingale_identity, diffusion,
                                  dirichlet_form, divergence_form_check, drift,
                                  drift_boundary, ibp_hdmuf_check,
@@ -17,6 +19,7 @@ from growthlab.generator import (CylindricalFunctional, apply_generator,
                                  rotational_invariance_check,
                                  truncated_second_moment_growth)
 from growthlab.profiles import MollifiedProfile, ProductProfile
+from growthlab.quadrature import batched_gauss_panels
 from growthlab.rng import make_rng
 from growthlab.spectral import BoundaryField, grid_angles
 
@@ -189,6 +192,70 @@ def test_divergence_form_route():
     F, G = fixture_F(), fixture_G()
     res = divergence_form_check(F, G, 6000, make_rng(10), N=N, M=M)
     assert res.consistent(3.0), (res.lhs, res.rhs, res.z)
+
+
+# Recorded from the estimators before they evaluated profiles in one pass on
+# live rows only (numpy 2.4, x86-64); the rewrite must keep every bit.
+GOLDEN_FG = (-1.4009483422519824, 5.599249063224615, 3.7373256230578975,
+             3.433379202693432, -0.14072985612938255, 3.7404301967189246,
+             2.729259603547616, 2.869989459676998)
+GOLDEN_FF = (42.752397121634395, 36.93640149929286, 3.2617986380676056,
+             42.752397121634395, 36.93640149929286, 3.2617986380676056,
+             36.93640149929286, 3.9563672406870223e-19)
+GOLDEN_DIV = (0.2712896826928716, 0.5738594155471081, 0.8702069172567649)
+
+
+def _dirichlet_numbers(res):
+    return (res.forward.lhs, res.forward.rhs, res.forward.stderr, res.swapped.lhs,
+            res.swapped.rhs, res.swapped.stderr, res.sym, res.antisym)
+
+
+def test_zero_mode_estimators_keep_their_bits():
+    F, G = fixture_F(), fixture_G()
+    # the batch has rows whose m-interval is empty (they integrate to zero)
+    tb = _TraceBatch(16, 400, make_rng(1, 20), PG.xi, 64)
+    lo, hi = m_support([(np.stack([tb.pair(p) for p in F.symbols], axis=-1),
+                         F.slopes(), F.profile.box, np.zeros(2)),
+                        (np.stack([tb.pair(q) for q in G.symbols], axis=-1),
+                         G.slopes(), G.profile.box, np.zeros(2))])
+    assert 0 < np.count_nonzero(hi <= lo) < 400
+    res = dirichlet_form(F, G, 400, make_rng(1, 20), N=16, M=64)
+    assert _dirichlet_numbers(res) == GOLDEN_FG
+    res = dirichlet_form(F, F, 400, make_rng(1, 21), N=16, M=64)
+    assert _dirichlet_numbers(res) == GOLDEN_FF
+    div = divergence_form_check(F, G, 400, make_rng(1, 22), N=16, M=64)
+    assert (div.lhs, div.rhs, div.stderr) == GOLDEN_DIV
+
+
+def test_integrate_live_skips_dead_rows():
+    rng = np.random.default_rng(4)
+    lo = rng.uniform(-1.0, 0.0, 12)
+    hi = lo + rng.uniform(0.5, 2.0, 12)
+    hi[[1, 5, 6, 11]] = lo[[1, 5, 6, 11]]          # empty intervals
+    lo[0] = hi[0] = 0.0
+    coef = rng.standard_normal(12)
+    seen = []
+
+    def fn(m, coef):
+        seen.append(m.shape[0])
+        v = coef[:, None] * np.exp(-m * m)
+        return np.stack([v, v * m], axis=-1)
+
+    out = _integrate_live(fn, [coef], lo, hi, 2)
+    live = hi > lo
+    assert set(seen) == {7}
+    assert np.all(out[~live] == 0.0)
+    # live rows get the bits of integrating them on their own
+    ref = batched_gauss_panels(lambda m: fn(m, coef[live]), lo[live], hi[live])
+    assert np.array_equal(out[live], ref)
+
+    def never(m, *rows):
+        raise AssertionError("integrand called on an all-dead batch")
+
+    zero = np.zeros(5)
+    assert np.array_equal(_integrate_live(never, [coef[:5]], zero, zero, 3),
+                          np.zeros((5, 3)))
+    assert np.array_equal(_integrate_live(never, [coef[:5]], zero, zero), np.zeros(5))
 
 
 def test_rotational_invariance():

@@ -17,6 +17,40 @@ def test_step_endpoints_and_monotonicity():
     assert np.all(s1 >= -1e-15)
 
 
+def _step_reference(t):
+    """The step evaluated everywhere and then masked, as the formula reads."""
+    def u_all(t):
+        u, u1, u2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        pos = t > 0
+        tp = t[pos]
+        e = np.exp(-1.0 / tp)
+        u[pos], u1[pos], u2[pos] = e, e / tp ** 2, e * (1.0 / tp ** 4 - 2.0 / tp ** 3)
+        return u, u1, u2
+
+    A, A1, A2 = u_all(t)
+    B, nB1, B2 = u_all(1.0 - t)
+    B1 = -nB1
+    mid = (t > 0) & (t < 1)
+    Dm = np.where(mid, A + B, 1.0)
+    s = np.where(mid, A / Dm, np.where(t >= 1, 1.0, 0.0))
+    num1 = A1 * B - A * B1
+    s1 = np.where(mid, num1 / Dm ** 2, 0.0)
+    num2 = A2 * B - A * B2
+    s2 = np.where(mid, num2 / Dm ** 2 - 2.0 * num1 * (A1 + B1) / Dm ** 3, 0.0)
+    return s, s1, s2
+
+
+def test_step_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for t in (np.linspace(-1.0, 2.0, 3001), rng.uniform(-2.0, 3.0, (40, 50)),
+              np.array([0.0, -0.0, 1.0, 1e-3, 0.5, 1.0 - 1e-12, 7.0]),
+              rng.uniform(0.0, 1.0, (30, 1))):
+        with np.errstate(all="ignore"):
+            for a, b in zip(_step(t), _step_reference(t)):
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @given(st.floats(-3.0, 3.0), st.floats(0.2, 2.0))
 @settings(max_examples=30, deadline=None)
 def test_plateau_bump_derivatives(center, half):
@@ -51,6 +85,30 @@ def test_product_profile_gradient_hessian():
             fd = (prof.value(x + ei + ej) - prof.value(x + ei - ej)
                   - prof.value(x - ei + ej) + prof.value(x - ei - ej)) / (4 * eps ** 2)
             assert np.abs(fd - h[..., i, j]).max() < 1e-3
+
+
+@pytest.mark.parametrize("slopes", [(1.0, 0.0, -0.7), (0.0, 0.0, 0.0), (0.3, 2.0, 0.0)])
+def test_product_profile_along_matches_pointwise(slopes):
+    # one pass along lines base + m slopes gives the same bits as value/grad/
+    # hess at those points, zero-slope factors broadcast from shape (B, 1)
+    prof = ProductProfile.bumps([0.0, 0.5, -0.3], [1.0, 0.8, 1.2])
+    slopes = np.array(slopes)
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-1.6, 1.6, size=(60, 3))     # some rows outside the box
+    m = rng.uniform(-3.0, 3.0, size=(60, 30))
+    x = base[:, None, :] + m[:, :, None] * slopes[None, None, :]
+    val, grad, hess = prof.along(base, slopes, m)
+    assert np.array_equal(np.broadcast_to(val, m.shape), prof.value(x))
+    g, h = prof.grad(x), prof.hess(x)
+    for i in range(3):
+        assert np.array_equal(np.broadcast_to(grad[i], m.shape), g[..., i])
+        for j in range(3):
+            assert np.array_equal(np.broadcast_to(hess[i][j], m.shape), h[..., i, j])
+    assert np.any(g != 0.0) and np.any(prof.value(x) == 0.0)
+    v0, g0, h0 = prof.along(base, slopes, m, order=0)
+    assert np.array_equal(v0, val) and g0 is None and h0 is None
+    if not slopes.any():
+        assert val.shape == (60, 1)
 
 
 def test_mollified_profile_is_derivative_consistent():

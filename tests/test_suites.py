@@ -9,7 +9,7 @@ from growthlab.dynamics import (MeasurePath, path_to_csv,
                                 stationarity_diagnostic, simulate_symmetric)
 from growthlab.gmc import CircleMeasure
 from growthlab.rng import make_rng
-from growthlab.suites import ExperimentConfig, run_suite
+from growthlab.suites import CheckResult, ExperimentConfig, not_decaying, run_suite
 
 LIGHT = {
     "identities": dict(N=32, M=128, n_samples=300),
@@ -41,6 +41,17 @@ def test_mass_law_gates_carry_stderr_and_power():
         assert r.gate == "rel" and r.tol == 0.02
         assert r.stderr > 0.0
         assert 0.02 * abs(r.rhs) >= 4.0 * r.stderr, (name, r.rhs, r.stderr)
+
+
+def test_decay_gates_can_fail():
+    # the two inverse-map decay checks pass only on strictly falling errors
+    def gate(errs):
+        return CheckResult.bound("inverse-map-smooth-decay", not_decaying(errs),
+                                 0.5, "inverse-map").passed
+
+    assert gate([0.0527, 0.0504, 0.0500])
+    for errs in ([0.05, 0.06, 0.04], [0.05, 0.04, 0.04], [0.03, 0.04, 0.05]):
+        assert not gate(errs), errs
 
 
 def test_measure_path_csv_roundtrip(tmp_path):
