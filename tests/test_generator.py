@@ -5,7 +5,7 @@ from growthlab.disk import realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
                               bulk_covariance_matrix, m_support,
                               sample_trace_batch)
-from growthlab.gmc import CircleMeasure, chaos_measure
+from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
 from growthlab.generator import (CylindricalFunctional, _integrate_live,
                                  _TraceBatch, apply_generator,
                                  derivative_martingale_identity, diffusion,
@@ -18,7 +18,7 @@ from growthlab.generator import (CylindricalFunctional, _integrate_live,
                                  pure_gravity_solve, qle_drift_compare,
                                  rotational_invariance_check,
                                  truncated_second_moment_growth)
-from growthlab.profiles import MollifiedProfile, ProductProfile
+from growthlab.profiles import BoundedSmoothProfile, MollifiedProfile, ProductProfile
 from growthlab.quadrature import batched_gauss_panels
 from growthlab.rng import make_rng
 from growthlab.spectral import BoundaryField, grid_angles
@@ -203,6 +203,24 @@ GOLDEN_FF = (42.752397121634395, 36.93640149929286, 3.2617986380676056,
              42.752397121634395, 36.93640149929286, 3.2617986380676056,
              36.93640149929286, 3.9563672406870223e-19)
 GOLDEN_DIV = (0.2712896826928716, 0.5738594155471081, 0.8702069172567649)
+# Recorded from the estimators before they shared one Monte Carlo driver and
+# one integrand form (numpy 2.4, x86-64); paired results are (lhs, rhs,
+# stderr, lhs_stderr, rhs_stderr), single ones (estimate, stderr).
+GOLDEN_INV_PG = (1.1674247082143803, 5.566239549678692e-17, 1.3155936754364626,
+                 1.3155936754364626, 7.998677169129767e-18)
+GOLDEN_INV_ALPHA = (0.9668797933200772, -0.20054491489430318, 1.3155936754364628,
+                    1.3087260399637985, 0.028818271614679793)
+GOLDEN_ROT = (-0.09312335749813037, 0.21467568790128935)
+GOLDEN_HDMUF = (1.8310762247661683, 0.8683396856050958)
+GOLDEN_POT = (-4.790052207892868, 0.17545611474474798)
+GOLDEN_PROJ = (0.05130019509384791, 0.0388888590345318, 0.02561397653960413,
+               0.017001667783138483, 0.01940847788058585)
+GOLDEN_WEIGHTED = (0.11614463948869914, 0.04818989118700455, 0.03616200784216547)
+GOLDEN_DIV_REM = GOLDEN_DIV + (0.07748244707594767, 0.8677067790317843)
+
+
+def _paired_numbers(res):
+    return (res.lhs, res.rhs, res.stderr, res.lhs_stderr, res.rhs_stderr)
 
 
 def _dirichlet_numbers(res):
@@ -225,6 +243,33 @@ def test_zero_mode_estimators_keep_their_bits():
     assert _dirichlet_numbers(res) == GOLDEN_FF
     div = divergence_form_check(F, G, 400, make_rng(1, 22), N=16, M=64)
     assert (div.lhs, div.rhs, div.stderr) == GOLDEN_DIV
+
+    kw = dict(N=16, M=64)
+    assert _paired_numbers(invariance_check(F, PG, 400, make_rng(1, 23), **kw)) \
+        == GOLDEN_INV_PG
+    alpha = PG.replace(alpha=PG.alpha + 0.2)
+    assert _paired_numbers(invariance_check(F, alpha, 400, make_rng(1, 23), **kw)) \
+        == GOLDEN_INV_ALPHA
+    ell = BoundaryField.basis(3, 4) + BoundaryField.constant(0.2, 4)
+    assert rotational_invariance_check(ell, F, 400, make_rng(1, 24), **kw) == GOLDEN_ROT
+    p = 0.5 * BoundaryField.basis(1, 4) + BoundaryField.constant(0.1, 4)
+    assert ibp_hdmuf_check(p, F, G, 400, make_rng(1, 25), **kw) == GOLDEN_HDMUF
+    ell2 = BoundaryField.constant(0.3, 2) + 0.5 * BoundaryField.basis(2, 2)
+    assert ibp_potential_check(ell2, BoundaryField.constant(1.0, 2), F, 400,
+                               make_rng(1, 26), c=PG.c + 0.2, **kw) == GOLDEN_POT
+    P = [BoundaryField.basis(0, 2), BoundaryField.basis(1, 2), BoundaryField.basis(2, 2)]
+    Fprof = ProductProfile.bumps([0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
+    assert _paired_numbers(projected_symmetric_ibp_check(
+        P, Fprof, G, 400, make_rng(1, 27), **kw)) == GOLDEN_PROJ
+    f = BoundaryField.constant(1.0, 2) + 0.3 * BoundaryField.basis(1, 2)
+    # batch 150 does not divide 400: the last batch is a remainder of 100
+    assert weighted_field_check(f, [BoundaryField.basis(1, 8), BoundaryField.basis(2, 8)],
+                                BoundedSmoothProfile(2, 0.4), PG.xi, 16, 64, 400,
+                                make_rng(1, 28), batch=150) == GOLDEN_WEIGHTED
+    assert _paired_numbers(divergence_form_check(F, G, 400, make_rng(1, 22), batch=150,
+                                                 **kw)) == GOLDEN_DIV_REM
+    assert rotational_invariance_check(ell, F, 400, make_rng(1, 24), batch=150,
+                                       **kw) == GOLDEN_ROT
 
 
 def test_integrate_live_skips_dead_rows():
