@@ -9,7 +9,9 @@ with i.i.d. standard normals X_k, so mode k has variance 2 pi / lam_k and
 the pointwise covariance is the truncation of -2 log |w - z|.  The full
 field h = h0 + m carries Lebesgue weight e^{delta m} dm on the zero mode;
 expectations localize the m-integral through a compactly supported profile
-with at least one nonzero-mean symbol and integrate it by adaptive Simpson.
+with at least one nonzero-mean symbol and integrate it by composite
+Gauss-Legendre panels.  Every Monte Carlo estimator draws its samples in
+batches through monte_carlo_rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .gmc import chaos_density_batch
 from .profiles import IndicatorProfile
-from .quadrature import batched_simpson, green_pair_modes
+from .quadrature import batched_gauss_panels, green_pair_modes
 from .spectral import SQRT_2PI, SQRT_PI, BoundaryField, eigenvalues
 
 
@@ -259,6 +261,34 @@ def gaussian_identity_check(which: str, cov: np.ndarray, n_samples: int,
     return float(lhs.mean()), float(rhs.mean()), float(diff.std(ddof=1) / np.sqrt(diff.size))
 
 
+# -- Monte Carlo driver ----------------------------------------------------------
+
+
+def monte_carlo_rows(per_batch, n_samples: int, batch: int) -> np.ndarray:
+    """Per-sample rows (n_samples, k) drawn in batches of at most batch.
+
+    per_batch(b) draws b samples and returns their rows as a (b, k) array;
+    batches run in order, and the last one holds the remainder.
+    """
+    rows = []
+    done = 0
+    while done < n_samples:
+        b = min(batch, n_samples - done)
+        rows.append(per_batch(b))
+        done += b
+    return np.concatenate(rows)
+
+
+def mean_stderr(v: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error."""
+    return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
+
+
+def mean_zero_pairing(h: BoundaryField, p: BoundaryField) -> float:
+    """Arclength pairing of the mean-zero part of h with p, mode by mode."""
+    return sum(h.coeffs[k] * p.coeffs[k] for k in range(1, min(h.coeffs.size, p.coeffs.size)))
+
+
 # -- zero-mode localization -----------------------------------------------------
 
 
@@ -316,23 +346,22 @@ class CylindricalObservable:
 
 def rho_expectation(obs: CylindricalObservable, N: int, n_samples: int,
                     rng: np.random.Generator, delta: float, M: int = 256,
-                    batch: int = 4096, rel_tol: float = 1e-8):
+                    batch: int = 4096):
     """Expectation against the sigma-finite measure e^{delta m} rho_0 x dm.
 
     For each sampled mean-zero field the zero-mode integral runs over the
-    finite interval where the profile argument meets its support box, by
-    adaptive Simpson; the outer average and its standard error are over
-    the field samples.
+    finite interval where the profile argument meets its support box, in
+    closed form for an indicator profile and by Gauss-Legendre panels
+    otherwise; the outer average and its standard error are over the field
+    samples.
     """
     slopes = obs.slopes()
     if obs.mass_power and not 0.0 < obs.xi < 1.0:
         raise ValueError("chaos parameter must lie in (0, 1)")
     sigmas = np.zeros(len(obs.symbols))
-    vals_per_sample = []
-    done = 0
-    exact_indicator = isinstance(obs.profile, IndicatorProfile)
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    rate = delta + obs.mass_power * obs.mass_sign * obs.xi
+
+    def per_batch(b):
         coeffs = sample_trace_batch(N, b, rng)
         base = np.stack([pair_symbol(coeffs, p) for p in obs.symbols], axis=-1)
         lo, hi = m_support([(base, slopes, obs.profile.box, sigmas)])
@@ -342,24 +371,20 @@ def rho_expectation(obs: CylindricalObservable, N: int, n_samples: int,
             mass0 = dens.sum(axis=1) * (2.0 * np.pi / M)
         else:
             mass0 = np.ones(b)
-        rate = delta + obs.mass_power * obs.mass_sign * obs.xi
-
-        if exact_indicator:
+        if isinstance(obs.profile, IndicatorProfile):
             if rate == 0.0:
                 integ = hi - lo
             else:
                 integ = (np.exp(rate * hi) - np.exp(rate * lo)) / rate
-            vals_per_sample.append(mass0 ** obs.mass_power * integ)
         else:
             def fn(m):
                 args = base[:, None, :] + m[:, :, None] * slopes[None, None, :]
                 return np.exp(rate * m) * obs.profile.value(args)
 
-            integ = batched_simpson(fn, lo, hi, rel_tol=rel_tol)
-            vals_per_sample.append(mass0 ** obs.mass_power * integ)
-        done += b
-    vals = np.concatenate(vals_per_sample)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
+            integ = batched_gauss_panels(fn, lo, hi)
+        return (mass0 ** obs.mass_power * integ)[:, None]
+
+    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
 
 
 # -- Cameron-Martin and conjugate-shift checks -----------------------------------
@@ -374,9 +399,7 @@ def cameron_martin_check(symbols, profile, p: BoundaryField, t: float, N: int,
     """
     coeffs = sample_trace_batch(N, n_samples, rng)
     base = np.stack([pair_symbol(coeffs, q) for q in symbols], axis=-1)
-    shift = np.array([sum(p.coeffs[k] * q.coeffs[k]
-                          for k in range(1, min(p.coeffs.size, q.coeffs.size)))
-                      for q in symbols])
+    shift = np.array([mean_zero_pairing(p, q) for q in symbols])
     lhs = profile.value(base + t * shift[None, :])
     lam = eigenvalues(N)
     pc = np.zeros(2 * N + 1)
@@ -404,9 +427,7 @@ def tilde_shift_check(symbols, profile, h: BoundaryField, xi: float, M: int = 10
     compares with the tangential x-derivative of the shifted functional
     divided by 2 pi xi.  Returns the max grid residual.
     """
-    base = np.array([sum(h.coeffs[k] * q.coeffs[k]
-                         for k in range(1, min(h.coeffs.size, q.coeffs.size)))
-                     + h.mean() * q.integral() for q in symbols])
+    base = np.array([mean_zero_pairing(h, q) + h.mean() * q.integral() for q in symbols])
     P = [inverse_laplace_half(q) for q in symbols]
     shifts = np.stack([2.0 * np.pi * xi * Pq.values(M) for Pq in P], axis=-1)
     args = base[None, :] + shifts

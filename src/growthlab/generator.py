@@ -18,7 +18,8 @@ import numpy as np
 
 from .disk import DiskTestFunction, realize_symbol
 from .fields import (CouplingParams, IntegrabilityError, batch_values,
-                     bulk_covariance_matrix, m_support, pair_symbol,
+                     bulk_covariance_matrix, m_support, mean_stderr,
+                     mean_zero_pairing, monte_carlo_rows, pair_symbol,
                      sample_trace_batch)
 from .gmc import CircleMeasure, chaos_density_batch
 from .kernels import (contract_left, dmu_modes, dmu_polar, loewner_field_polar,
@@ -159,6 +160,16 @@ def drift(p: BoundaryField, h: BoundaryField, mu: CircleMeasure,
     raise ValueError(f"unknown route {route!r}")
 
 
+def _at_configuration(F: CylindricalFunctional, h: BoundaryField, m: float,
+                      xi: float, M: int):
+    """Chaos measure e^{-xi (h + m)} and the pairings <h + m, p_i> at one field."""
+    dens = chaos_density_batch(h.values(M)[None, :], -1, xi, h.degree)[0]
+    mu = CircleMeasure(dens * np.exp(-xi * m))
+    args = np.array([mean_zero_pairing(h, p) + (h.mean() + m) * p.integral()
+                     for p in F.symbols])
+    return mu, args
+
+
 def apply_generator(F: CylindricalFunctional, h: BoundaryField, m: float,
                     params: CouplingParams, mu: CircleMeasure | None = None,
                     M: int = 256) -> float:
@@ -168,12 +179,8 @@ def apply_generator(F: CylindricalFunctional, h: BoundaryField, m: float,
     h + m.
     """
     F.require_guard()
-    if mu is None:
-        dens = chaos_density_batch(h.values(M)[None, :], -1, params.xi, h.degree)[0]
-        mu = CircleMeasure(dens * np.exp(-params.xi * m))
-    args = np.array([sum(h.coeffs[k] * p.coeffs[k]
-                         for k in range(1, min(h.coeffs.size, p.coeffs.size)))
-                     + (h.mean() + m) * p.integral() for p in F.symbols])
+    chaos, args = _at_configuration(F, h, m, params.xi, M)
+    mu = chaos if mu is None else mu
     grad = F.profile.grad(args[None, :])[0]
     hess = F.profile.hess(args[None, :])[0]
     total = 0.0
@@ -207,6 +214,10 @@ class _TraceBatch:
 
     def pair(self, p: BoundaryField) -> np.ndarray:
         return pair_symbol(self.coeffs, p)
+
+    def bases(self, symbols) -> np.ndarray:
+        """(B, n) pairings of the samples with each symbol, at m = 0."""
+        return np.stack([self.pair(p) for p in symbols], axis=-1)
 
     def vpair_dnh(self, p: BoundaryField) -> np.ndarray:
         """V-kernel drift term: pairing of V_p with the field's normal data."""
@@ -247,96 +258,58 @@ def _integrate_live(fn, rows, lo, hi, n_out: int | None = None):
     return out
 
 
-class _MIntegrand:
-    """Sum of coef(h0) e^{rate m} (profile derivative)(args + m slopes) terms.
+_SPLINE_GAUSS = gauss_legendre(0.0, 1.0, 4)
 
-    Several outputs can be accumulated on shared nodes; outputs are keyed
-    0..n_out-1.
+
+def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
+    """Per-sample m-integrals of fn(m, *rows) for a spline profile.
+
+    The integral runs over the m-interval where base + m slopes meets the
+    profile's support box.  The tabulated profile is piecewise cubic in m,
+    so between knot crossings the integrand is a cubic times an
+    exponential; four Gauss nodes per segment integrate that to roundoff in
+    a single pass.  fn returns (B, K, n_out); the output is (B, n_out).
     """
+    lo, hi = _m_interval((base, slopes, profile))
+    B = lo.size
+    table = profile._table
+    breaks = [lo[:, None], hi[:, None]]
+    for k in range(len(slopes)):
+        if slopes[k] == 0.0:
+            continue
+        knots = table.lows[k] + table.h[k] * np.arange(table.pts)
+        m_cross = (knots[None, :] - base[:, k : k + 1]) / slopes[k]
+        breaks.append(np.clip(m_cross, lo[:, None], hi[:, None]))
+    grid = np.sort(np.concatenate(breaks, axis=1), axis=1)
+    a = grid[:, :-1]
+    w = grid[:, 1:] - a
+    x, wq = _SPLINE_GAUSS
+    nodes = (a[:, :, None] + w[:, :, None] * x[None, None, :]).reshape(B, -1)
+    weights = (w[:, :, None] * wq[None, None, :]).reshape(B, -1)
+    return np.einsum("bkc,bk->bc", fn(nodes, *rows), weights)
 
-    def __init__(self, n_out: int):
-        self.n_out = n_out
-        self.blocks = []      # (slopes, profile) per functional slot
-        self.bases = []       # (B, n) pairings at m = 0 per slot
-        self.terms = []       # (out, slot, kind, idx, rate)
-        self.coefs = []       # (B,) coefficient per term
 
-    def add_block(self, base, slopes, profile) -> int:
-        self.blocks.append((np.asarray(slopes, dtype=float), profile))
-        self.bases.append(base)
-        return len(self.blocks) - 1
+def _m_interval(*blocks):
+    """Per-sample m-interval on which every (base, slopes, profile) block is
+    inside its profile's support box."""
+    return m_support([(base, slopes, prof.box, np.zeros(len(slopes)))
+                      for base, slopes, prof in blocks])
 
-    def add(self, out: int, slot: int, kind: str, idx: tuple, coef, rate: float):
-        self.terms.append((out, slot, kind, idx, rate))
-        self.coefs.append(np.asarray(coef, dtype=float))
 
-    def support(self):
-        return m_support([(base, slopes, profile.box, np.zeros(len(slopes)))
-                          for base, (slopes, profile) in zip(self.bases, self.blocks)])
+def _first_order_integrand(F: CylindricalFunctional, rate: float):
+    """fn(m, base, a, c) = (a psi + sum_i c_i d_i psi) e^{rate m}, as (B, K, 1),
+    with psi the profile of F at base + m slopes."""
+    slopes = F.slopes()
 
-    def __call__(self, m, bases, coefs):
-        B, K = m.shape
-        needed: dict[int, set] = {}
-        for _, slot, kind, idx, _ in self.terms:
-            needed.setdefault(slot, set()).add((kind,) + tuple(idx))
-        memo = {}
-        for slot, keys in needed.items():
-            slopes, prof = self.blocks[slot]
-            if isinstance(prof, MollifiedProfile):
-                args = bases[slot][:, None, :] + m[:, :, None] * slopes[None, None, :]
-                for kk, v in prof.eval_many(args, sorted(keys)).items():
-                    memo[(slot, kk)] = v
-                continue
-            order = max({"v": 0, "g": 1, "h": 2}[k[0]] for k in keys)
-            val, grad, hess = prof.along(bases[slot], slopes, m, order)
-            for k in keys:
-                if k[0] == "v":
-                    memo[(slot, k)] = val
-                elif k[0] == "g":
-                    memo[(slot, k)] = grad[k[1]]
-                else:
-                    memo[(slot, k)] = hess[k[1]][k[2]]
-        rates = {}
-        out = np.zeros((B, K, self.n_out))
-        for (o, slot, kind, idx, rate), coef in zip(self.terms, coefs):
-            if rate not in rates:
-                rates[rate] = np.exp(rate * m)
-            out[:, :, o] += coef[:, None] * rates[rate] * memo[(slot, (kind,) + tuple(idx))]
-        return out
+    def fn(m, base, a, c):
+        val, grad, _ = F.profile.along(base, slopes, m, 1)
+        w = np.exp(rate * m)
+        out = a[:, None] * w * val
+        for i in range(F.dim):
+            out = out + c[i][:, None] * w * grad[i]
+        return out[..., None]
 
-    def integrate(self):
-        lo, hi = self.support()
-        if any(isinstance(prof, MollifiedProfile) for _, prof in self.blocks):
-            return self._integrate_spline_exact(lo, hi)
-        return _integrate_live(self, [self.bases, self.coefs], lo, hi, self.n_out)
-
-    def _integrate_spline_exact(self, lo, hi, gl_order: int = 4):
-        """Exact integration of spline-profile integrands along the m-line.
-
-        Tabulated profiles are piecewise cubic, so between knot crossings
-        the integrand is a cubic times an exponential; per-segment Gauss
-        nodes integrate that to roundoff in a single pass.
-        """
-        B = lo.size
-        breaks = [lo[:, None], hi[:, None]]
-        for base, (slopes, prof) in zip(self.bases, self.blocks):
-            if not isinstance(prof, MollifiedProfile):
-                continue
-            table = prof._table
-            for k in range(len(slopes)):
-                if slopes[k] == 0.0:
-                    continue
-                knots = table.lows[k] + table.h[k] * np.arange(table.pts)
-                m_cross = (knots[None, :] - base[:, k : k + 1]) / slopes[k]
-                breaks.append(np.clip(m_cross, lo[:, None], hi[:, None]))
-        grid = np.sort(np.concatenate(breaks, axis=1), axis=1)
-        a = grid[:, :-1]
-        w = grid[:, 1:] - a
-        x, wq = gauss_legendre(0.0, 1.0, gl_order)
-        nodes = (a[:, :, None] + w[:, :, None] * x[None, None, :]).reshape(B, -1)
-        weights = (w[:, :, None] * wq[None, None, :]).reshape(B, -1)
-        vals = self(nodes, self.bases, self.coefs)
-        return np.einsum("bkc,bk->bc", vals, weights)
+    return fn
 
 
 @dataclass
@@ -359,14 +332,10 @@ class PairedEstimate:
 
 
 def _paired_from_samples(lhs, rhs) -> PairedEstimate:
-    lhs = np.concatenate(lhs)
-    rhs = np.concatenate(rhs)
-    d = lhs - rhs
-    n = d.size
-    return PairedEstimate(float(lhs.mean()), float(rhs.mean()),
-                          float(d.std(ddof=1) / np.sqrt(n)),
-                          float(lhs.std(ddof=1) / np.sqrt(n)),
-                          float(rhs.std(ddof=1) / np.sqrt(n)), n)
+    lhs_mean, lhs_se = mean_stderr(lhs)
+    rhs_mean, rhs_se = mean_stderr(rhs)
+    return PairedEstimate(lhs_mean, rhs_mean, mean_stderr(lhs - rhs)[1], lhs_se,
+                          rhs_se, lhs.size)
 
 
 # -- invariance equation ----------------------------------------------------------
@@ -407,34 +376,55 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     coef_rhs_b = -TWO_PI * (params.chi + 2.0 * xi + 1.0 / (2.0 * xi))
     coef_rhs_mean = -TWO_PI * params.beta
     coef_rhs_mass = -0.5 * ((TWO_PI * params.c) ** 2 - xi ** 2)
+    lhs_mean = [-TWO_PI * params.beta * p.mean() for p in F.symbols]
+    rhs_mean = [coef_rhs_mean * p.mean() for p in F.symbols]
 
-    lhs_vals, rhs_vals = [], []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    def fn(m, base, lhs_c, rhs_c, diffusion_c, mass_c):
+        val, grad, hess = psit.along(base, slopes, m)
+        w = np.exp((delta - xi) * m)
+        w_mean = np.exp(delta * m)
+        lhs = np.zeros_like(m)
+        rhs = np.zeros_like(m)
+        for i in range(n):
+            lhs += lhs_c[i][:, None] * w * grad[i]
+            lhs += lhs_mean[i] * w_mean * grad[i]
+            rhs += rhs_c[i][:, None] * w * grad[i]
+            rhs += rhs_mean[i] * w_mean * grad[i]
+            for j in range(n):
+                lhs += diffusion_c[i][j][:, None] * w * hess[i][j]
+        rhs += mass_c[:, None] * w * val
+        return np.stack([lhs, rhs], axis=-1)
+
+    def per_batch(b):
         tb = _TraceBatch(N, b, rng, xi, M)
-        base = np.stack([tb.pair(p) for p in F.symbols], axis=-1) + log_shift[None, :]
-        integ = _MIntegrand(2)
-        slot = integ.add_block(base, slopes, psit)
-        for i, p in enumerate(F.symbols):
-            A = tb.mu_int(p.values(M))
-            B = tb.mu_int(p.dirichlet_to_neumann().values(M))
-            C = tb.vpair_dnh(p)
-            lhs_coef = C + TWO_PI * ca * A - TWO_PI * params.chi * B
-            integ.add(0, slot, "g", (i,), lhs_coef, delta - xi)
-            integ.add(0, slot, "g", (i,), np.full(b, -TWO_PI * params.beta * p.mean()),
-                      delta)
-            integ.add(1, slot, "g", (i,), coef_rhs_a * A + coef_rhs_b * B, delta - xi)
-            integ.add(1, slot, "g", (i,), np.full(b, coef_rhs_mean * p.mean()), delta)
-            for j, q in enumerate(F.symbols):
-                D = tb.mu_int(p.values(M) * q.values(M))
-                integ.add(0, slot, "h", (i, j), TWO_PI * np.pi * D, delta - xi)
-        integ.add(1, slot, "v", (), coef_rhs_mass * tb.mass0, delta - xi)
-        vals = integ.integrate()
-        lhs_vals.append(vals[:, 0])
-        rhs_vals.append(vals[:, 1])
-        done += b
-    return _paired_from_samples(lhs_vals, rhs_vals)
+        base = tb.bases(F.symbols) + log_shift[None, :]
+        A = [tb.mu_int(p.values(M)) for p in F.symbols]
+        B = [tb.mu_int(p.dirichlet_to_neumann().values(M)) for p in F.symbols]
+        lhs_c = [tb.vpair_dnh(p) + TWO_PI * ca * A[i] - TWO_PI * params.chi * B[i]
+                 for i, p in enumerate(F.symbols)]
+        rhs_c = [coef_rhs_a * A[i] + coef_rhs_b * B[i] for i in range(n)]
+        diffusion_c = [[TWO_PI * np.pi * tb.mu_int(p.values(M) * q.values(M))
+                        for q in F.symbols] for p in F.symbols]
+        return _integrate_spline_exact(fn, [base, lhs_c, rhs_c, diffusion_c,
+                                            coef_rhs_mass * tb.mass0], base, slopes, psit)
+
+    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    return _paired_from_samples(rows[:, 0], rows[:, 1])
+
+
+def _invariance_setup(F: CylindricalFunctional, params: CouplingParams,
+                      h: BoundaryField, m: float, M: int, nr: int, gh_points: int,
+                      psit: MollifiedProfile | None, sigma: np.ndarray | None):
+    """Realized test functions, mollified profile, chaos measure and shifted
+    pairing arguments of the stationarity integrand at one configuration."""
+    fs = F.realized()
+    if sigma is None:
+        sigma = bulk_covariance_matrix(fs, nr=nr)
+    if psit is None:
+        psit = MollifiedProfile(F.profile, sigma, gh_points=gh_points)
+    mu, args = _at_configuration(F, h, m, params.xi, M)
+    log_shift = params.alpha * np.array([f.log_pairing() for f in fs])
+    return fs, psit, mu, args + log_shift
 
 
 def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
@@ -444,19 +434,7 @@ def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
                            sigma: np.ndarray | None = None) -> float:
     """Boundary-localized form of the stationarity integrand at one
     configuration (the fast route the Monte Carlo estimator uses)."""
-    fs = F.realized()
-    if sigma is None:
-        sigma = bulk_covariance_matrix(fs, nr=nr)
-    if psit is None:
-        psit = MollifiedProfile(F.profile, sigma, gh_points=gh_points)
-    xi = params.xi
-    dens = chaos_density_batch(h.values(M)[None, :], -1, xi, h.degree)[0]
-    mu = CircleMeasure(dens * np.exp(-xi * m))
-    log_shift = params.alpha * np.array([f.log_pairing() for f in fs])
-    args = np.array([sum(h.coeffs[k] * p.coeffs[k]
-                         for k in range(1, min(h.coeffs.size, p.coeffs.size)))
-                     + (h.mean() + m) * p.integral()
-                     for p in F.symbols]) + log_shift
+    _, psit, mu, args = _invariance_setup(F, params, h, m, M, nr, gh_points, psit, sigma)
     total = 0.0
     for i, p in enumerate(F.symbols):
         C = mu.integrate(vkernel_pair_dnh(p, h, M))
@@ -479,19 +457,7 @@ def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
     """Generator form of the stationarity integrand at one configuration,
     assembled from bulk quadratures (the cross-check route for the
     boundary-localized estimator)."""
-    fs = F.realized()
-    if sigma is None:
-        sigma = bulk_covariance_matrix(fs, nr=nr)
-    if psit is None:
-        psit = MollifiedProfile(F.profile, sigma, gh_points=gh_points)
-    xi = params.xi
-    dens = chaos_density_batch(h.values(M)[None, :], -1, xi, h.degree)[0]
-    mu = CircleMeasure(dens * np.exp(-xi * m))
-    log_shift = params.alpha * np.array([f.log_pairing() for f in fs])
-    args = np.array([sum(h.coeffs[k] * p.coeffs[k]
-                         for k in range(1, min(h.coeffs.size, p.coeffs.size)))
-                     + (h.mean() + m) * p.integral()
-                     for p in F.symbols]) + log_shift
+    fs, psit, mu, args = _invariance_setup(F, params, h, m, M, nr, gh_points, psit, sigma)
     total = 0.0
     K = max(f.degree for f in fs) + 2
     for i, (p, f) in enumerate(zip(F.symbols, fs)):
@@ -544,67 +510,29 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
     slopesF, slopesG = F.slopes(), G.slopes()
     a_grid = [[operator_a(p, q, M) for q in G.symbols] for p in F.symbols]
 
-    pieces = {"fwd_lhs": [], "fwd_rhs": [], "swp_lhs": [], "swp_rhs": []}
-    sym_tot, anti_tot, count = 0.0, 0.0, 0
+    def drifts(tb, symbols):
+        return [tb.vpair_dnh(p) + TWO_PI * Q * tb.mu_int(p.dirichlet_to_neumann().values(M))
+                + TWO_PI * xi * tb.mu_int(p.values(M)) for p in symbols]
 
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        tb = _TraceBatch(N, b, rng, xi, M)
-        baseF = np.stack([tb.pair(p) for p in F.symbols], axis=-1)
-        baseG = np.stack([tb.pair(q) for q in G.symbols], axis=-1)
+    def sigmas(tb, left, right):
+        return [[TWO_PI ** 2 * tb.mu_int(p.values(M) * q.values(M)) for q in right]
+                for p in left]
 
-        bF = [tb.vpair_dnh(p) + TWO_PI * Q * tb.mu_int(p.dirichlet_to_neumann().values(M))
-              + TWO_PI * xi * tb.mu_int(p.values(M)) for p in F.symbols]
-        bG = [tb.vpair_dnh(q) + TWO_PI * Q * tb.mu_int(q.dirichlet_to_neumann().values(M))
-              + TWO_PI * xi * tb.mu_int(q.values(M)) for q in G.symbols]
-        sigF = [[TWO_PI ** 2 * tb.mu_int(p.values(M) * q.values(M)) for q in F.symbols]
-                for p in F.symbols]
-        sigG = [[TWO_PI ** 2 * tb.mu_int(p.values(M) * q.values(M)) for q in G.symbols]
-                for p in G.symbols]
-        cross = [[TWO_PI ** 2 * tb.mu_int(p.values(M) * q.values(M)) for q in G.symbols]
-                 for p in F.symbols]
-        across = [[TWO_PI ** 2 * tb.mu_int(a_grid[i][j]) for j in range(nG)]
-                  for i in range(nF)]
-
-        lhs_f, lhs_s, sym_v, anti_v = _dirichlet_integrands(
-            tb, F, G, baseF, baseG, bF, bG, sigF, sigG, cross, across,
-            slopesF, slopesG, delta, xi)
-        pieces["fwd_lhs"].append(lhs_f)
-        pieces["fwd_rhs"].append(sym_v + anti_v)
-        pieces["swp_lhs"].append(lhs_s)
-        pieces["swp_rhs"].append(sym_v - anti_v)
-        sym_tot += sym_v.sum()
-        anti_tot += anti_v.sum()
-        count += b
-        done += b
-
-    fwd = _paired_from_samples(pieces["fwd_lhs"], pieces["fwd_rhs"])
-    swp = _paired_from_samples(pieces["swp_lhs"], pieces["swp_rhs"])
-    return DirichletFormResult(fwd, swp, sym_tot / count, anti_tot / count)
-
-
-def _dirichlet_integrands(tb, F, G, baseF, baseG, bF, bG, sigF, sigG, cross,
-                          across, slopesF, slopesG, delta, xi):
-    """Per-sample zero-mode integrals of the four Dirichlet-form integrands."""
-    nF, nG = F.dim, G.dim
+    def generator_term(b, sig, grad, hess):
+        out = np.zeros_like(grad[0])
+        for j in range(len(b)):
+            out += b[j][:, None] * grad[j]
+        for j in range(len(b)):
+            for k in range(len(b)):
+                out += 0.5 * sig[j][k][:, None] * hess[j][k]
+        return out
 
     def fn(m, baseF, baseG, bF, bG, sigF, sigG, cross, across, mass0):
         Fv, Fg, Fh = F.profile.along(baseF, slopesF, m)
         Gv, Gg, Gh = G.profile.along(baseG, slopesG, m)
         w = np.exp((delta - xi) * m)
-        LG = np.zeros_like(m)
-        LF = np.zeros_like(m)
-        for j in range(nG):
-            LG += bG[j][:, None] * Gg[j]
-        for j in range(nG):
-            for k in range(nG):
-                LG += 0.5 * sigG[j][k][:, None] * Gh[j][k]
-        for i in range(nF):
-            LF += bF[i][:, None] * Fg[i]
-        for i in range(nF):
-            for k in range(nF):
-                LF += 0.5 * sigF[i][k][:, None] * Fh[i][k]
+        LG = generator_term(bG, sigG, Gg, Gh)
+        LF = generator_term(bF, sigF, Fg, Fh)
         sym = np.zeros_like(m)
         anti = np.zeros_like(m)
         for i in range(nF):
@@ -617,21 +545,33 @@ def _dirichlet_integrands(tb, F, G, baseF, baseG, bF, bG, sigF, sigG, cross,
                  * (meanF * Gv - meanG * Fv))
         return np.stack([-Fv * LG * w, -Gv * LF * w, sym * w, anti * w], axis=-1)
 
-    lo, hi = m_support([(baseF, slopesF, F.profile.box, np.zeros(nF)),
-                        (baseG, slopesG, G.profile.box, np.zeros(nG))])
-    vals = _integrate_live(fn, [baseF, baseG, bF, bG, sigF, sigG, cross, across,
-                                tb.mass0], lo, hi, 4)
-    # cross/across carry (2 pi)^2 and are halved in fn, landing the closed
-    # forms on their 2 pi^2 normalization; same for the mean-mass term
-    return vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
+    def per_batch(b):
+        tb = _TraceBatch(N, b, rng, xi, M)
+        baseF, baseG = tb.bases(F.symbols), tb.bases(G.symbols)
+        across = [[TWO_PI ** 2 * tb.mu_int(a_grid[i][j]) for j in range(nG)]
+                  for i in range(nF)]
+        lo, hi = _m_interval((baseF, slopesF, F.profile), (baseG, slopesG, G.profile))
+        # cross/across carry (2 pi)^2 and are halved in fn, landing the closed
+        # forms on their 2 pi^2 normalization; same for the mean-mass term
+        return _integrate_live(fn, [baseF, baseG, drifts(tb, F.symbols),
+                                    drifts(tb, G.symbols), sigmas(tb, F.symbols, F.symbols),
+                                    sigmas(tb, G.symbols, G.symbols),
+                                    sigmas(tb, F.symbols, G.symbols), across, tb.mass0],
+                               lo, hi, 4)
+
+    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    lhs_f, lhs_s, sym, anti = rows.T
+    fwd = _paired_from_samples(lhs_f, sym + anti)
+    swp = _paired_from_samples(lhs_s, sym - anti)
+    # sym and antisym are totals of per-batch sums, the order they are pinned in
+    sym_tot = anti_tot = 0.0
+    for start in range(0, n_samples, batch):
+        sym_tot += sym[start : start + batch].sum()
+        anti_tot += anti[start : start + batch].sum()
+    return DirichletFormResult(fwd, swp, sym_tot / n_samples, anti_tot / n_samples)
 
 
 # -- measure-level lemma checks ----------------------------------------------------
-
-
-def _single_estimate(vals_list) -> tuple[float, float]:
-    v = np.concatenate(vals_list)
-    return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
 
 
 def rotational_invariance_check(ell: BoundaryField, F: CylindricalFunctional,
@@ -648,23 +588,18 @@ def rotational_invariance_check(ell: BoundaryField, F: CylindricalFunctional,
     params = params or CouplingParams.pure_gravity()
     F.require_guard()
     xi, delta = params.xi, params.zero_mode_weight
-    slopes = F.slopes()
     dtl = ell.tangential_derivative().values(M)
     lt = [ell.values(M) * p.conjugate().values(M) for p in F.symbols]
-    vals = []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    fn = _first_order_integrand(F, delta - xi)
+
+    def per_batch(b):
         tb = _TraceBatch(N, b, rng, xi, M)
-        base = np.stack([tb.pair(p) for p in F.symbols], axis=-1)
-        integ = _MIntegrand(1)
-        slot = integ.add_block(base, slopes, F.profile)
-        integ.add(0, slot, "v", (), tb.mu_int(dtl), delta - xi)
-        for i in range(F.dim):
-            integ.add(0, slot, "g", (i,), TWO_PI * xi * tb.mu_int(lt[i]), delta - xi)
-        vals.append(integ.integrate()[:, 0])
-        done += b
-    return _single_estimate(vals)
+        base = tb.bases(F.symbols)
+        lo, hi = _m_interval((base, F.slopes(), F.profile))
+        return _integrate_live(fn, [base, tb.mu_int(dtl),
+                                    [TWO_PI * xi * tb.mu_int(g) for g in lt]], lo, hi, 1)
+
+    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
 
 
 def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
@@ -684,35 +619,30 @@ def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
     left_F = [contract_left(q, p, M) for q in F.symbols]
     left_G = [contract_left(q, p, M) for q in G.symbols]
     slopesF, slopesG = F.slopes(), G.slopes()
-    vals = []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    w_rate = delta - xi
+
+    def fn(m, baseF, baseG, K1, KF, KG):
+        Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
+        Gv, Gg, _ = G.profile.along(baseG, slopesG, m, 1)
+        out = K1[:, None] * Fv * Gv
+        for i in range(F.dim):
+            out = out + KF[i][:, None] * Fg[i] * Gv
+        for j in range(G.dim):
+            out = out + KG[j][:, None] * Fv * Gg[j]
+        return out * np.exp(w_rate * m)
+
+    def per_batch(b):
         tb = _TraceBatch(N, b, rng, xi, M)
-        baseF = np.stack([tb.pair(q) for q in F.symbols], axis=-1)
-        baseG = np.stack([tb.pair(q) for q in G.symbols], axis=-1)
+        baseF, baseG = tb.bases(F.symbols), tb.bases(G.symbols)
         K1 = (tb.vpair_dnh(p)
               + TWO_PI * xi * tb.mu_int(pv - pmean)
               + 2.0 * xi * TWO_PI * tb.mu_int(dnp))
         KF = [TWO_PI * tb.mu_int(g) for g in left_F]
         KG = [TWO_PI * tb.mu_int(g) for g in left_G]
-        w_rate = delta - xi
+        lo, hi = _m_interval((baseF, slopesF, F.profile), (baseG, slopesG, G.profile))
+        return _integrate_live(fn, [baseF, baseG, K1, KF, KG], lo, hi)[:, None]
 
-        def fn(m, baseF, baseG, K1, KF, KG):
-            Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
-            Gv, Gg, _ = G.profile.along(baseG, slopesG, m, 1)
-            out = K1[:, None] * Fv * Gv
-            for i in range(F.dim):
-                out = out + KF[i][:, None] * Fg[i] * Gv
-            for j in range(G.dim):
-                out = out + KG[j][:, None] * Fv * Gg[j]
-            return out * np.exp(w_rate * m)
-
-        lo, hi = m_support([(baseF, slopesF, F.profile.box, np.zeros(F.dim)),
-                            (baseG, slopesG, G.profile.box, np.zeros(G.dim))])
-        vals.append(_integrate_live(fn, [baseF, baseG, K1, KF, KG], lo, hi))
-        done += b
-    return _single_estimate(vals)
+    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
 
 
 def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
@@ -733,30 +663,25 @@ def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
         c = params.c
     xi, delta = params.xi, params.zero_mode_weight
     F.require_guard()
-    slopes = F.slopes()
     lv = ell.values(M)
     kv = k.values(M)
     k_int = k.integral()
     pk = np.array([sum(p.coeffs[i] * k.coeffs[i]
                        for i in range(min(p.coeffs.size, k.coeffs.size)))
                    for p in F.symbols])
-    vals = []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    fn = _first_order_integrand(F, delta - xi)
+
+    def per_batch(b):
         tb = _TraceBatch(N, b, rng, xi, M)
-        base = np.stack([tb.pair(p) for p in F.symbols], axis=-1)
+        base = tb.bases(F.symbols)
         kdv = -tb.dnh_pair(k) / TWO_PI + c * k_int   # int k DV dl per sample
         Lmu = tb.mu_int(lv)
         LK = tb.mu_int(lv * kv)
-        integ = _MIntegrand(1)
-        slot = integ.add_block(base, slopes, F.profile)
-        integ.add(0, slot, "v", (), -kdv * Lmu - xi * LK, delta - xi)
-        for i in range(F.dim):
-            integ.add(0, slot, "g", (i,), pk[i] * Lmu, delta - xi)
-        vals.append(integ.integrate()[:, 0])
-        done += b
-    return _single_estimate(vals)
+        lo, hi = _m_interval((base, F.slopes(), F.profile))
+        return _integrate_live(fn, [base, -kdv * Lmu - xi * LK, [pk_i * Lmu for pk_i in pk]],
+                               lo, hi, 1)
+
+    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
 
 
 def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
@@ -841,13 +766,27 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         for i, p in enumerate(P):
             proj_q[j] += p.l2_inner(q) * pgrid[i]
 
-    lhs_vals, rhs_vals = [], []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    def fn(m, baseF, baseG, cross, projq_mu, kern_q, pi1_q):
+        Fv, Fg, _ = F_profile.along(baseF, slopesF, m, 1)
+        _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
+        lhs = np.zeros_like(m)
+        for i in range(nP):
+            for j in range(nG):
+                lhs = lhs + cross[i][j][:, None] * Fg[i] * Gg[j]
+        inner = np.zeros_like(m)
+        for j in range(nG):
+            for j2 in range(nG):
+                inner = inner + projq_mu[j2][j][:, None] * Gh[j][j2]
+        for j in range(nG):
+            inner = inner + (xi / TWO_PI) * pi1_q[j][:, None] * Gg[j]
+            inner = inner + (1.0 / TWO_PI) * kern_q[j][:, None] * Gg[j]
+        rhs = -Fv * inner
+        w = np.exp((delta - xi) * m)
+        return np.stack([lhs * w, rhs * w], axis=-1)
+
+    def per_batch(b):
         tb = _TraceBatch(N, b, rng, xi, M)
-        baseF = np.stack([tb.pair(p) for p in P], axis=-1)
-        baseG = np.stack([tb.pair(q) for q in G.symbols], axis=-1)
+        baseF, baseG = tb.bases(P), tb.bases(G.symbols)
         # Pi_P(d_nH h) per sample on the grid
         coefs = np.stack([tb.dnh_pair(p) for p in P], axis=-1)    # (B, nP)
         proj_dnh = coefs @ pgrid                                   # (B, M)
@@ -858,33 +797,12 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         kern = xi * (-TWO_PI * s2)[None, :] + proj_dnh             # (B, M)
         kern_q = [tb.mu_int(kern * qgrid[j][None, :]) for j in range(nG)]
         pi1_q = [tb.mu_int(pi1 * qgrid[j][None, :]) for j in range(nG)]
-
-        def fn(m, baseF, baseG, cross, projq_mu, kern_q, pi1_q):
-            Fv, Fg, _ = F_profile.along(baseF, slopesF, m, 1)
-            _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
-            lhs = np.zeros_like(m)
-            for i in range(nP):
-                for j in range(nG):
-                    lhs = lhs + cross[i][j][:, None] * Fg[i] * Gg[j]
-            inner = np.zeros_like(m)
-            for j in range(nG):
-                for j2 in range(nG):
-                    inner = inner + projq_mu[j2][j][:, None] * Gh[j][j2]
-            for j in range(nG):
-                inner = inner + (xi / TWO_PI) * pi1_q[j][:, None] * Gg[j]
-                inner = inner + (1.0 / TWO_PI) * kern_q[j][:, None] * Gg[j]
-            rhs = -Fv * inner
-            w = np.exp((delta - xi) * m)
-            return np.stack([lhs * w, rhs * w], axis=-1)
-
-        lo, hi = m_support([(baseF, slopesF, F_profile.box, np.zeros(nP)),
-                            (baseG, slopesG, G.profile.box, np.zeros(nG))])
-        vals = _integrate_live(fn, [baseF, baseG, cross, projq_mu, kern_q, pi1_q],
+        lo, hi = _m_interval((baseF, slopesF, F_profile), (baseG, slopesG, G.profile))
+        return _integrate_live(fn, [baseF, baseG, cross, projq_mu, kern_q, pi1_q],
                                lo, hi, 2)
-        lhs_vals.append(vals[:, 0])
-        rhs_vals.append(vals[:, 1])
-        done += b
-    return _paired_from_samples(lhs_vals, rhs_vals)
+
+    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    return _paired_from_samples(rows[:, 0], rows[:, 1])
 
 
 def derivative_martingale_identity(N: int, xi: float, rng: np.random.Generator,
@@ -963,13 +881,29 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
     sym_qq = [[qv[j] * qv[k] + qt[j] * qt[k] - G.symbols[j].mean() * G.symbols[k].mean()
                for k in range(nG)] for j in range(nG)]
 
-    lhs_vals, rhs_vals = [], []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    def fn(m, baseF, baseG, lhs_c, div_h, div_g, dv_pair):
+        Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
+        _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
+        lhs = np.zeros_like(m)
+        for i in range(nF):
+            for j in range(nG):
+                lhs = lhs + lhs_c[i][j][:, None] * Fg[i] * Gg[j]
+        div = np.zeros_like(m)
+        for j in range(nG):
+            for k in range(nG):
+                div = div + div_h[j][k][:, None] * Gh[j][k]
+        for j in range(nG):
+            div = div + div_g[j][:, None] * Gg[j]
+        dvp = np.zeros_like(m)
+        for j in range(nG):
+            dvp = dvp + dv_pair[j][:, None] * Gg[j]
+        rhs = -Fv * (div - dvp)
+        w = np.exp((delta - xi) * m)
+        return np.stack([lhs * w, rhs * w], axis=-1)
+
+    def per_batch(b):
         tb = _TraceBatch(N, b, rng, xi, M)
-        baseF = np.stack([tb.pair(p) for p in F.symbols], axis=-1)
-        baseG = np.stack([tb.pair(q) for q in G.symbols], axis=-1)
+        baseF, baseG = tb.bases(F.symbols), tb.bases(G.symbols)
         lhs_c = [[tb.mu_int(left[i][j]) for j in range(nG)] for i in range(nF)]
         div_h = [[np.pi * tb.mu_int(sym_qq[j][k]) for k in range(nG)] for j in range(nG)]
         div_g = [2.0 * xi * tb.mu_int(dn_q[j]) for j in range(nG)]
@@ -979,32 +913,9 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
             w_dnh = TWO_PI * (tb.dnh_conj * qt[j][None, :]
                               - grid_conjugate(tb.dnh * qt[j][None, :]))
             dv_pair.append(-tb.mu_int(w_dnh) / TWO_PI + c * tb.mu_int(row[j]))
-
-        def fn(m, baseF, baseG, lhs_c, div_h, div_g, dv_pair):
-            Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
-            _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
-            lhs = np.zeros_like(m)
-            for i in range(nF):
-                for j in range(nG):
-                    lhs = lhs + lhs_c[i][j][:, None] * Fg[i] * Gg[j]
-            div = np.zeros_like(m)
-            for j in range(nG):
-                for k in range(nG):
-                    div = div + div_h[j][k][:, None] * Gh[j][k]
-            for j in range(nG):
-                div = div + div_g[j][:, None] * Gg[j]
-            dvp = np.zeros_like(m)
-            for j in range(nG):
-                dvp = dvp + dv_pair[j][:, None] * Gg[j]
-            rhs = -Fv * (div - dvp)
-            w = np.exp((delta - xi) * m)
-            return np.stack([lhs * w, rhs * w], axis=-1)
-
-        lo, hi = m_support([(baseF, slopesF, F.profile.box, np.zeros(nF)),
-                            (baseG, slopesG, G.profile.box, np.zeros(nG))])
-        vals = _integrate_live(fn, [baseF, baseG, lhs_c, div_h, div_g, dv_pair],
+        lo, hi = _m_interval((baseF, slopesF, F.profile), (baseG, slopesG, G.profile))
+        return _integrate_live(fn, [baseF, baseG, lhs_c, div_h, div_g, dv_pair],
                                lo, hi, 2)
-        lhs_vals.append(vals[:, 0])
-        rhs_vals.append(vals[:, 1])
-        done += b
-    return _paired_from_samples(lhs_vals, rhs_vals)
+
+    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    return _paired_from_samples(rows[:, 0], rows[:, 1])

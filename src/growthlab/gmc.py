@@ -131,17 +131,14 @@ def weighted_field_check(f: BoundaryField, symbols: list[BoundaryField], profile
     by shifting h by alpha times the truncated covariance, under common
     random numbers.  Returns (lhs, rhs, stderr of the paired difference).
     """
-    from .fields import sample_trace_batch, batch_values
+    from .fields import batch_values, mean_stderr, monte_carlo_rows, sample_trace_batch
 
     fv = f.values(M)
     dtheta = 2.0 * np.pi / M
     shift_fields = [shifted_covariance_field(p, N) for p in symbols]
     shifts = np.stack([s.values(M) for s in shift_fields], axis=-1)  # (M, n)
-    diffs = []
-    lhs_all = []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+
+    def per_batch(b):
         coeffs = sample_trace_batch(N, b, rng)
         vals = batch_values(coeffs, M)
         dens = chaos_density_batch(vals, 1 if alpha >= 0 else -1, abs(alpha), N)
@@ -149,13 +146,12 @@ def weighted_field_check(f: BoundaryField, symbols: list[BoundaryField], profile
         lhs = (fv * dens).sum(axis=1) * dtheta * profile.value(args)
         shifted = args[:, None, :] + alpha * shifts[None, :, :]
         rhs = (profile.value(shifted) * fv[None, :]).sum(axis=1) * dtheta
-        lhs_all.append(lhs)
-        diffs.append(lhs - rhs)
-        done += b
-    lhs_all = np.concatenate(lhs_all)
-    diffs = np.concatenate(diffs)
-    stderr = float(diffs.std(ddof=1) / np.sqrt(diffs.size))
-    return float(lhs_all.mean()), float(lhs_all.mean() - diffs.mean()), stderr
+        return np.stack([lhs, lhs - rhs], axis=-1)
+
+    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    lhs = float(rows[:, 0].mean())
+    diff, stderr = mean_stderr(rows[:, 1])
+    return lhs, lhs - diff, stderr
 
 
 def _padded(p: BoundaryField, N: int) -> np.ndarray:
@@ -169,8 +165,11 @@ def ball_masses(mu: CircleMeasure, eps: float) -> np.ndarray:
     """Mass of (x - eps, x + eps) for every grid angle x.
 
     The density is read as cell-constant on the grid cells; partial end
-    cells enter with fractional weight.
+    cells enter with fractional weight.  The arc must fit on the circle,
+    0 < eps <= pi; at eps = pi it is the whole circle.
     """
+    if not 0.0 < eps <= np.pi:
+        raise ValueError(f"ball radius must lie in (0, pi], got {eps!r}")
     M = mu.M
     dtheta = 2.0 * np.pi / M
     cell = mu.density * dtheta

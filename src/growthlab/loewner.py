@@ -155,28 +155,27 @@ def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
     return FlowResult(np.array(ts), np.array(gs))
 
 
+_RADIUS_PROBE = 1e-3
+
+
 def conformal_radius(driving: DrivingPath, T: float, dt: float = 1e-3,
                      rtol: float = 1e-12) -> tuple[float, float]:
     """Derivative of the flow map at the origin, by two routes.
 
-    Returns (ode_route, mass_route): RK4 on d log g'(0) / dt = |nu_t| and
-    the closed form exp of the time-integrated mass.
+    Returns (flow_route, mass_route).  The flow route integrates the flow
+    of the point z0 = 1e-3 to time T, with rtol relative to |z0|, and reads
+    g_T(z0)/z0: that is g_T'(0) + O(|z0|), exact for rotation-invariant
+    driving measures.  The mass route is the closed form exp of the
+    time-integrated mass.
     """
-    logd = 0.0
-    for k in range(len(driving.measures)):
-        a, b, mu = driving.segment(k)
-        b = min(b, T)
-        if b <= a:
-            continue
-        # RK4 on a constant right-hand side integrates it exactly; use many
-        # steps anyway so the route stays an honest ODE solve
-        steps = max(int(np.ceil((b - a) / dt)), 1)
-        h = (b - a) / steps
-        for _ in range(steps):
-            logd += h * mu.total_mass
-        if b >= T:
-            break
-    return float(np.exp(logd)), float(np.exp(driving.mass_integral(T)))
+    T = min(T, driving.horizon)
+    keep = driving.times < T
+    path = DrivingPath(np.append(driving.times[keep], T), driving.measures[: keep.sum()])
+    res = flow(path, _RADIUS_PROBE, dt=dt, rtol=rtol * _RADIUS_PROBE)
+    if res.lifetime is not None:
+        raise ValueError("the probe point reached the boundary before T")
+    return (float((res.at_end() / _RADIUS_PROBE).real),
+            float(np.exp(driving.mass_integral(T))))
 
 
 # -- nearly circular conformal map -------------------------------------------

@@ -362,6 +362,26 @@ class MollifiedProfile:
         vals = self._table.evaluate_many(x, [self._orders(k) for k in keys])
         return dict(zip(keys, vals))
 
+    def along(self, base, slopes, m, order: int = 2):
+        """Mollified value, grad and hess along m as ProductProfile.along does.
+
+        One neighborhood pass over the points base + m slopes serves every
+        entry; hess[i][j] is evaluated once for i <= j and shared.
+        """
+        n = self.dim
+        keys = [("v",)]
+        if order >= 1:
+            keys += [("g", i) for i in range(n)]
+        if order >= 2:
+            keys += [("h", i, j) for i in range(n) for j in range(i, n)]
+        args = base[:, None, :] + m[:, :, None] * np.asarray(slopes)[None, None, :]
+        vals = self.eval_many(args, keys)
+        grad = [vals[("g", i)] for i in range(n)] if order >= 1 else None
+        hess = None
+        if order >= 2:
+            hess = [[vals[("h", min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
+        return vals[("v",)], grad, hess
+
     def value(self, x):
         return self._table(x)
 

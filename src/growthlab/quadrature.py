@@ -1,4 +1,4 @@
-"""Quadrature helpers: Gauss rules, adaptive Simpson, Green-kernel pairings.
+"""Quadrature helpers: Gauss rules, batched Gauss panels, Green-kernel pairings.
 
 Disk integrals are done in polar coordinates, Gauss-Legendre radially and
 trapezoid in angle (the trapezoid rule is exact on band-limited angular
@@ -26,96 +26,17 @@ def gauss_hermite_standard_normal(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(2.0) * t, w / np.sqrt(np.pi)
 
 
-def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8,
-                     max_depth: int = 40) -> float:
-    """Adaptive Simpson rule on [a, b] to the requested relative tolerance.
-
-    f must accept numpy arrays.  Panels are bisected until the local
-    Richardson error estimate passes; degenerate intervals return 0.
-    """
-    if b <= a:
-        return 0.0
-
-    def simpson(x0, x2):
-        x1 = 0.5 * (x0 + x2)
-        return (x2 - x0) / 6.0 * (f1(x0) + 4.0 * f1(x1) + f1(x2))
-
-    cache: dict[float, float] = {}
-
-    def f1(x):
-        if x not in cache:
-            cache[x] = float(f(np.asarray([x]))[0])
-        return cache[x]
-
-    whole = simpson(a, b)
-    scale = max(abs(whole), 1e-300)
-    stack = [(a, b, whole, 0)]
-    total = 0.0
-    while stack:
-        x0, x2, s, depth = stack.pop()
-        xm = 0.5 * (x0 + x2)
-        left = simpson(x0, xm)
-        right = simpson(xm, x2)
-        err = left + right - s
-        if depth >= max_depth or abs(err) <= 15.0 * rel_tol * max(scale, abs(left + right)):
-            total += left + right + err / 15.0
-        else:
-            stack.append((x0, xm, left, depth + 1))
-            stack.append((xm, x2, right, depth + 1))
-    return total
-
-
-def batched_simpson(fn, a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8,
-                    start_panels: int = 8, max_panels: int = 4096) -> np.ndarray:
-    """Composite Simpson over per-row intervals, doubling until converged.
-
-    fn(m) evaluates the integrand on a matrix of nodes whose rows
-    correspond to the rows of (a, b); it may return shape (B, nodes) or
-    (B, nodes, outputs) for several integrands sharing the nodes.  Rows
-    with empty intervals integrate to zero.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    width = np.maximum(b - a, 0.0)
-    live = width > 0
-
-    def composite(k):
-        t = np.linspace(0.0, 1.0, 2 * k + 1)
-        nodes = a[:, None] + width[:, None] * t[None, :]
-        vals = fn(nodes)
-        w = np.ones(2 * k + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        if vals.ndim == 3:
-            out = np.einsum("bkc,k->bc", vals, w)
-            return out * (width / (6.0 * k))[:, None]
-        return (width / (6.0 * k)) * (vals * w).sum(axis=1)
-
-    k = start_panels
-    prev = composite(k)
-    while 2 * k <= max_panels:
-        k *= 2
-        cur = composite(k)
-        # per-row relative criterion with an absolute floor at the overall
-        # output scale, so rows integrating to (near) zero terminate
-        scale = np.maximum(np.abs(cur), 1e-6 * np.abs(cur).max() + 1e-300)
-        ok = np.abs(cur - prev) <= rel_tol * scale * 15.0
-        if cur.ndim == 2:
-            ok = ok.all(axis=1)
-        if np.all(~live | ok):
-            return cur
-        prev = cur
-    return prev
-
-
 def batched_gauss_panels(fn, a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8,
                          order: int = 16, start_panels: int = 2,
                          max_panels: int = 64) -> np.ndarray:
     """Composite Gauss-Legendre over per-row intervals with panel doubling.
 
-    Same contract as batched_simpson but with high-order panels, so smooth
-    integrands converge in far fewer evaluations.  fn may return
-    (B, nodes) or (B, nodes, outputs).
+    fn(nodes) evaluates the integrand on a matrix of nodes whose rows
+    correspond to the rows of (a, b); it may return shape (B, nodes) or
+    (B, nodes, outputs) for several integrands sharing the nodes.  Rows
+    with empty intervals integrate to zero.  Panels double from
+    start_panels until every live row agrees with the previous level to
+    rel_tol, or max_panels is reached.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

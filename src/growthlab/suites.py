@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import fields, generator, gmc, kernels, loewner
 from .disk import DiskTestFunction, bump, realize_symbol
-from .profiles import BoundedSmoothProfile, IndicatorProfile, ProductProfile
+from .profiles import BoundedSmoothProfile, ProductProfile
 from .rng import make_rng
 from .spectral import BoundaryField, conjugate_pv, grid_angles
 
@@ -70,10 +70,13 @@ class CheckResult:
     @classmethod
     def deterministic(cls, name, lhs, rhs, tol, anchor, gate="abs", series=None,
                       stderr=0.0):
-        """Fixed tolerance gate; a Monte Carlo lhs reports its stderr."""
+        """Fixed tolerance gate; a Monte Carlo lhs reports its stderr.
+
+        A "rel" gate measures the residual relative to the target rhs.
+        """
         resid = abs(lhs - rhs)
         if gate == "rel":
-            resid = resid / max(abs(lhs), abs(rhs), 1e-300)
+            resid = resid / max(abs(rhs), 1e-300)
         return cls(name, float(lhs), float(rhs), float(stderr), tol, gate,
                    bool(resid <= tol), anchor, series or {})
 
@@ -486,8 +489,8 @@ def run_dirichlet(cfg: ExperimentConfig) -> list[CheckResult]:
     out.append(CheckResult.statistical("dirichlet-exchange", exch, 0.0,
                                        max(exch_se, 1e-12), "dirichlet-form"))
 
-    self_res = generator.dirichlet_form(F, F, max(cfg.n_samples // 2, 1000),
-                                        make_rng(cfg.seed, 21), N=cfg.N, M=cfg.M)
+    # antisym(F, F) vanishes sample by sample, so a few samples test it fully
+    self_res = generator.dirichlet_form(F, F, 100, make_rng(cfg.seed, 21), N=cfg.N, M=cfg.M)
     out.append(CheckResult.deterministic("dirichlet-self-antisymmetry",
                                          self_res.antisym, 0.0, 1e-10,
                                          "dirichlet-form"))
@@ -741,7 +744,6 @@ DESCRIPTIONS = {
 def describe(suite: str) -> dict:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    cfg = ExperimentConfig(suite=suite, n_samples=120, n_samples_main=120, N=8, M=32)
     names = _CHECK_INVENTORY.get(suite)
     return {"suite": suite, "description": DESCRIPTIONS[suite], "checks": names}
 

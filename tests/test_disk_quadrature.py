@@ -2,36 +2,25 @@ import numpy as np
 import pytest
 
 from growthlab.disk import DiskTestFunction, bump, realize_symbol
-from growthlab.quadrature import (adaptive_simpson, annulus_grid,
-                                  batched_gauss_panels, batched_simpson,
+from growthlab.quadrature import (annulus_grid, batched_gauss_panels,
                                   gauss_legendre, green_pair_modes,
                                   integrate_polar)
 from growthlab.spectral import BoundaryField
 
 
-def test_adaptive_simpson_smooth():
-    val = adaptive_simpson(lambda x: np.exp(-x * x), 0.0, 3.0, rel_tol=1e-10)
-    from scipy.integrate import quad
-    ref, _ = quad(lambda x: np.exp(-x * x), 0.0, 3.0)
-    assert abs(val - ref) < 1e-10
-
-
-def test_batched_simpson_rows():
-    a = np.array([0.0, 1.0, 2.0])
-    b = np.array([1.0, 1.0, 4.0])     # middle row empty
-    out = batched_simpson(lambda m: np.exp(m), a, b)
-    exact = np.exp(b) - np.exp(a)
-    exact[1] = 0.0
-    assert np.abs(out - exact).max() < 1e-8 * np.abs(exact).max()
-
-
-def test_batched_gauss_panels_matches_simpson():
-    a = np.zeros(4)
-    b = np.array([1.0, 2.0, 0.5, 3.0])
+def test_batched_gauss_panels_matches_antiderivative():
+    a = np.array([0.0, 0.0, 1.0, 0.0, 2.0])
+    b = np.array([1.0, 2.0, 1.0, 3.0, 4.0])     # third row empty
     f = lambda m: np.sin(3 * m) + m ** 2
+    F = lambda m: -np.cos(3 * m) / 3 + m ** 3 / 3
     out = batched_gauss_panels(f, a, b)
-    ref = batched_simpson(f, a, b)
-    assert np.abs(out - ref).max() < 1e-7 * np.abs(ref).max()
+    exact = F(b) - F(a)
+    assert out[2] == 0.0
+    assert np.abs(out - exact).max() < 1e-10 * np.abs(exact).max()
+    # several integrands on shared nodes
+    both = batched_gauss_panels(lambda m: np.stack([f(m), np.exp(m)], axis=-1), a, b)
+    assert np.array_equal(both[2], [0.0, 0.0])
+    assert np.abs(both[:, 1] - (np.exp(b) - np.exp(a))).max() < 1e-8 * np.exp(4.0)
 
 
 def test_bump_derivative_matches_fd():

@@ -165,6 +165,19 @@ def test_rho_expectation_zero_functional():
     assert np.isfinite(est)
 
 
+def test_rho_expectation_smooth_profile_integral():
+    # a constant symbol pairs every sample to m itself, so each sample's
+    # zero-mode integral is the same one-dimensional integral
+    from scipy.integrate import quad
+    p = BoundaryField.constant(1.0 / (2 * np.pi), 2)
+    prof = ProductProfile.bumps([0.5], [1.0])
+    est, se = rho_expectation(CylindricalObservable([p], prof), 4, 50, make_rng(7),
+                              delta=0.3)
+    ref, _ = quad(lambda m: np.exp(0.3 * m) * prof.value(np.array([[m]]))[0],
+                  -0.5, 1.5, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert abs(est - ref) < 1e-8 * ref and se < 1e-12
+
+
 def test_rho_expectation_guard():
     p = BoundaryField.basis(1, 2)   # mean zero
     obs = CylindricalObservable([p], IndicatorProfile([(0.0, 1.0)]))

@@ -3,11 +3,10 @@ import pytest
 
 from growthlab.disk import realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
-                              bulk_covariance_matrix, m_support,
-                              sample_trace_batch)
+                              bulk_covariance_matrix, sample_trace_batch)
 from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
 from growthlab.generator import (CylindricalFunctional, _integrate_live,
-                                 _TraceBatch, apply_generator,
+                                 _m_interval, _TraceBatch, apply_generator,
                                  derivative_martingale_identity, diffusion,
                                  dirichlet_form, divergence_form_check, drift,
                                  drift_boundary, ibp_hdmuf_check,
@@ -232,10 +231,8 @@ def test_zero_mode_estimators_keep_their_bits():
     F, G = fixture_F(), fixture_G()
     # the batch has rows whose m-interval is empty (they integrate to zero)
     tb = _TraceBatch(16, 400, make_rng(1, 20), PG.xi, 64)
-    lo, hi = m_support([(np.stack([tb.pair(p) for p in F.symbols], axis=-1),
-                         F.slopes(), F.profile.box, np.zeros(2)),
-                        (np.stack([tb.pair(q) for q in G.symbols], axis=-1),
-                         G.slopes(), G.profile.box, np.zeros(2))])
+    lo, hi = _m_interval((tb.bases(F.symbols), F.slopes(), F.profile),
+                         (tb.bases(G.symbols), G.slopes(), G.profile))
     assert 0 < np.count_nonzero(hi <= lo) < 400
     res = dirichlet_form(F, G, 400, make_rng(1, 20), N=16, M=64)
     assert _dirichlet_numbers(res) == GOLDEN_FG

@@ -151,6 +151,15 @@ def test_ball_masses_uniform_and_partial_cells():
     assert np.abs(m - 2 * eps).max() < 1e-12
 
 
+def test_ball_masses_radius_domain():
+    mu = CircleMeasure.uniform(1.0, 64)
+    # eps = pi is the whole circle; anything wider counted mass twice
+    assert np.abs(ball_masses(mu, np.pi) - 1.0).max() < 1e-12
+    for eps in (4.0, 7.0, -0.1, 0.0):
+        with pytest.raises(ValueError):
+            ball_masses(mu, eps)
+
+
 def test_inverse_map_smooth_recovery():
     h = 0.8 * BoundaryField.basis(1, 4) + 0.5 * BoundaryField.basis(4, 4)
     M = 256

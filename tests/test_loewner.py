@@ -55,6 +55,15 @@ def test_conformal_radius_routes_and_values():
     assert ode0 == 1.0 and mass0 == 1.0
 
 
+def test_conformal_radius_flow_route_stops_at_T():
+    mu = CircleMeasure.uniform(1.0, M)
+    ode, mass = conformal_radius(DrivingPath.constant(mu, 2.0), 1.0)
+    assert abs(ode - np.e) < 1e-10 and abs(mass - np.e) < 1e-12
+    # the probe point leaves the disk once the mass integral passes log(1000)
+    with pytest.raises(ValueError):
+        conformal_radius(DrivingPath.constant(CircleMeasure.uniform(8.0, M), 1.0), 1.0)
+
+
 def test_flow_derivative_rate_along_path():
     # d log g'(0) / dt equals the mass along any piecewise-constant path
     path = DrivingPath(np.array([0.0, 0.3, 0.8]),

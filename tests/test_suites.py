@@ -9,7 +9,8 @@ from growthlab.dynamics import (MeasurePath, path_to_csv,
                                 stationarity_diagnostic, simulate_symmetric)
 from growthlab.gmc import CircleMeasure
 from growthlab.rng import make_rng
-from growthlab.suites import CheckResult, ExperimentConfig, not_decaying, run_suite
+from growthlab.suites import (CheckResult, ExperimentConfig, describe, not_decaying,
+                              run_suite)
 
 LIGHT = {
     "identities": dict(N=32, M=128, n_samples=300),
@@ -41,6 +42,24 @@ def test_mass_law_gates_carry_stderr_and_power():
         assert r.gate == "rel" and r.tol == 0.02
         assert r.stderr > 0.0
         assert 0.02 * abs(r.rhs) >= 4.0 * r.stderr, (name, r.rhs, r.stderr)
+
+
+@pytest.mark.parametrize("suite", sorted(LIGHT))
+def test_describe_lists_the_checks_a_run_makes(suite):
+    assert describe(suite)["checks"] == [r.name for r in light_run(suite)]
+
+
+def test_rel_gate_measures_against_the_target():
+    target = 3.7
+
+    def passes(lhs):
+        return CheckResult.deterministic("rel", lhs, target, 0.02, "rel-gate",
+                                         gate="rel").passed
+
+    assert not passes(1.0204 * target)
+    assert not passes(0.9796 * target)
+    assert passes(1.0196 * target)
+    assert passes(0.9804 * target)
 
 
 def test_decay_gates_can_fail():
