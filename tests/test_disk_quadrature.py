@@ -23,6 +23,16 @@ def test_batched_gauss_panels_matches_antiderivative():
     assert np.abs(both[:, 1] - (np.exp(b) - np.exp(a))).max() < 1e-8 * np.exp(4.0)
 
 
+def test_batched_gauss_panels_matches_simpson():
+    from scipy.integrate import simpson
+    a = np.zeros(4)
+    b = np.array([1.0, 2.0, 0.5, 3.0])
+    f = lambda m: np.sin(3 * m) + m ** 2
+    out = batched_gauss_panels(f, a, b)
+    ref = np.array([simpson(f(x), x=x) for x in np.linspace(a, b, 2001, axis=-1)])
+    assert np.abs(out - ref).max() < 1e-7 * np.abs(ref).max()
+
+
 def test_bump_derivative_matches_fd():
     R = bump(0.3, 0.7)
     r = np.linspace(0.31, 0.69, 41)
