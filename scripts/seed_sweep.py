@@ -5,7 +5,9 @@ Every check that reports a stderr gets z = (lhs - rhs) / stderr per seed.
 For an unbiased estimate with an honest stderr, z is close to standard
 normal across seeds: mean near 0 (within about 2 / sqrt(seeds)) and sd
 near 1.  A relative gate is flagged under-powered when its tolerance is
-under four standard errors (tol * |rhs| < 4 * stderr) at any seed.
+under four standard errors (tol * |rhs| < 4 * stderr) at any seed.  Every
+bound gate (value <= tol) gets the range of its measured value over the
+seeds and the number of seeds at which it failed.
 
     python3 scripts/seed_sweep.py --suite dynamics --seeds 20 \\
         --param N=32 --param M=128 --param n_samples=1000 --param n_samples_main=2000
@@ -31,11 +33,14 @@ def main():
     params = coerce(dict(item.split("=", 1) for item in args.param))
 
     rows = {}
+    bounds = {}
     for seed in range(args.first_seed, args.first_seed + args.seeds):
         cfg = ExperimentConfig(suite=args.suite, seed=seed, **params)
         for r in run_suite(cfg):
             if r.stderr > 0.0:
                 rows.setdefault(r.name, []).append(r)
+            if r.gate == "bound":
+                bounds.setdefault(r.name, []).append(r)
     for name, results in rows.items():
         z = np.array([(r.lhs - r.rhs) / r.stderr for r in results])
         print(f"{name}: z = " + " ".join(f"{v:+.2f}" for v in z))
@@ -49,6 +54,11 @@ def main():
             if width < 4.0:
                 line += " UNDER-POWERED"
         print(line)
+    for name, results in bounds.items():
+        values = [r.lhs for r in results]
+        print(f"{name}: bound <= {results[0].tol:g} seeds={len(values)} "
+              f"min={min(values):.6g} max={max(values):.6g} "
+              f"failed={sum(not r.passed for r in results)}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Measure-valued symmetric dynamics, the flat-noise field baseline, and
 the squared-Bessel total-mass law.
 
-The simulated state is the positive measure mu_t on the angular grid.  Per
-step the field is recovered from log ball masses, the drift density
-pi xi (d_nH h_t + xi) is applied against arclength, and every cell mass
-takes an exact square-root-diffusion transition (noncentral chi-square
-sampling via the Poisson-Gamma mixture), so masses stay nonnegative by
-construction and the bracket of int p dmu is (2 pi xi)^2 int p^2 dmu.
+The simulated state is the positive measure mu_t on the angular grid,
+held as cell masses; cell k is centred on its grid angle.  Per step the
+field is recovered from log masses of balls centred on the grid angles
+(`gmc.log_ball_field`), the drift density pi xi (d_nH h_t + xi) is applied
+against arclength (`recovered_drift`), and every cell mass takes an exact
+square-root-diffusion transition (noncentral chi-square sampling via the
+Poisson-Gamma mixture), so masses stay nonnegative by construction and the
+bracket of int p dmu is (2 pi xi)^2 int p^2 dmu.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmc import CircleMeasure, ball_masses
+from .gmc import CircleMeasure, log_ball_field
 from .loewner import DrivingPath
-from .spectral import BoundaryField, eigenvalues, grid_angles
+from .spectral import BoundaryField, eigenvalues, grid_dirichlet_to_neumann
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,14 +34,11 @@ class MeasurePath:
     seed: int | None = None
     absorbed_events: int = 0
     drift_integral: np.ndarray | None = None   # accumulated drift of cell masses
+    empty_windows: int = 0        # states with an empty ball: zero field
 
     @property
     def total_mass(self) -> np.ndarray:
         return self.masses.sum(axis=1)
-
-    def measure_at(self, k: int) -> CircleMeasure:
-        M = self.masses.shape[1]
-        return CircleMeasure(self.masses[k] * M / TWO_PI)
 
 
 def cir_exact_step(x: np.ndarray, a: np.ndarray, sigma: float, dt: float,
@@ -83,12 +82,14 @@ def cir_exact_step(x: np.ndarray, a: np.ndarray, sigma: float, dt: float,
 
 def simulate_symmetric(mu0: CircleMeasure, xi: float, dt: float, T: float,
                        N: int, rng: np.random.Generator, noise: bool = True,
-                       eps_cells: int = 1, seed: int | None = None) -> MeasurePath:
+                       seed: int | None = None) -> MeasurePath:
     """Simulate the symmetric measure-valued dynamics from mu0.
 
-    Per step: recover the mean-zero field from log ball masses at a one-
-    cell window, apply the drift density pi xi (d_nH h + xi), and update
-    each cell with an exact square-root-diffusion substep.
+    Per step: take the drift of the mean-zero field recovered from log
+    ball masses at a one-cell window (`recovered_drift`), and update each
+    cell with an exact square-root-diffusion substep.  A state with a
+    window that holds no mass drifts under the zero field and is counted
+    in `empty_windows`.
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("noise parameter must lie in (0, 1)")
@@ -96,50 +97,48 @@ def simulate_symmetric(mu0: CircleMeasure, xi: float, dt: float, T: float,
         raise ValueError("initial measure must be strictly positive")
     M = mu0.M
     dtheta = TWO_PI / M
+    degree = min(N, (M - 1) // 2)
     steps = int(round(T / dt))
     sigma = TWO_PI * xi
     masses = np.empty((steps + 1, M))
-    masses[0] = mu0.density * dtheta
-    fields = []
-    drift_cum = np.zeros(M)
-    drift_hist = np.empty((steps + 1, M))
-    drift_hist[0] = 0.0
+    masses[0] = mu0.cell_masses
+    drift_hist = np.zeros((steps + 1, M))
     absorbed = 0
     x = masses[0].copy()
     for k in range(steps):
-        mu_t = CircleMeasure(x / dtheta)
-        if M >= 4:
-            h = _recover_field(mu_t, xi, min(N, (M - 1) // 2), eps_cells)
-            dnh = h.dirichlet_to_neumann().values(M)
-        else:
-            h = BoundaryField.zeros(1)
-            dnh = np.zeros(M)
-        fields.append(h)
-        a = np.pi * xi * (dnh + xi) * dtheta
+        a, empty = recovered_drift(x, xi, degree)
+        if empty:   # the zero field's drift
+            a = recovered_drift(x, xi, 0)[0]
         if noise:
             x, nab = cir_exact_step(x, a, sigma, dt, rng)
             absorbed += nab
         else:
             x = np.clip(x + a * dt, 0.0, None)
-        drift_cum = drift_cum + a * dt
         masses[k + 1] = x
-        drift_hist[k + 1] = drift_cum
-    mu_T = CircleMeasure(x / dtheta)
-    if M >= 4:
-        fields.append(_recover_field(mu_T, xi, min(N, (M - 1) // 2), eps_cells))
-    else:
-        fields.append(BoundaryField.zeros(1))
+        drift_hist[k + 1] = drift_hist[k] + a * dt
+    h, empty = log_ball_field(masses, dtheta, xi)
+    fields = [BoundaryField.zeros(degree) if e else
+              BoundaryField.from_grid(row - row.mean(), degree=degree)
+              for row, e in zip(h, empty)]
     return MeasurePath(np.arange(steps + 1) * dt, masses, fields, seed,
-                       absorbed, drift_hist)
+                       absorbed, drift_hist, int(empty.sum()))
 
 
-def _recover_field(mu: CircleMeasure, xi: float, N: int, eps_cells: int) -> BoundaryField:
-    eps = eps_cells * (TWO_PI / mu.M)
-    m = ball_masses(mu, eps)
-    if np.any(m <= 0.0):
-        return BoundaryField.zeros(max(N, 1))
-    h = np.log(m) / xi
-    return BoundaryField.from_grid(h - h.mean(), degree=max(min(N, (mu.M - 1) // 2), 1))
+def recovered_drift(cells: np.ndarray, xi: float, N: int,
+                    floor: float = np.finfo(float).tiny):
+    """Drift pi xi (d_nH h + xi) dtheta of rows of cell masses (..., M), and
+    the rows' empty-window flags.
+
+    h is the log-ball-mass field of each row at a one-cell window
+    (`gmc.log_ball_field`, with its `floor`), projected to degree N; the
+    projection is what keeps the drift of a noisy state perturbative.  A
+    degree-0 projection has no normal derivative: nothing is recovered.
+    """
+    dtheta = TWO_PI / cells.shape[-1]
+    if N == 0:
+        return np.pi * xi * xi * dtheta, np.zeros(cells.shape[:-1], dtype=bool)
+    h, empty = log_ball_field(cells, dtheta, xi, floor)
+    return np.pi * xi * (grid_dirichlet_to_neumann(h, N) + xi) * dtheta, empty
 
 
 def simulate_mass_ensemble(mass0: float, xi: float, dt: float, T: float,
@@ -161,35 +160,18 @@ def simulate_mass_ensemble(mass0: float, xi: float, dt: float, T: float,
 
 def _total_mass_steps(mass0: float, xi: float, dt: float, steps: int,
                       n_paths: int, rng: np.random.Generator, M: int, N: int):
-    """Yield the paths' total masses at t = 0, dt, ..., steps * dt."""
-    dtheta = TWO_PI / M
+    """Yield the paths' total masses at t = 0, dt, ..., steps * dt.
+
+    Empty windows are floored, which only matters for flagged
+    near-absorbed states.
+    """
     sigma = TWO_PI * xi
     x = np.full((n_paths, M), mass0 / M)
     yield x.sum(axis=1)
     for _ in range(steps):
-        # a degree-0 projection has no normal derivative
-        dnh = _batch_recovered_dnh(x, xi, N) if N > 0 else 0.0
-        a = np.pi * xi * (dnh + xi) * dtheta
+        a, _ = recovered_drift(x, xi, N, floor=1e-12)
         x, _ = cir_exact_step(x, a, sigma, dt, rng)
         yield x.sum(axis=1)
-
-
-def _batch_recovered_dnh(cell_masses: np.ndarray, xi: float, N: int) -> np.ndarray:
-    """d_nH of the recovered field for a batch of cell-mass rows.
-
-    Ball masses at a one-cell window (the cell plus half of each
-    neighbor), log-recovered and projected to degree N; the projection is
-    what keeps the drift of a noisy state perturbative.  Empty windows are
-    floored, which only matters for flagged near-absorbed states.
-    """
-    m = cell_masses + 0.5 * (np.roll(cell_masses, 1, axis=1)
-                             + np.roll(cell_masses, -1, axis=1))
-    h = np.log(np.clip(m, 1e-12, None)) / xi
-    M = cell_masses.shape[1]
-    spec = np.fft.rfft(h, axis=1)
-    k = np.arange(spec.shape[1])
-    spec *= np.where(k <= N, -k, 0.0)
-    return np.fft.irfft(spec, n=M, axis=1)
 
 
 @dataclass
@@ -317,27 +299,18 @@ def ou_baseline(h0: BoundaryField, dt: float, T: float,
     return out
 
 
-def driving_from_state(path: MeasurePath, xi: float, eps_cells: int = 1) -> DrivingPath:
+def driving_from_state(path: MeasurePath, xi: float) -> DrivingPath:
     """Growth driving path e^{-xi h_t} from a simulated measure path.
 
-    The field is recovered per step with the calibrated ball-mass
-    normalization; steps whose recovery fails are dropped (flagged by the
-    returned path's breakpoints).
+    The field is recovered per step at a one-cell window with the
+    calibrated ball-mass normalization; steps whose recovery fails are
+    dropped (flagged by the returned path's breakpoints).
     """
-    M = path.masses.shape[1]
-    dtheta = TWO_PI / M
-    eps = eps_cells * dtheta
-    times = [path.times[0]]
-    measures = []
-    for k in range(len(path.times) - 1):
-        mu_t = path.measure_at(k)
-        m = ball_masses(mu_t, eps)
-        if np.any(m <= 0.0):
-            continue
-        h = np.log(m / (2.0 * eps)) / xi
-        measures.append(CircleMeasure(np.exp(-xi * h)))
-        times.append(path.times[k + 1])
-    return DrivingPath(np.array(times), measures)
+    eps = TWO_PI / path.masses.shape[1]
+    h, empty = log_ball_field(path.masses[:-1], eps, xi)
+    keep = ~empty
+    measures = [CircleMeasure(np.exp(-xi * row)) for row in h[keep] - np.log(2.0 * eps) / xi]
+    return DrivingPath(np.append(path.times[0], path.times[1:][keep]), measures)
 
 
 def path_to_csv(path: MeasurePath, out_file) -> None:
@@ -358,39 +331,3 @@ def path_to_csv(path: MeasurePath, out_file) -> None:
     else:
         from pathlib import Path as _P
         _P(out_file).write_text(text, encoding="utf-8")
-
-
-def stationarity_diagnostic(xi: float, dt: float, T: float, n_paths: int,
-                            N: int, M: int, rng: np.random.Generator,
-                            symbols=None) -> dict:
-    """Drift of cylindrical observables started from field-measure samples.
-
-    Whether the field measure is invariant for the simulated dynamics at
-    finite truncation is not claimed; this reports the observable drift
-    as a diagnostic only (never gated).
-    """
-    from .fields import sample_trace_batch
-
-    symbols = symbols or [BoundaryField.basis(1, N), BoundaryField.basis(4, N)]
-    from .fields import batch_values
-    from .gmc import chaos_density_batch
-
-    coeffs = sample_trace_batch(N, n_paths, rng)
-    dens = chaos_density_batch(batch_values(coeffs, M), 1, xi, N)
-    dtheta = TWO_PI / M
-    x = dens * dtheta
-    steps = int(round(T / dt))
-    sigma = TWO_PI * xi
-    grids = [p.values(M) for p in symbols]
-    start = [(x / dtheta) @ g * dtheta for g in grids]
-    for _ in range(steps):
-        dnh = _batch_recovered_dnh(x, xi, min(N, (M - 1) // 2))
-        a = np.pi * xi * (dnh + xi) * dtheta
-        x, _ = cir_exact_step(x, a, sigma, dt, rng)
-    end = [(x / dtheta) @ g * dtheta for g in grids]
-    report = {}
-    for k in range(len(symbols)):
-        d = end[k] - start[k]
-        report[f"observable_{k}_drift"] = float(d.mean())
-        report[f"observable_{k}_stderr"] = float(d.std(ddof=1) / np.sqrt(n_paths))
-    return report

@@ -35,6 +35,11 @@ class CircleMeasure:
     def angles(self) -> np.ndarray:
         return grid_angles(self.M)
 
+    @property
+    def cell_masses(self) -> np.ndarray:
+        """Mass of each grid cell: the density times the cell width."""
+        return self.density * (2.0 * np.pi / self.M)
+
     @classmethod
     def uniform(cls, mass: float, M: int) -> "CircleMeasure":
         return cls(np.full(M, mass / (2.0 * np.pi)))
@@ -161,31 +166,36 @@ def _padded(p: BoundaryField, N: int) -> np.ndarray:
     return out
 
 
-def ball_masses(mu: CircleMeasure, eps: float) -> np.ndarray:
-    """Mass of (x - eps, x + eps) for every grid angle x.
+def ball_masses(cells: np.ndarray, eps: float) -> np.ndarray:
+    """Mass of the ball (x_k - eps, x_k + eps) about every grid angle x_k.
 
-    The density is read as cell-constant on the grid cells; partial end
-    cells enter with fractional weight.  The arc must fit on the circle,
-    0 < eps <= pi; at eps = pi it is the whole circle.
+    `cells` are rows of cell masses, shape (..., M); cell k spans
+    [x_k - dtheta/2, x_k + dtheta/2), so each ball is centred on its cell.
+    The window is a weighted sum of symmetric rolls, innermost pair first,
+    each end cell weighted by the fraction of it inside the ball.  The arc
+    must fit on the circle, 0 < eps <= pi; at eps = pi it is the circle.
     """
     if not 0.0 < eps <= np.pi:
         raise ValueError(f"ball radius must lie in (0, pi], got {eps!r}")
-    M = mu.M
-    dtheta = 2.0 * np.pi / M
-    cell = mu.density * dtheta
-    csum = np.concatenate([[0.0], np.cumsum(np.tile(cell, 3))])
+    cells = np.asarray(cells, dtype=float)
+    r = eps / (2.0 * np.pi / cells.shape[-1])     # half-width in cells
+    out = min(2.0 * r, 1.0) * cells
+    for d in range(1, int(np.ceil(r + 0.5))):
+        out = out + min(r + 0.5 - d, 1.0) * (np.roll(cells, d, axis=-1)
+                                             + np.roll(cells, -d, axis=-1))
+    return out
 
-    def cum(pos):
-        # continuous cumulative mass from angle 0 of the cell-constant density
-        idx = pos / dtheta
-        i0 = np.floor(idx).astype(int)
-        frac = idx - i0
-        return csum[i0] + frac * np.tile(cell, 3)[np.minimum(i0, 3 * M - 1)]
 
-    x = grid_angles(M) + 2.0 * np.pi  # shift into the middle copy
-    lo = x - eps - 0.5 * dtheta
-    hi = x + eps - 0.5 * dtheta
-    return cum(hi) - cum(lo)
+def log_ball_field(cells: np.ndarray, eps: float, xi: float,
+                   floor: float = np.finfo(float).tiny) -> tuple[np.ndarray, np.ndarray]:
+    """h_eps(x) = (1/xi) log mu(B_eps(x)) for rows of cell masses, and a flag
+    per row whose window somewhere holds no mass; each caller decides what
+    a flagged row means.  Ball masses are raised to `floor` before the log,
+    so h stays finite."""
+    if not 0.0 < xi < 1.0:
+        raise ValueError("chaos parameter must lie in (0, 1)")
+    masses = ball_masses(cells, eps)
+    return np.log(np.clip(masses, floor, None)) / xi, np.any(masses <= 0.0, axis=-1)
 
 
 def inverse_map(mu: CircleMeasure, eps: float, xi: float, degree: int,
@@ -197,12 +207,9 @@ def inverse_map(mu: CircleMeasure, eps: float, xi: float, degree: int,
     centred functional is all downstream checks use), 'calibrated'
     subtracts log(2 eps)/xi instead.
     """
-    if not 0.0 < xi < 1.0:
-        raise ValueError("chaos parameter must lie in (0, 1)")
-    masses = ball_masses(mu, eps)
-    if np.any(masses <= 0.0):
+    h, empty = log_ball_field(mu.cell_masses, eps, xi)
+    if empty:
         raise ValueError("ball mass vanished; field cannot be recovered")
-    h = np.log(masses) / xi
     if recenter == "mean":
         h = h - h.mean()
     elif recenter == "calibrated":

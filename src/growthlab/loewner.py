@@ -155,26 +155,28 @@ def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
     return FlowResult(np.array(ts), np.array(gs))
 
 
-_RADIUS_PROBE = 1e-3
+_RADIUS_PROBE = 0.03
 
 
 def conformal_radius(driving: DrivingPath, T: float, dt: float = 1e-3,
                      rtol: float = 1e-12) -> tuple[float, float]:
     """Derivative of the flow map at the origin, by two routes.
 
-    Returns (flow_route, mass_route).  The flow route integrates the flow
-    of the point z0 = 1e-3 to time T, with rtol relative to |z0|, and reads
-    g_T(z0)/z0: that is g_T'(0) + O(|z0|), exact for rotation-invariant
-    driving measures.  The mass route is the closed form exp of the
-    time-integrated mass.
+    Returns (flow_route, mass_route).  The flow route flows the 8 points
+    z_j = r e^{2 pi i j/8}, r = 0.03, to time T, each with rtol relative to
+    r, and takes the Cauchy average of g_T(z_j)/z_j: the mean over the
+    circle keeps g_T'(0) and cancels every Taylor term below order r^8,
+    whatever the driving measures.  The mass route is the closed form exp
+    of the time-integrated mass.
     """
     T = min(T, driving.horizon)
     keep = driving.times < T
     path = DrivingPath(np.append(driving.times[keep], T), driving.measures[: keep.sum()])
-    res = flow(path, _RADIUS_PROBE, dt=dt, rtol=rtol * _RADIUS_PROBE)
-    if res.lifetime is not None:
-        raise ValueError("the probe point reached the boundary before T")
-    return (float((res.at_end() / _RADIUS_PROBE).real),
+    probes = _RADIUS_PROBE * np.exp(2j * np.pi * np.arange(8) / 8)
+    flows = [flow(path, z, dt=dt, rtol=rtol * _RADIUS_PROBE) for z in probes]
+    if any(res.lifetime is not None for res in flows):
+        raise ValueError("a probe point reached the boundary before T")
+    return (float(np.mean([res.at_end() / z for res, z in zip(flows, probes)]).real),
             float(np.exp(driving.mass_integral(T))))
 
 

@@ -250,11 +250,13 @@ def grid_conjugate(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=M, axis=-1)
 
 
-def grid_dirichlet_to_neumann(values: np.ndarray) -> np.ndarray:
-    """Dirichlet-to-Neumann operator on grid samples along the last axis."""
+def grid_dirichlet_to_neumann(values: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """Dirichlet-to-Neumann operator on grid samples along the last axis,
+    of their projection to modes of degree <= `degree` when one is given."""
     M = values.shape[-1]
     spec = np.fft.rfft(values, axis=-1)
-    spec *= -np.arange(spec.shape[-1])
+    k = np.arange(spec.shape[-1])
+    spec *= -k if degree is None else np.where(k <= degree, -k, 0.0)
     if M % 2 == 0:
         spec[..., -1] = 0.0
     return np.fft.irfft(spec, n=M, axis=-1)

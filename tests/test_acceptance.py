@@ -140,9 +140,7 @@ def test_criterion_5_gmc():
     exact = vals @ pv * dtheta
     errs = []
     for eps in (0.2, 0.1, 0.05):
-        h_eps = np.empty_like(vals)
-        for i in range(n_ens):
-            h_eps[i] = np.log(gmc.ball_masses(gmc.CircleMeasure(dens3[i]), eps)) / XI
+        h_eps = np.log(gmc.ball_masses(dens3 * dtheta, eps)) / XI
         h_eps -= h_eps.mean(axis=0)[None, :]
         errs.append(float(np.sqrt(np.mean((h_eps @ pv * dtheta - exact) ** 2))))
     inv_ok = errs[0] > errs[1] > errs[2]

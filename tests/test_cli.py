@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from growthlab.cli import main, parse_config_file
-from growthlab.suites import ExperimentConfig, describe, list_suites, run_xi
+from growthlab.suites import (CouplingMismatchError, ExperimentConfig, describe,
+                              list_suites, run_xi)
 
 
 def test_list_suites():
@@ -119,7 +120,21 @@ def test_report_records_the_xi_used(tmp_path):
     report = json.loads((tmp_path / "b" / "identities" / "report.json").read_text())
     assert report["config"]["xi"] == 1.0 / np.sqrt(6.0)
     # the invariance and Dirichlet-form suites run at pure gravity
-    assert run_xi(ExperimentConfig(suite="dirichlet", xi=0.3)) == 1.0 / np.sqrt(6.0)
+    assert run_xi(ExperimentConfig(suite="dirichlet")) == 1.0 / np.sqrt(6.0)
+
+
+def test_pure_gravity_suites_reject_another_xi(tmp_path, capsys):
+    for suite in ("invariance", "dirichlet"):
+        rc = main(["run", "--suite", suite, "--out", str(tmp_path), "--param", "xi=0.3"])
+        assert rc == 2
+        assert "pure gravity" in capsys.readouterr().err
+        assert not (tmp_path / suite).exists()
+        with pytest.raises(CouplingMismatchError):
+            ExperimentConfig(suite=suite, xi=0.3)
+        # pure gravity's own xi, as a config file writes it, is accepted
+        cfg = ExperimentConfig(suite=suite, xi=float(f"{1.0 / np.sqrt(6.0):.15g}"))
+        assert run_xi(cfg) == 1.0 / np.sqrt(6.0)
+    assert ExperimentConfig(suite="identities", xi=0.3).xi == 0.3
 
 
 def test_import_leaves_scipy_submodules_out():

@@ -3,7 +3,7 @@ import pytest
 
 from growthlab.dynamics import (MeasurePath, cir_exact_step, driving_from_state,
                                 mass_law_paths, mass_law_slope_sd,
-                                mass_law_stats, ou_baseline,
+                                mass_law_stats, ou_baseline, recovered_drift,
                                 simulate_mass_ensemble, simulate_symmetric,
                                 total_mass_stats)
 from growthlab.gmc import CircleMeasure
@@ -38,6 +38,29 @@ def test_drift_only_slope_exact():
                               0.1, 4, make_rng(2), noise=False)
     slope = (path.total_mass[-1] - path.total_mass[0]) / 0.1
     assert abs(slope - 2 * np.pi ** 2 * XI ** 2) < 1e-10
+
+
+def _one_cell_drift(x, xi, N):
+    """The mass ensemble's drift written out: centred one-cell window
+    (the cell plus half of each neighbour), floored log, degree-N d_nH."""
+    m = x + 0.5 * (np.roll(x, 1, axis=-1) + np.roll(x, -1, axis=-1))
+    spec = np.fft.rfft(np.log(np.clip(m, 1e-12, None)) / xi, axis=-1)
+    k = np.arange(spec.shape[-1])
+    dnh = np.fft.irfft(spec * np.where(k <= N, -k, 0.0), n=x.shape[-1], axis=-1)
+    return np.pi * xi * (dnh + xi) * (2 * np.pi / x.shape[-1])
+
+
+def test_symmetric_and_ensemble_drifts_agree():
+    M, N, dt = 16, 4, 1e-3
+    h = 0.8 * BoundaryField.basis(1, 4) + 0.5 * BoundaryField.basis(4, 4)
+    mu0 = CircleMeasure(40.0 * np.exp(XI * h.values(M)))
+    path = simulate_symmetric(mu0, XI, dt, 0.02, N, make_rng(18))
+    states = path.masses[:-1]
+    per_step = np.diff(path.drift_integral, axis=0) / dt
+    want = _one_cell_drift(states, XI, N)
+    assert np.abs(per_step - want).max() <= 1e-13 * np.abs(want).max()
+    # the ensemble's drift keeps the written-out arithmetic bit for bit
+    assert np.array_equal(recovered_drift(states, XI, N, floor=1e-12)[0], want)
 
 
 def test_one_cell_besq_reduction():
@@ -185,3 +208,10 @@ def test_absorbed_states_flagged():
                               4, make_rng(15))
     assert path.absorbed_events >= 0
     assert path.masses.min() >= 0.0
+    # a one-cell window is empty when a cell and both neighbours are; such
+    # states are counted and recover the zero field
+    m = path.masses
+    empty = ((m == 0.0) & (np.roll(m, 1, axis=1) == 0.0)
+             & (np.roll(m, -1, axis=1) == 0.0)).any(axis=1)
+    assert path.empty_windows == empty.sum() > 0
+    assert all(not path.fields[k].coeffs.any() for k in np.flatnonzero(empty))

@@ -216,6 +216,9 @@ GOLDEN_PROJ = (0.05130019509384791, 0.0388888590345318, 0.02561397653960413,
                0.017001667783138483, 0.01940847788058585)
 GOLDEN_WEIGHTED = (0.11614463948869914, 0.04818989118700455, 0.03616200784216547)
 GOLDEN_DIV_REM = GOLDEN_DIV + (0.07748244707594767, 0.8677067790317843)
+# At beta != 0 the beta terms are no longer exact zeros, so their order counts.
+GOLDEN_INV_BETA = (1.2166574599099096, 0.049232751695528806, 1.3155936754364628,
+                   1.3151786561495107, 0.001876304121048796)
 
 
 def _paired_numbers(res):
@@ -247,6 +250,9 @@ def test_zero_mode_estimators_keep_their_bits():
     alpha = PG.replace(alpha=PG.alpha + 0.2)
     assert _paired_numbers(invariance_check(F, alpha, 400, make_rng(1, 23), **kw)) \
         == GOLDEN_INV_ALPHA
+    beta = PG.replace(beta=0.1)
+    assert _paired_numbers(invariance_check(F, beta, 400, make_rng(1, 23), **kw)) \
+        == GOLDEN_INV_BETA
     ell = BoundaryField.basis(3, 4) + BoundaryField.constant(0.2, 4)
     assert rotational_invariance_check(ell, F, 400, make_rng(1, 24), **kw) == GOLDEN_ROT
     p = 0.5 * BoundaryField.basis(1, 4) + BoundaryField.constant(0.1, 4)

@@ -147,17 +147,37 @@ def test_weighted_field_shift_equality():
 def test_ball_masses_uniform_and_partial_cells():
     mu = CircleMeasure.uniform(2 * np.pi, 16)
     eps = 0.3
-    m = ball_masses(mu, eps)
+    m = ball_masses(mu.cell_masses, eps)
     assert np.abs(m - 2 * eps).max() < 1e-12
 
 
 def test_ball_masses_radius_domain():
     mu = CircleMeasure.uniform(1.0, 64)
     # eps = pi is the whole circle; anything wider counted mass twice
-    assert np.abs(ball_masses(mu, np.pi) - 1.0).max() < 1e-12
+    assert np.abs(ball_masses(mu.cell_masses, np.pi) - 1.0).max() < 1e-12
     for eps in (4.0, 7.0, -0.1, 0.0):
         with pytest.raises(ValueError):
-            ball_masses(mu, eps)
+            ball_masses(mu.cell_masses, eps)
+
+
+def test_ball_masses_are_centred_on_their_cell():
+    M = 16
+    for k in (0, 5, 15):
+        cells = np.zeros(M)
+        cells[k] = 1.0
+        # the one-cell ball about x_j holds cell j and half of each neighbour,
+        # so the unit mass in cell k is seen from cells k - 1, k and k + 1
+        m = ball_masses(cells, 2 * np.pi / M)
+        want = np.zeros(M)
+        want[k] = 1.0
+        want[(k - 1) % M] = want[(k + 1) % M] = 0.5
+        assert np.array_equal(m, want), (k, m)
+    # rows are independent measures; a two-cell ball about x_j holds three
+    # cells and half of the next one on each side
+    m = ball_masses(np.eye(M)[[3, 8]], 2 * 2 * np.pi / M)
+    assert np.array_equal(m[0], np.roll(m[1], -5))
+    assert np.array_equal(m[1, 6:11], [0.5, 1.0, 1.0, 1.0, 0.5])
+    assert m[1].sum() == 4.0
 
 
 def test_inverse_map_smooth_recovery():
@@ -198,9 +218,7 @@ def test_inverse_map_gmc_l2_convergence():
     exact = vals @ pv * dtheta
     errs = []
     for eps in (0.2, 0.1, 0.05):
-        h_eps = np.empty_like(vals)
-        for i in range(n):
-            h_eps[i] = np.log(ball_masses(CircleMeasure(dens[i]), eps)) / XI
+        h_eps = np.log(ball_masses(dens * dtheta, eps)) / XI
         h_eps -= h_eps.mean(axis=0)[None, :]
         pair = h_eps @ pv * dtheta
         errs.append(np.sqrt(np.mean((pair - exact) ** 2)))

@@ -59,9 +59,18 @@ def test_conformal_radius_flow_route_stops_at_T():
     mu = CircleMeasure.uniform(1.0, M)
     ode, mass = conformal_radius(DrivingPath.constant(mu, 2.0), 1.0)
     assert abs(ode - np.e) < 1e-10 and abs(mass - np.e) < 1e-12
-    # the probe point leaves the disk once the mass integral passes log(1000)
+    # the probe points leave the disk once the mass integral passes log(1/0.03)
     with pytest.raises(ValueError):
         conformal_radius(DrivingPath.constant(CircleMeasure.uniform(8.0, M), 1.0), 1.0)
+
+
+def test_conformal_radius_flow_route_for_a_non_uniform_driver():
+    # a narrow bump is far from rotation invariant; one probe point at 1e-3
+    # misses g_T'(0) by 2.1e-3 here
+    mu = CircleMeasure.narrow_bump(0.0, 1.0, M)
+    ode, mass = conformal_radius(DrivingPath.constant(mu, 0.5), 0.5)
+    assert abs(mass - np.exp(0.5)) < 1e-12
+    assert abs(ode - mass) < 1e-6
 
 
 def test_flow_derivative_rate_along_path():

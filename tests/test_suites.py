@@ -5,8 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from growthlab.dynamics import (MeasurePath, path_to_csv,
-                                stationarity_diagnostic, simulate_symmetric)
+from growthlab.dynamics import path_to_csv, simulate_symmetric
 from growthlab.gmc import CircleMeasure
 from growthlab.rng import make_rng
 from growthlab.suites import (CheckResult, ExperimentConfig, describe, not_decaying,
@@ -63,9 +62,9 @@ def test_rel_gate_measures_against_the_target():
 
 
 def test_decay_gates_can_fail():
-    # the two inverse-map decay checks pass only on strictly falling errors
+    # the inverse-map l2 decay check passes only on strictly falling errors
     def gate(errs):
-        return CheckResult.bound("inverse-map-smooth-decay", not_decaying(errs),
+        return CheckResult.bound("inverse-map-l2-decay", not_decaying(errs),
                                  0.5, "inverse-map").passed
 
     assert gate([0.0527, 0.0504, 0.0500])
@@ -84,11 +83,3 @@ def test_measure_path_csv_roundtrip(tmp_path):
     assert len(lines) == path.masses.shape[0] + 1
     row = lines[1].split(",")
     assert len(row) == 1 + 16 + path.fields[0].coeffs.size
-
-
-def test_stationarity_diagnostic_reports():
-    rep = stationarity_diagnostic(1 / np.sqrt(6), 1e-3, 0.02, 300, 8, 32,
-                                  make_rng(2))
-    assert set(rep) == {"observable_0_drift", "observable_0_stderr",
-                        "observable_1_drift", "observable_1_stderr"}
-    assert all(np.isfinite(v) for v in rep.values())
