@@ -31,7 +31,6 @@ class MeasurePath:
     times: np.ndarray
     masses: np.ndarray            # (steps+1, M) cell masses
     fields: list                  # recovered mean-zero BoundaryField per step
-    seed: int | None = None
     absorbed_events: int = 0
     drift_integral: np.ndarray | None = None   # accumulated drift of cell masses
     empty_windows: int = 0        # states with an empty ball: zero field
@@ -81,8 +80,7 @@ def cir_exact_step(x: np.ndarray, a: np.ndarray, sigma: float, dt: float,
 
 
 def simulate_symmetric(mu0: CircleMeasure, xi: float, dt: float, T: float,
-                       N: int, rng: np.random.Generator, noise: bool = True,
-                       seed: int | None = None) -> MeasurePath:
+                       N: int, rng: np.random.Generator, noise: bool = True) -> MeasurePath:
     """Simulate the symmetric measure-valued dynamics from mu0.
 
     Per step: take the drift of the mean-zero field recovered from log
@@ -120,8 +118,8 @@ def simulate_symmetric(mu0: CircleMeasure, xi: float, dt: float, T: float,
     fields = [BoundaryField.zeros(degree) if e else
               BoundaryField.from_grid(row - row.mean(), degree=degree)
               for row, e in zip(h, empty)]
-    return MeasurePath(np.arange(steps + 1) * dt, masses, fields, seed,
-                       absorbed, drift_hist, int(empty.sum()))
+    return MeasurePath(np.arange(steps + 1) * dt, masses, fields, absorbed,
+                       drift_hist, int(empty.sum()))
 
 
 def recovered_drift(cells: np.ndarray, xi: float, N: int,
@@ -303,14 +301,15 @@ def driving_from_state(path: MeasurePath, xi: float) -> DrivingPath:
     """Growth driving path e^{-xi h_t} from a simulated measure path.
 
     The field is recovered per step at a one-cell window with the
-    calibrated ball-mass normalization; steps whose recovery fails are
-    dropped (flagged by the returned path's breakpoints).
+    calibrated ball-mass normalization; a step whose ball window holds no
+    mass is dropped and counted in the returned path's `dropped`.
     """
     eps = TWO_PI / path.masses.shape[1]
     h, empty = log_ball_field(path.masses[:-1], eps, xi)
     keep = ~empty
     measures = [CircleMeasure(np.exp(-xi * row)) for row in h[keep] - np.log(2.0 * eps) / xi]
-    return DrivingPath(np.append(path.times[0], path.times[1:][keep]), measures)
+    return DrivingPath(np.append(path.times[0], path.times[1:][keep]), measures,
+                       int(empty.sum()))
 
 
 def path_to_csv(path: MeasurePath, out_file) -> None:

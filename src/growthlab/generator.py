@@ -268,7 +268,9 @@ def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
     profile's support box.  The tabulated profile is piecewise cubic in m,
     so between knot crossings the integrand is a cubic times an
     exponential; four Gauss nodes per segment integrate that to roundoff in
-    a single pass.  fn returns (B, K, n_out); the output is (B, n_out).
+    a single pass.  fn sees m of shape (B, S, 4), the nodes of each of S
+    segments, each segment inside one table cell, and returns
+    (B, S, 4, n_out); the output is (B, n_out).
     """
     lo, hi = _m_interval((base, slopes, profile))
     B = lo.size
@@ -284,9 +286,10 @@ def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
     a = grid[:, :-1]
     w = grid[:, 1:] - a
     x, wq = _SPLINE_GAUSS
-    nodes = (a[:, :, None] + w[:, :, None] * x[None, None, :]).reshape(B, -1)
+    nodes = a[:, :, None] + w[:, :, None] * x[None, None, :]
     weights = (w[:, :, None] * wq[None, None, :]).reshape(B, -1)
-    return np.einsum("bkc,bk->bc", fn(nodes, *rows), weights)
+    vals = fn(nodes, *rows)
+    return np.einsum("bkc,bk->bc", vals.reshape(B, -1, vals.shape[-1]), weights)
 
 
 def _m_interval(*blocks):
@@ -386,13 +389,13 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
         lhs = np.zeros_like(m)
         rhs = np.zeros_like(m)
         for i in range(n):
-            lhs += lhs_c[i][:, None] * w * grad[i]
+            lhs += lhs_c[i][:, None, None] * w * grad[i]
             lhs += lhs_mean[i] * w_mean * grad[i]
-            rhs += rhs_c[i][:, None] * w * grad[i]
+            rhs += rhs_c[i][:, None, None] * w * grad[i]
             rhs += rhs_mean[i] * w_mean * grad[i]
             for j in range(n):
-                lhs += diffusion_c[i][j][:, None] * w * hess[i][j]
-        rhs += mass_c[:, None] * w * val
+                lhs += diffusion_c[i][j][:, None, None] * w * hess[i][j]
+        rhs += mass_c[:, None, None] * w * val
         return np.stack([lhs, rhs], axis=-1)
 
     def per_batch(b):

@@ -32,6 +32,7 @@ class DrivingPath:
 
     times: np.ndarray            # breakpoints, strictly increasing, times[0] = 0
     measures: list[CircleMeasure]  # measure on [times[k], times[k+1])
+    dropped: int = 0             # source steps left out (driving_from_state)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

@@ -195,11 +195,15 @@ class BoundedSmoothProfile:
         return out
 
 
+_GROUP_CHUNK = 2048    # groups per pass: their (G, Q, 4^n) weights stay in cache
+_CELL_SLACK = 1e-9     # cells a group may overhang its own: floating-point straddle
+
+
 def _bspline3_weights(t: np.ndarray, order: int) -> np.ndarray:
     """Cubic B-spline basis (or a derivative) at offsets -1..2 from floor(t).
 
-    t is the fractional position in [0, 1); returns weights of shape
-    t.shape + (4,) for the coefficient at floor + (-1, 0, 1, 2).
+    t is the fractional position in [0, 1], up to roundoff; returns weights of
+    shape t.shape + (4,) for the coefficient at floor + (-1, 0, 1, 2).
     """
     w = np.empty(t.shape + (4,))
     s = 1.0 - t
@@ -241,50 +245,52 @@ class _SplineTable:
         coef = ndimage.spline_filter(data, order=3, mode="constant")
         self.coef = np.pad(coef, 2, mode="constant")
         self.pts = pts
+        self._strides = np.array(self.coef.strides) // self.coef.itemsize
+        self._offsets = np.array([np.dot(o, self._strides)
+                                  for o in np.ndindex(*(4,) * self.n)])
 
     def evaluate_many(self, x, orders_list):
         """Interpolant derivatives for several per-axis order tuples at x.
 
-        The 4^n coefficient neighborhood is gathered once and contracted
-        against the basis weights of each requested derivative, so extra
-        outputs are nearly free.
+        x has shape (..., Q, n), groups of Q points that share one table
+        cell: the cell of the midpoint of the group's first and last
+        points.  Its 4^n coefficient neighborhood is gathered once and
+        contracted against the basis weights of every point and requested
+        derivative, so extra points and outputs are nearly free.  Single
+        points are groups of one, x[..., None, :].  A group whose points
+        leave the cell by more than _CELL_SLACK raises ValueError.  Groups
+        run in chunks of _GROUP_CHUNK, which bounds the working set.
+        Returns one array of shape x.shape[:-1] per order tuple.
         """
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1]
-        u = (x.reshape(-1, self.n) - self.lows) / self.h
-        inside = np.all((u > -1.0) & (u < self.pts), axis=1)
-        u = np.clip(u, 0.0, self.pts - 1.0 - 1e-12)
-        base = np.floor(u).astype(int)
-        frac = u - base
-        wtab = {}
-        for orders in orders_list:
-            for k, o in enumerate(orders):
-                if (k, o) not in wtab:
-                    wtab[(k, o)] = _bspline3_weights(frac[:, k], o) / self.h[k] ** o
-        strides = np.array(self.coef.strides) // self.coef.itemsize
-        flat_base = np.zeros(u.shape[0], dtype=np.int64)
-        for k in range(self.n):
-            flat_base += (base[:, k] + 1) * strides[k]
+        x = x.reshape(-1, shape[-1], self.n)
+        outs = [np.empty(x.shape[:-1]) for _ in orders_list]
         cfl = self.coef.ravel()
-        neigh = np.empty((u.shape[0], 4 ** self.n))
-        for i, offsets in enumerate(np.ndindex(*(4,) * self.n)):
-            off = sum(offsets[k] * strides[k] for k in range(self.n))
-            neigh[:, i] = cfl[flat_base + off]
-        outs = []
-        for orders in orders_list:
-            w = wtab[(0, orders[0])]
-            for k in range(1, self.n):
-                w = (w[:, :, None] * wtab[(k, orders[k])][:, None, :]).reshape(u.shape[0], -1)
-            acc = np.einsum("qi,qi->q", neigh, w)
-            acc[~inside] = 0.0
-            outs.append(acc.reshape(shape))
-        return outs
-
-    def evaluate(self, x, orders):
-        return self.evaluate_many(x, [orders])[0]
-
-    def __call__(self, x):
-        return self.evaluate(x, (0,) * self.n)
+        for start in range(0, x.shape[0], _GROUP_CHUNK):
+            sl = slice(start, start + _GROUP_CHUNK)
+            u = (x[sl] - self.lows) / self.h
+            inside = np.all((u > -1.0) & (u < self.pts), axis=-1)
+            u = np.clip(u, 0.0, self.pts - 1.0 - 1e-12)
+            base = np.floor(0.5 * (u[:, 0] + u[:, -1]))
+            frac = u - base[:, None, :]
+            if np.any((frac < -_CELL_SLACK) | (frac > 1.0 + _CELL_SLACK)):
+                raise ValueError("a group of points spans more than one table cell")
+            neigh = cfl[((base.astype(np.int64) + 1) @ self._strides)[:, None] + self._offsets]
+            wtab = {}
+            for orders in orders_list:
+                for k, o in enumerate(orders):
+                    if (k, o) not in wtab:
+                        wtab[(k, o)] = _bspline3_weights(frac[..., k], o) / self.h[k] ** o
+            for out, orders in zip(outs, orders_list):
+                w = wtab[(0, orders[0])]
+                for k in range(1, self.n):
+                    w = (w[..., :, None] * wtab[(k, orders[k])][..., None, :]).reshape(
+                        w.shape[:2] + (-1,))
+                acc = np.einsum("gi,gqi->gq", neigh, w)
+                acc[~inside] = 0.0
+                out[sl] = acc
+        return [out.reshape(shape) for out in outs]
 
 
 class MollifiedProfile:
@@ -357,7 +363,9 @@ class MollifiedProfile:
     def eval_many(self, x, keys):
         """Evaluate several derivative entries in one neighborhood pass.
 
-        keys are tuples ('v',), ('g', i) or ('h', i, j).
+        x is grouped as in _SplineTable.evaluate_many, (..., Q, n) with
+        each group of Q points inside one table cell; keys are tuples
+        ('v',), ('g', i) or ('h', i, j).
         """
         vals = self._table.evaluate_many(x, [self._orders(k) for k in keys])
         return dict(zip(keys, vals))
@@ -365,8 +373,10 @@ class MollifiedProfile:
     def along(self, base, slopes, m, order: int = 2):
         """Mollified value, grad and hess along m as ProductProfile.along does.
 
-        One neighborhood pass over the points base + m slopes serves every
-        entry; hess[i][j] is evaluated once for i <= j and shared.
+        m has shape (B, S, Q): the Q points of each of a row's S segments
+        must lie in one table cell (as between knot crossings), so one
+        neighborhood gather per segment serves every point and entry;
+        hess[i][j] is evaluated once for i <= j and shared.
         """
         n = self.dim
         keys = [("v",)]
@@ -374,7 +384,7 @@ class MollifiedProfile:
             keys += [("g", i) for i in range(n)]
         if order >= 2:
             keys += [("h", i, j) for i in range(n) for j in range(i, n)]
-        args = base[:, None, :] + m[:, :, None] * np.asarray(slopes)[None, None, :]
+        args = base[:, None, None, :] + m[..., None] * np.asarray(slopes)
         vals = self.eval_many(args, keys)
         grad = [vals[("g", i)] for i in range(n)] if order >= 1 else None
         hess = None
@@ -382,11 +392,15 @@ class MollifiedProfile:
             hess = [[vals[("h", min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
         return vals[("v",)], grad, hess
 
+    def _entry(self, key, x):
+        x = np.asarray(x, dtype=float)[..., None, :]
+        return self._table.evaluate_many(x, [self._orders(key)])[0][..., 0]
+
     def value(self, x):
-        return self._table(x)
+        return self._entry(("v",), x)
 
     def grad_entry(self, i, x):
-        return self._table.evaluate(x, self._orders(("g", i)))
+        return self._entry(("g", i), x)
 
     def hess_entry(self, i, j, x):
-        return self._table.evaluate(x, self._orders(("h", i, j)))
+        return self._entry(("h", i, j), x)

@@ -191,6 +191,7 @@ def test_driving_from_state_constant_field():
                        np.tile(np.full(M, 2 * np.pi / M), (3, 1)),
                        [BoundaryField.zeros(2)] * 3)
     driving = driving_from_state(flat, XI)
+    assert driving.dropped == 0
     # constant field: uniform driving, radial flow scaling
     dens = driving.measures[0].density
     assert np.abs(dens - dens[0]).max() < 1e-12
@@ -215,3 +216,7 @@ def test_absorbed_states_flagged():
              & (np.roll(m, -1, axis=1) == 0.0)).any(axis=1)
     assert path.empty_windows == empty.sum() > 0
     assert all(not path.fields[k].coeffs.any() for k in np.flatnonzero(empty))
+    # the driving path leaves those states out and counts them
+    driving = driving_from_state(path, XI)
+    assert path.empty_windows == driving.dropped == 1
+    assert len(driving.measures) + driving.dropped == path.masses.shape[0] - 1

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab.profiles import (BoundedSmoothProfile, IndicatorProfile,
+from growthlab.generator import _integrate_spline_exact
+from growthlab.profiles import (_GROUP_CHUNK, BoundedSmoothProfile, IndicatorProfile,
                                 MollifiedProfile, PlateauBump1D, ProductProfile,
-                                _step)
+                                _bspline3_weights, _step)
 
 
 def test_step_endpoints_and_monotonicity():
@@ -123,9 +124,9 @@ def test_mollified_profile_is_derivative_consistent():
         e[i] = eps
         fd = (mp.value(x + e) - mp.value(x - e)) / (2 * eps)
         assert np.abs(fd - mp.grad_entry(i, x)).max() < 1e-7
-    d = mp.eval_many(x, [("v",), ("g", 0), ("h", 0, 1)])
-    assert np.abs(d[("v",)] - mp.value(x)).max() == 0.0
-    assert np.abs(d[("g", 0)] - mp.grad_entry(0, x)).max() == 0.0
+    d = mp.eval_many(x[:, None, :], [("v",), ("g", 0), ("h", 0, 1)])
+    assert np.abs(d[("v",)][:, 0] - mp.value(x)).max() == 0.0
+    assert np.abs(d[("g", 0)][:, 0] - mp.grad_entry(0, x)).max() == 0.0
 
 
 def test_mollified_profile_approximates_gaussian_average():
@@ -144,6 +145,94 @@ def test_mollified_profile_psd_guard():
         MollifiedProfile(prof, np.array([[-1.0]]))
     with pytest.raises(ValueError):
         MollifiedProfile(prof, np.eye(2))       # shape mismatch
+
+
+def _spline_reference(table, x, orders):
+    """One spline entry at points x (P, n), each point gathering its own
+    neighborhood: the per-point evaluation, kept as the reference."""
+    u = (x - table.lows) / table.h
+    inside = np.all((u > -1.0) & (u < table.pts), axis=1)
+    u = np.clip(u, 0.0, table.pts - 1.0 - 1e-12)
+    base = np.floor(u).astype(int)
+    frac = u - base
+    strides = np.array(table.coef.strides) // table.coef.itemsize
+    flat = (base + 1) @ strides
+    cfl = table.coef.ravel()
+    cells = list(np.ndindex(*(4,) * table.n))
+    neigh = np.stack([cfl[flat + np.dot(o, strides)] for o in cells], axis=1)
+    w = _bspline3_weights(frac[:, 0], orders[0]) / table.h[0] ** orders[0]
+    for k in range(1, table.n):
+        wk = _bspline3_weights(frac[:, k], orders[k]) / table.h[k] ** orders[k]
+        w = (w[:, :, None] * wk[:, None, :]).reshape(x.shape[0], -1)
+    acc = np.einsum("qi,qi->q", neigh, w)
+    acc[~inside] = 0.0
+    return acc
+
+
+def _mollified_2d():
+    prof = ProductProfile.bumps([0.0, 1.0], [1.0, 0.8])
+    return MollifiedProfile(prof, np.array([[0.04, 0.01], [0.01, 0.09]]), table_pts=81)
+
+
+def test_mollified_along_on_knot_segments_matches_pointwise():
+    """Grouped evaluation on the segments the exact zero-mode integral cuts
+    equals per-point evaluation and the per-point reference, bit for bit."""
+    mp = _mollified_2d()
+    rng = np.random.default_rng(5)
+    (lo0, hi0), (lo1, hi1) = mp.box
+    base = np.column_stack([rng.uniform(lo0, hi0, 40), rng.uniform(lo1, hi1, 40)])
+    slopes = np.array([0.7, -1.3])
+    seen = []
+
+    def fn(m, base):
+        val, grad, hess = mp.along(base, slopes, m)
+        x = (base[:, None, None, :] + m[..., None] * slopes).reshape(-1, 2)
+        assert np.array_equal(val.ravel(), mp.value(x))
+        assert np.array_equal(val.ravel(), _spline_reference(mp._table, x, (0, 0)))
+        for i in range(2):
+            assert np.array_equal(grad[i].ravel(), mp.grad_entry(i, x))
+            for j in range(2):
+                assert np.array_equal(hess[i][j].ravel(), mp.hess_entry(i, j, x))
+                orders = tuple(int(i == k) + int(j == k) for k in range(2))
+                assert np.array_equal(hess[i][j].ravel(),
+                                      _spline_reference(mp._table, x, orders))
+        seen.append(m.shape)
+        return np.zeros(m.shape + (1,))
+
+    _integrate_spline_exact(fn, [base], base, slopes, mp)
+    B, S, Q = seen[0]
+    assert Q == 4 and B * S > 2 * _GROUP_CHUNK
+
+
+def test_mollified_group_straddling_a_knot():
+    """A tiny segment whose first node falls below a knot in floating point
+    is evaluated in its midpoint's cell: the nodes in that cell keep their
+    per-point bits, and the first is within 1e-12 of its own."""
+    mp = _mollified_2d()
+    t = mp._table
+    knot = t.lows + t.h * np.array([40.0, 45.3])
+    x = knot + np.array([-1e-15, 2e-15, 4e-15, 6e-15])[:, None] * np.array([1.0, 0.0])
+    cells = np.floor((x - t.lows) / t.h)[:, 0]
+    assert cells[0] < cells[1] == cells[3]
+    keys = [("v",), ("g", 0), ("g", 1), ("h", 0, 0), ("h", 0, 1), ("h", 1, 1)]
+    grouped = mp.eval_many(x[None], keys)
+    for key in keys:
+        point = mp._entry(key, x)
+        assert np.abs(point).min() > 1e-3
+        assert np.array_equal(grouped[key][0, 1:], point[1:])
+        np.testing.assert_allclose(grouped[key][0], point, rtol=1e-12, atol=0.0)
+
+
+def test_mollified_group_spanning_two_cells_raises():
+    mp = _mollified_2d()
+    t = mp._table
+    x = t.lows + t.h * np.array([[[30.2, 40.5], [31.2, 40.5]]])
+    with pytest.raises(ValueError):
+        mp.eval_many(x, [("v",)])
+    pts = np.random.default_rng(6).uniform(-1.0, 1.5, size=(50, 2))
+    with pytest.raises(ValueError):        # a plain (P, n) array is one group
+        mp.eval_many(pts, [("v",)])
+    assert mp.eval_many(pts[:, None, :], [("v",)])[("v",)].shape == (50, 1)
 
 
 def test_indicator_and_bounded_profiles():

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from growthlab.rng import make_rng
 
@@ -23,3 +24,39 @@ def test_stationarity_diagnostic_reports():
     assert set(rep) == {"observable_0_drift", "observable_0_stderr",
                         "observable_1_drift", "observable_1_stderr"}
     assert all(np.isfinite(v) for v in rep.values())
+
+
+def test_bench_compare_summary():
+    spec = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+
+    def run(run_s, rate, rss, failed=0):
+        return {"correct": failed == 0, "attempted": 10, "failed": failed,
+                "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                            "samples_per_s": {"value": rate, "unit": "1/s"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+    parent = [run(8.0, 1500.0, 829.0), run(9.0, 1400.0, 829.0), run(8.5, 1450.0, 829.0)]
+    change = [run(4.5, 2600.0, 229.0), run(9.5, 2500.0, 900.0, failed=1),
+              run(5.0, 1450.0, 229.0)]
+    out = _script("bench_compare").summarize(spec, parent, change, True)
+    assert out["pairs"] == 3 and out["report_bytes_match"]
+    assert out["runs"] == {"parent": {"correct": True, "attempted": 30, "failed": 0},
+                           "change": {"correct": False, "attempted": 30, "failed": 1}}
+    run_s = out["metrics"]["run_s"]
+    assert run_s["parent"]["runs"] == [8.0, 9.0, 8.5]
+    assert (run_s["parent"]["median"], run_s["change"]["median"]) == (8.5, 5.0)
+    assert (run_s["parent"]["q1"], run_s["parent"]["q3"]) == (8.25, 8.75)
+    assert run_s["change_wins"] == 2 and not run_s["worse_than_bound"]
+    assert run_s["median_ratio"] == 5.0 / 8.5
+    rate = out["metrics"]["samples_per_s"]
+    assert rate["change_wins"] == 2            # the tie counts for neither side
+    assert not rate["worse_than_bound"]
+    rss = out["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 2 and not rss["worse_than_bound"]
+    slower = _script("bench_compare").summarize(spec[:1], parent, [run(11.0, 1.0, 1.0)] * 3,
+                                                False)
+    assert slower["metrics"]["run_s"]["worse_than_bound"] and not slower["report_bytes_match"]
+    with pytest.raises(ValueError):
+        _script("bench_compare").summarize(spec, parent, change[:2], True)
