@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Paired end-to-end benchmark of two checkouts, a parent and a change.
 
-For each workload and seed, runs `python3 perfbench/run.py --trace 0` in
-the parent checkout and in the change checkout, `--pairs` times each,
-alternating which side goes first, and writes BENCH_<n>.json: per
-end-to-end metric of BENCHMARK.json, every run's value, each side's
-median and quartiles, how many pairs the change wins (ties count for
-neither) and whether the change's median is worse than the parent's by
-more than the metric's bound.  Each entry also records both sides'
-correctness and failed-operation counts, and whether the two sides wrote
-byte-identical report.json files.
+For each workload and seed, runs BENCHMARK.json's command
+(`python3 perfbench/run.py`) with `--trace 0` in the parent checkout and
+in the change checkout, PAIRS times each, alternating which side goes
+first, and writes BENCH_<n>.json: per end-to-end metric of
+BENCHMARK.json, every run's value, each side's median and quartiles, how
+many pairs the change wins (ties count for neither) and whether the
+change's median is worse than the parent's by more than the metric's
+bound; metrics are taken over the pairs whose two runs both finished.
+Each entry also records both sides' correctness, failed-operation counts
+and failed runs (a run that exits non-zero, such as a round timeout),
+and whether the two sides wrote byte-identical report.json files.
 
     python3 scripts/bench_compare.py --parent ../parent --change . --number 7 \\
-        --workload invariance --workload dirichlet --workload dynamics --pairs 10
+        --workload invariance --workload dirichlet --workload dynamics
 
 Both checkouts are local directories (a `git worktree add` or an
 unpacked `git archive` of each commit); each run builds from the source
@@ -30,12 +32,20 @@ from pathlib import Path
 
 import numpy
 
+PAIRS = 10    # alternating pairs per workload and seed: the fewest that can show a gain
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float):
-    """One perfbench run: (its last stdout line as a dict, report.json bytes)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+
+def run_side(command, checkout: Path, workload: str, seed: int, seconds: float):
+    """One perfbench run: (its last stdout line as a dict, report.json bytes).
+
+    A run that exits non-zero returns (None, None).
+    """
+    cmd = list(command) + ["--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(proc.stderr, file=sys.stderr)
+        return None, None
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     report = (checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0"
               / "round0" / workload / "report.json").read_bytes()
@@ -52,15 +62,17 @@ def summarize(spec, parent_runs, change_runs, same_report: bool) -> dict:
 
     spec is BENCHMARK.json's `end_to_end` list; parent_runs[i] and
     change_runs[i] are the perfbench results (the dicts run.py prints
-    last) of pair i.
+    last) of pair i, or None for a run that failed.  Metrics use the
+    pairs whose two runs both finished, and are left out below two.
     """
-    if len(parent_runs) != len(change_runs) or len(parent_runs) < 2:
-        raise ValueError("need at least two pairs of parent and change runs")
+    if len(parent_runs) != len(change_runs):
+        raise ValueError("parent and change runs must come in pairs")
+    done = [(a, b) for a, b in zip(parent_runs, change_runs) if a is not None and b is not None]
     metrics = {}
-    for m in spec:
+    for m in spec if len(done) >= 2 else []:
         name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
-        par = [r["metrics"][name]["value"] for r in parent_runs]
-        chg = [r["metrics"][name]["value"] for r in change_runs]
+        par = [a["metrics"][name]["value"] for a, _ in done]
+        chg = [b["metrics"][name]["value"] for _, b in done]
         p, c = quartiles(par), quartiles(chg)
         metrics[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
@@ -71,10 +83,12 @@ def summarize(spec, parent_runs, change_runs, same_report: bool) -> dict:
         }
     sides = {}
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
-        sides[side] = {"correct": all(r["correct"] for r in runs),
-                       "attempted": sum(r["attempted"] for r in runs),
-                       "failed": sum(r["failed"] for r in runs)}
-    return {"pairs": len(parent_runs), "report_bytes_match": same_report,
+        ran = [r for r in runs if r is not None]
+        sides[side] = {"correct": len(ran) == len(runs) and all(r["correct"] for r in ran),
+                       "failed_runs": len(runs) - len(ran),
+                       "attempted": sum(r["attempted"] for r in ran),
+                       "failed": sum(r["failed"] for r in ran)}
+    return {"pairs": len(done), "report_bytes_match": same_report,
             "runs": sides, "metrics": metrics}
 
 
@@ -85,11 +99,8 @@ def main(argv=None) -> int:
     ap.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append", help="default: 1")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
@@ -98,16 +109,18 @@ def main(argv=None) -> int:
         for seed in args.seed or [1]:
             runs = {"parent": [], "change": []}
             same = True
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 reports = {}
                 for side in order:
-                    result, reports[side] = run_side(checkouts[side], workload, seed,
-                                                     bench["run_seconds"])
+                    result, reports[side] = run_side(bench["command"], checkouts[side],
+                                                     workload, seed, bench["run_seconds"])
                     runs[side].append(result)
-                    print(f"{workload} seed {seed} pair {i} {side}: run_s "
-                          f"{result['metrics']['run_s']['value']:.3f}", flush=True)
-                same = same and reports["parent"] == reports["change"]
+                    took = "failed" if result is None else \
+                        f"run_s {result['metrics']['run_s']['value']:.3f}"
+                    print(f"{workload} seed {seed} pair {i} {side}: {took}", flush=True)
+                same = same and reports["parent"] is not None \
+                    and reports["parent"] == reports["change"]
             entries.append(dict(workload=workload, seed=seed, **summarize(
                 bench["end_to_end"], runs["parent"], runs["change"], same)))
 

@@ -196,7 +196,7 @@ class BoundedSmoothProfile:
 
 
 _GROUP_CHUNK = 2048    # groups per pass: their (G, Q, 4^n) weights stay in cache
-_CELL_SLACK = 1e-9     # cells a group may overhang its own: floating-point straddle
+_CELL_SLACK = 1e-12    # cells a group may overhang its own: roundoff at a knot
 
 
 def _bspline3_weights(t: np.ndarray, order: int) -> np.ndarray:
@@ -258,8 +258,9 @@ class _SplineTable:
         contracted against the basis weights of every point and requested
         derivative, so extra points and outputs are nearly free.  Single
         points are groups of one, x[..., None, :].  A group whose points
-        leave the cell by more than _CELL_SLACK raises ValueError.  Groups
-        run in chunks of _GROUP_CHUNK, which bounds the working set.
+        leave the cell by more than _CELL_SLACK raises ValueError; a point
+        within it that overhangs by d is read on the neighbouring cubic, off
+        by O(d) in the Hessian.  Groups run in chunks of _GROUP_CHUNK.
         Returns one array of shape x.shape[:-1] per order tuple.
         """
         x = np.asarray(x, dtype=float)
@@ -371,13 +372,15 @@ class MollifiedProfile:
         return dict(zip(keys, vals))
 
     def along(self, base, slopes, m, order: int = 2):
-        """Mollified value, grad and hess along m as ProductProfile.along does.
+        """Mollified value, grad and hess at base + m * slopes, per segment.
 
-        m has shape (B, S, Q): the Q points of each of a row's S segments
-        must lie in one table cell (as between knot crossings), so one
-        neighborhood gather per segment serves every point and entry;
-        hess[i][j] is evaluated once for i <= j and shared.
+        Unlike ProductProfile.along's (B, K), m has shape (B, S, Q), and the
+        Q points of each segment must lie in one table cell (as between knot
+        crossings): one gather per segment serves every point and entry.
+        Outputs have m's shape; hess[i][j] is evaluated once for i <= j.
         """
+        if np.ndim(m) != 3:
+            raise ValueError("m must have shape (B, S, Q): Q points per knot segment")
         n = self.dim
         keys = [("v",)]
         if order >= 1:

@@ -233,6 +233,11 @@ def test_mollified_group_spanning_two_cells_raises():
     with pytest.raises(ValueError):        # a plain (P, n) array is one group
         mp.eval_many(pts, [("v",)])
     assert mp.eval_many(pts[:, None, :], [("v",)])[("v",)].shape == (50, 1)
+    over = t.lows + t.h * np.array([[[29.9999999999, 40.5], [30.5, 40.5], [30.6, 40.5]]])
+    with pytest.raises(ValueError):        # 1e-10 cells of overhang is not roundoff
+        mp.eval_many(over, [("v",)])
+    with pytest.raises(ValueError):        # along takes (B, S, Q), not (B, K)
+        mp.along(pts[:2], np.array([0.7, -1.3]), np.zeros((2, 3)))
 
 
 def test_indicator_and_bounded_profiles():

@@ -42,8 +42,10 @@ def test_bench_compare_summary():
               run(5.0, 1450.0, 229.0)]
     out = _script("bench_compare").summarize(spec, parent, change, True)
     assert out["pairs"] == 3 and out["report_bytes_match"]
-    assert out["runs"] == {"parent": {"correct": True, "attempted": 30, "failed": 0},
-                           "change": {"correct": False, "attempted": 30, "failed": 1}}
+    assert out["runs"] == {"parent": {"correct": True, "failed_runs": 0, "attempted": 30,
+                                      "failed": 0},
+                           "change": {"correct": False, "failed_runs": 0, "attempted": 30,
+                                      "failed": 1}}
     run_s = out["metrics"]["run_s"]
     assert run_s["parent"]["runs"] == [8.0, 9.0, 8.5]
     assert (run_s["parent"]["median"], run_s["change"]["median"]) == (8.5, 5.0)
@@ -60,3 +62,8 @@ def test_bench_compare_summary():
     assert slower["metrics"]["run_s"]["worse_than_bound"] and not slower["report_bytes_match"]
     with pytest.raises(ValueError):
         _script("bench_compare").summarize(spec, parent, change[:2], True)
+    lost = _script("bench_compare").summarize(spec, parent, [None] + change[1:], False)
+    assert lost["pairs"] == 2 and lost["metrics"]["run_s"]["parent"]["runs"] == [9.0, 8.5]
+    assert lost["runs"]["change"] == {"correct": False, "failed_runs": 1,
+                                      "attempted": 20, "failed": 1}
+    assert _script("bench_compare").summarize(spec, parent, [None] * 3, False)["metrics"] == {}
