@@ -24,7 +24,7 @@ import numpy as np
 from .gmc import chaos_density_batch
 from .profiles import IndicatorProfile
 from .quadrature import batched_gauss_panels, green_pair_modes
-from .spectral import SQRT_2PI, SQRT_PI, BoundaryField, eigenvalues
+from .spectral import BoundaryField, batch_values, eigenvalues
 
 
 class IntegrabilityError(ValueError):
@@ -123,23 +123,16 @@ def sample_trace(N: int, rng: np.random.Generator, seed: int | None = None) -> T
     return TraceSample(BoundaryField(sample_trace_batch(N, 1, rng)[0]), 0.0, seed)
 
 
-def batch_values(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Grid samples of a batch of coefficient rows via inverse FFT."""
-    B, size = coeffs.shape
-    N = (size - 1) // 2
-    if M < 2 * N + 1:
-        raise ValueError("grid too small for the coefficient degree")
-    spec = np.zeros((B, M // 2 + 1), dtype=complex)
-    spec[:, 0] = coeffs[:, 0] / SQRT_2PI * M
-    m = np.arange(1, N + 1)
-    spec[:, 1:N + 1] = (coeffs[:, 2 * m - 1] - 1j * coeffs[:, 2 * m]) / SQRT_PI * (M / 2.0)
-    return np.fft.irfft(spec, n=M, axis=1)
-
-
 def pair_symbol(coeffs: np.ndarray, p: BoundaryField) -> np.ndarray:
     """Batched pairing of h0 rows with a symbol against arclength measure."""
     n = min((coeffs.shape[1] - 1) // 2, p.degree)
     return coeffs[:, 1 : 2 * n + 1] @ p.coeffs[1 : 2 * n + 1]
+
+
+def pair_dnh(coeffs: np.ndarray, k: BoundaryField) -> np.ndarray:
+    """Batched <k, d_n H h0> of h0 rows with a symbol in L^2 of the circle."""
+    N = (coeffs.shape[1] - 1) // 2
+    return -(coeffs * (eigenvalues(N) * k.truncate(N).coeffs)[None, :]).sum(axis=1)
 
 
 # -- covariance kernels -------------------------------------------------------
@@ -401,11 +394,9 @@ def cameron_martin_check(symbols, profile, p: BoundaryField, t: float, N: int,
     base = np.stack([pair_symbol(coeffs, q) for q in symbols], axis=-1)
     shift = np.array([mean_zero_pairing(p, q) for q in symbols])
     lhs = profile.value(base + t * shift[None, :])
-    lam = eigenvalues(N)
-    pc = np.zeros(2 * N + 1)
-    pc[: p.coeffs.size] = p.coeffs[: 2 * N + 1]
-    pairing = (coeffs * (lam * pc)[None, :]).sum(axis=1) / (2.0 * np.pi)
-    norm2 = float(np.sum(lam * pc * pc)) / (2.0 * np.pi)
+    pc = p.truncate(N).coeffs
+    pairing = -pair_dnh(coeffs, p) / (2.0 * np.pi)
+    norm2 = float(np.sum(eigenvalues(N) * pc * pc)) / (2.0 * np.pi)
     rhs = profile.value(base) * np.exp(t * pairing - 0.5 * t * t * norm2)
     diff = lhs - rhs
     return float(lhs.mean()), float(rhs.mean()), float(diff.std(ddof=1) / np.sqrt(diff.size))

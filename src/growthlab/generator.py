@@ -19,11 +19,11 @@ import numpy as np
 from .disk import DiskTestFunction, realize_symbol
 from .fields import (CouplingParams, IntegrabilityError, batch_values,
                      bulk_covariance_matrix, m_support, mean_stderr,
-                     mean_zero_pairing, monte_carlo_rows, pair_symbol,
-                     sample_trace_batch)
+                     mean_zero_pairing, monte_carlo_rows, pair_dnh, pair_symbol,
+                     sample_trace_batch, truncated_boundary_covariance)
 from .gmc import CircleMeasure, chaos_density_batch
-from .kernels import (contract_left, dmu_modes, dmu_polar, loewner_field_polar,
-                      operator_a, vkernel_pair_dnh)
+from .kernels import (bulk_pairings, contract_left, dmu_modes, operator_a,
+                      vkernel_pair_dnh)
 from .profiles import MollifiedProfile, ProductProfile
 from .quadrature import (batched_gauss_panels, gauss_legendre,
                          green_pair_modes)
@@ -132,32 +132,10 @@ def drift_boundary(p: BoundaryField, h: BoundaryField, mu: CircleMeasure,
 def drift_bulk(f: DiskTestFunction, h: BoundaryField, mu: CircleMeasure,
                params: CouplingParams, nr: int = 48) -> float:
     """Bulk-form drift: field pairing of the transported test function."""
-    M = mu.M
-    r, wr = gauss_legendre(*f.support, nr)
-    wt = TWO_PI / M
-    dvals = dmu_polar(f, mu, r)
-    z = r[:, None] * np.exp(1j * grid_angles(M))[None, :]
-    hvals = h.harmonic_extend(z)
-    hterm = float(((wr * r)[:, None] * dvals * hvals).sum() * wt)
-    _, L1 = loewner_field_polar(mu, r)
-    fvals = f.eval_polar(r[:, None], grid_angles(M)[None, :])
-    lterm = float(((wr * r)[:, None] * fvals * L1.real).sum() * wt)
+    bulk = bulk_pairings(f, mu, nr, h)
     p = f.poisson_adjoint()
-    return (hterm - TWO_PI * params.alpha * mu.integrate_field(p)
-            + params.chi * lterm - params.beta * p.integral())
-
-
-def drift(p: BoundaryField, h: BoundaryField, mu: CircleMeasure,
-          params: CouplingParams, f: DiskTestFunction | None = None,
-          route: str = "boundary") -> float:
-    """Drift b(p); route 'bulk' needs the realizing test function."""
-    if route == "boundary":
-        return drift_boundary(p, h, mu, params)
-    if route == "bulk":
-        if f is None:
-            raise ValueError("bulk drift needs the realizing test function")
-        return drift_bulk(f, h, mu, params)
-    raise ValueError(f"unknown route {route!r}")
+    return (bulk["harmonic"] - TWO_PI * params.alpha * mu.integrate_field(p)
+            + params.chi * bulk["conformal"] - params.beta * p.integral())
 
 
 def _at_configuration(F: CylindricalFunctional, h: BoundaryField, m: float,
@@ -199,7 +177,7 @@ class _TraceBatch:
     """Per-batch grids and chaos data shared by the estimators."""
 
     def __init__(self, N: int, b: int, rng: np.random.Generator, xi: float, M: int):
-        self.N, self.M, self.xi = N, M, xi
+        self.M = M
         self.dtheta = TWO_PI / M
         self.coeffs = sample_trace_batch(N, b, rng)
         self.grid = batch_values(self.coeffs, M)
@@ -224,14 +202,6 @@ class _TraceBatch:
         pt = p.conjugate().values(self.M)
         W = TWO_PI * (pt * self.dnh_conj - grid_conjugate(self.dnh * pt))
         return self.mu_int(W)
-
-    def dnh_pair(self, k: BoundaryField) -> np.ndarray:
-        """<k, d_n H h0> in L^2 of the circle, per sample."""
-        lam = eigenvalues(self.N)
-        kc = np.zeros(2 * self.N + 1)
-        n = min(k.degree, self.N)
-        kc[: 2 * n + 1] = k.coeffs[: 2 * n + 1]
-        return -(self.coeffs * (lam * kc)[None, :]).sum(axis=1)
 
 
 def _take_rows(rows, live):
@@ -463,19 +433,11 @@ def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
     fs, psit, mu, args = _invariance_setup(F, params, h, m, M, nr, gh_points, psit, sigma)
     total = 0.0
     K = max(f.degree for f in fs) + 2
-    for i, (p, f) in enumerate(zip(F.symbols, fs)):
-        r, wr = gauss_legendre(*f.support, nr)
-        wt = TWO_PI / M
-        dvals = dmu_polar(f, mu, r)
-        z = r[:, None] * np.exp(1j * grid_angles(M))[None, :]
-        hterm = float(((wr * r)[:, None] * dvals * h.harmonic_extend(z)).sum() * wt)
-        logterm = float(((wr * r)[:, None] * dvals * np.log(r)[:, None]).sum() * wt)
-        _, L1 = loewner_field_polar(mu, r)
-        fvals = f.eval_polar(r[:, None], grid_angles(M)[None, :])
-        lterm = float(((wr * r)[:, None] * fvals * L1.real).sum() * wt)
+    for i, f in enumerate(fs):
+        bulk = bulk_pairings(f, mu, nr, h)
         gi = psit.grad_entry(i, args[None, :])[0]
-        total += (hterm + params.alpha * logterm + params.chi * lterm
-                  - params.beta * f.integral()) * gi
+        total += (bulk["harmonic"] + params.alpha * bulk["log"]
+                  + params.chi * bulk["conformal"] - params.beta * f.integral()) * gi
         for j, fj in enumerate(fs):
             gterm = green_pair_modes(lambda rr: f.angular_modes(rr, K), f.support,
                                      dmu_modes(fj, mu, K), fj.support, K, nr)
@@ -677,7 +639,7 @@ def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
     def per_batch(b):
         tb = _TraceBatch(N, b, rng, xi, M)
         base = tb.bases(F.symbols)
-        kdv = -tb.dnh_pair(k) / TWO_PI + c * k_int   # int k DV dl per sample
+        kdv = -pair_dnh(tb.coeffs, k) / TWO_PI + c * k_int   # int k DV dl per sample
         Lmu = tb.mu_int(lv)
         LK = tb.mu_int(lv * kv)
         lo, hi = _m_interval((base, F.slopes(), F.profile))
@@ -701,13 +663,8 @@ def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
         raise ValueError("exploration drift is stated for probability measures")
     params = CouplingParams.pure_gravity()
     xi, Q = params.xi, params.Q
-    M = nu.M
     b_ours = drift_boundary(p, h, nu, params)
-    r, wr = gauss_legendre(*f.support, nr)
-    wt = TWO_PI / M
-    dvals = dmu_polar(f, nu, r)
-    z = r[:, None] * np.exp(1j * grid_angles(M))[None, :]
-    hterm = float(((wr * r)[:, None] * dvals * h.harmonic_extend(z)).sum() * wt)
+    hterm = bulk_pairings(f, nu, nr, h)["harmonic"]
     b_ms = (hterm + TWO_PI * Q * nu.integrate_field(p.dirichlet_to_neumann())
             + TWO_PI * xi * nu.integrate_field(p - BoundaryField.constant(p.mean(), 1)))
     offset = TWO_PI * xi * p.mean() * nu.total_mass
@@ -727,10 +684,7 @@ def projection_covariance_identity(P: list, N: int = 64, M: int = 256) -> float:
     lhs = np.zeros(M)
     s2 = np.zeros(M)
     for p in P:
-        pc = np.zeros(2 * N + 1)
-        n = min(p.degree, N)
-        pc[: 2 * n + 1] = p.coeffs[: 2 * n + 1]
-        proj_field = BoundaryField(-TWO_PI * pc * (lam > 0))
+        proj_field = BoundaryField(-TWO_PI * p.truncate(N).coeffs * (lam > 0))
         lhs += p.values(M) * proj_field.values(M)
         s2 += p.values(M) ** 2
     return float(np.abs(lhs + TWO_PI * s2).max())
@@ -791,7 +745,7 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         tb = _TraceBatch(N, b, rng, xi, M)
         baseF, baseG = tb.bases(P), tb.bases(G.symbols)
         # Pi_P(d_nH h) per sample on the grid
-        coefs = np.stack([tb.dnh_pair(p) for p in P], axis=-1)    # (B, nP)
+        coefs = np.stack([pair_dnh(tb.coeffs, p) for p in P], axis=-1)    # (B, nP)
         proj_dnh = coefs @ pgrid                                   # (B, M)
         cross = [[tb.mu_int(pgrid[i] * qgrid[j]) for j in range(nG)]
                  for i in range(nP)]
@@ -818,10 +772,7 @@ def derivative_martingale_identity(N: int, xi: float, rng: np.random.Generator,
     """
     X = rng.standard_normal(2 * N)
     lam = eigenvalues(N)[1:]
-    theta = grid_angles(M)
-    basis = np.empty((2 * N, M))
-    for k in range(1, 2 * N + 1):
-        basis[k - 1] = BoundaryField.basis(k, N).values(M)
+    basis = batch_values(np.eye(2 * N + 1)[1:], M)
     # factor-by-factor route
     log_m = (-xi * X[:, None] * basis / np.sqrt(lam)[:, None]
              - 0.5 * xi * xi * basis ** 2 / lam[:, None]).sum(axis=0)
@@ -840,19 +791,18 @@ def truncated_second_moment_growth(N: int, xi: float, q: BoundaryField,
                                    ranks, M: int = 256) -> list[float]:
     """Second moment of the projected renormalized drift term across
     projection ranks; grows without bound as the projection fills."""
-    from .fields import truncated_boundary_covariance
-
     theta = grid_angles(M)
     ddiff = theta[None, :] - theta[:, None]
     cov = truncated_boundary_covariance(N, ddiff)
     qv = q.values(M)
     weight = np.exp(xi * xi * cov) * qv[None, :] * qv[:, None]
+    rows = batch_values(np.eye(2 * max(ranks) + 1)[1:], M)
     out = []
     for K in ranks:
         S = np.zeros((M, M))
         T = np.zeros((M, M))
         for k in range(1, 2 * K + 1):
-            ek = BoundaryField.basis(k).values(M)
+            ek = rows[k - 1]
             T += np.ceil(k / 2.0) * np.outer(ek, ek)
             S += np.outer(ek, ek)
         integrand = (xi ** 2 * (TWO_PI * S) ** 2 + TWO_PI * T) * weight
@@ -911,11 +861,8 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
         div_h = [[np.pi * tb.mu_int(sym_qq[j][k]) for k in range(nG)] for j in range(nG)]
         div_g = [2.0 * xi * tb.mu_int(dn_q[j]) for j in range(nG)]
         # <DV V_{q_j}, mu>: DV = -(1/2pi) d_nH h + c against the first slot
-        dv_pair = []
-        for j in range(nG):
-            w_dnh = TWO_PI * (tb.dnh_conj * qt[j][None, :]
-                              - grid_conjugate(tb.dnh * qt[j][None, :]))
-            dv_pair.append(-tb.mu_int(w_dnh) / TWO_PI + c * tb.mu_int(row[j]))
+        dv_pair = [-tb.vpair_dnh(q) / TWO_PI + c * tb.mu_int(row[j])
+                   for j, q in enumerate(G.symbols)]
         lo, hi = _m_interval((baseF, slopesF, F.profile), (baseG, slopesG, G.profile))
         return _integrate_live(fn, [baseF, baseG, lhs_c, div_h, div_g, dv_pair],
                                lo, hi, 2)

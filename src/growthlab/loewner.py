@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gmc import CircleMeasure
-from .spectral import BoundaryField, grid_angles, grid_conjugate, poisson_kernel
+from .spectral import (BoundaryField, fourier_coeffs, grid_angles, grid_conjugate,
+                       poisson_kernel)
 
 
 class MapperError(RuntimeError):
@@ -62,13 +63,10 @@ class DrivingPath:
         return total
 
 
-def _herglotz_coeffs(mu: CircleMeasure) -> np.ndarray:
-    """Coefficients of int (z+w)/(z-w) mu(dw) = -2pi(c_0 + 2 sum c_k z^k)."""
-    return np.fft.rfft(mu.density) / mu.M
-
-
 def _velocity(coeffs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dg/dt = g * 2 pi (c_0 + 2 sum_k c_k g^k), Horner evaluated."""
+    """dg/dt = g * 2 pi (c_0 + 2 sum_k c_k g^k), Horner evaluated, with c_k
+    the density's Fourier coefficients: int (z+w)/(z-w) mu(dw) = -2pi(c_0 +
+    2 sum c_k z^k)."""
     acc = np.zeros_like(g)
     for c in coeffs[:0:-1]:
         acc = (acc + 2.0 * c) * g
@@ -111,7 +109,7 @@ def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
 
     for k in range(len(driving.measures)):
         a, b, mu = driving.segment(k)
-        coeffs = _herglotz_coeffs(mu)
+        coeffs = fourier_coeffs(mu.density)
         t = max(t, a)
         h = min(dt, b - t)
         while t < b - 1e-15:
@@ -288,7 +286,7 @@ def nearly_circular_map(domain: StarDomain, tol: float = 1e-13,
         if residual > 1e3 * tol:
             raise MapperError(residual)
     u = logr.value_at(theta)
-    spec = np.fft.rfft(u) / M
+    spec = fourier_coeffs(u)
     coeffs = np.zeros(M // 2, dtype=complex)
     coeffs[0] = spec[0].real
     coeffs[1:] = 2.0 * spec[1 : M // 2]

@@ -9,6 +9,11 @@ with eigenvalue ladder lam_k = ceil(k/2).  Harmonic extension, harmonic
 conjugation, the Dirichlet-to-Neumann operator and tangential derivative
 act diagonally (or skew-diagonally) in this basis, so every operator here
 is exact on band-limited data given a large enough grid.
+
+This module is the one place that converts between e_k coefficients and
+grid samples: batch_values (coefficients -> grid) and batch_coeffs (grid ->
+coefficients) act along the last axis of arrays of any leading shape.
+grid_conjugate and grid_dirichlet_to_neumann stay grid -> grid operators.
 """
 
 from __future__ import annotations
@@ -33,6 +38,44 @@ def grid_angles(M: int) -> np.ndarray:
 def eigenvalues(N: int) -> np.ndarray:
     """lam_k = ceil(k/2) for k = 0..2N."""
     return np.ceil(np.arange(2 * N + 1) / 2.0)
+
+
+# -- the coefficient <-> grid transform (batched along the last axis) ---------
+
+
+def fourier_coeffs(values: np.ndarray) -> np.ndarray:
+    """rfft of grid samples along the last axis over the grid size: c_m with
+    values = c_0 + 2 Re sum_{m >= 1} c_m e^{i m theta} below the Nyquist mode."""
+    return np.fft.rfft(values, axis=-1) / values.shape[-1]
+
+
+def batch_values(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Samples at M equispaced angles of e_k coefficient rows (..., 2N+1),
+    by inverse FFT; raises GridTooSmallError when M < 2N+1."""
+    N = (coeffs.shape[-1] - 1) // 2
+    if M < 2 * N + 1:
+        raise GridTooSmallError(f"grid size {M} aliases degree {N}")
+    spec = np.zeros(coeffs.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    spec[..., 0] = coeffs[..., 0] / SQRT_2PI * M
+    m = np.arange(1, N + 1)
+    spec[..., 1:N + 1] = (coeffs[..., 2 * m - 1] - 1j * coeffs[..., 2 * m]) / SQRT_PI * (M / 2.0)
+    return np.fft.irfft(spec, n=M, axis=-1)
+
+
+def batch_coeffs(values: np.ndarray, degree: int) -> np.ndarray:
+    """e_k coefficients (..., 2 degree + 1) of the interpolating polynomials of
+    grid rows (..., M); exact for degree <= N once M >= 2N+1, and raises
+    GridTooSmallError below that threshold."""
+    M = values.shape[-1]
+    if M < 2 * degree + 1:
+        raise GridTooSmallError(f"grid size {M} cannot resolve degree {degree}")
+    spec = fourier_coeffs(values)
+    c = np.zeros(values.shape[:-1] + (2 * degree + 1,))
+    c[..., 0] = spec[..., 0].real * SQRT_2PI
+    m = np.arange(1, degree + 1)
+    c[..., 2 * m - 1] = 2.0 * SQRT_PI * spec[..., 1:degree + 1].real
+    c[..., 2 * m] = -2.0 * SQRT_PI * spec[..., 1:degree + 1].imag
+    return c
 
 
 @dataclass
@@ -64,6 +107,11 @@ class BoundaryField:
         return cls(c)
 
     @classmethod
+    def cosine(cls, m: int, amplitude: float, N: int | None = None) -> "BoundaryField":
+        """amplitude * cos(m theta), m >= 1."""
+        return cls.basis(2 * m - 1, N) * (amplitude * SQRT_PI)
+
+    @classmethod
     def constant(cls, value: float, N: int = 1) -> "BoundaryField":
         c = np.zeros(2 * N + 1)
         c[0] = value * SQRT_2PI
@@ -77,18 +125,9 @@ class BoundaryField:
         raises GridTooSmallError below that threshold.
         """
         values = np.asarray(values, dtype=float)
-        M = values.size
         if degree is None:
-            degree = (M - 1) // 2
-        if M < 2 * degree + 1:
-            raise GridTooSmallError(f"grid size {M} cannot resolve degree {degree}")
-        spec = np.fft.rfft(values) / M
-        c = np.zeros(2 * degree + 1)
-        c[0] = spec[0].real * SQRT_2PI
-        m = np.arange(1, degree + 1)
-        c[2 * m - 1] = 2.0 * SQRT_PI * spec[1:degree + 1].real
-        c[2 * m] = -2.0 * SQRT_PI * spec[1:degree + 1].imag
-        return cls(c)
+            degree = (values.size - 1) // 2
+        return cls(batch_coeffs(values, degree))
 
     # -- basic structure ----------------------------------------------------
 
@@ -122,13 +161,7 @@ class BoundaryField:
     def values(self, M: int) -> np.ndarray:
         """Samples at M equispaced angles (cached)."""
         if M not in self._grid_cache:
-            if M < 2 * self.degree + 1:
-                raise GridTooSmallError(f"grid size {M} aliases degree {self.degree}")
-            c = self._complex_coeffs()
-            spec = np.zeros(M // 2 + 1, dtype=complex)
-            spec[0] = c[0] * M
-            spec[1 : c.size] = c[1:] * (M / 2.0)
-            self._grid_cache[M] = np.fft.irfft(spec, n=M)
+            self._grid_cache[M] = batch_values(self.coeffs, M)
         return self._grid_cache[M]
 
     def value_at(self, theta) -> np.ndarray:
@@ -218,7 +251,7 @@ class BoundaryField:
         return BoundaryField.from_grid(vals, degree=N)
 
 
-# -- module-level operator forms (the grid <-> coefficient API) -------------
+# -- module-level operator forms -----------------------------------------------
 
 def poisson_kernel(z, w) -> np.ndarray:
     """H(z, w) = (1/2pi) Re((w+z)/(w-z)) for |z| < 1, |w| = 1."""

@@ -397,7 +397,7 @@ def run_loewner(cfg: ExperimentConfig) -> list[CheckResult]:
     out.append(CheckResult.bound("hadamard-order", abs(had["order"] - 1.0), 0.35,
                                  "hadamard-variation"))
 
-    phi = 0.1 * np.sqrt(np.pi) * BoundaryField.basis(1, 4)
+    phi = BoundaryField.cosine(1, 0.1, 4)
     smd = loewner.smooth_metric_driving(phi, xi, 1e-3, M=M)
     out.append(CheckResult.bound("smooth-metric-driving", smd["rel_error"], 1e-2,
                                  "smooth-metric-driving"))

@@ -8,8 +8,8 @@ from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
 from growthlab.generator import (CylindricalFunctional, _integrate_live,
                                  _m_interval, _TraceBatch, apply_generator,
                                  derivative_martingale_identity, diffusion,
-                                 dirichlet_form, divergence_form_check, drift,
-                                 drift_boundary, ibp_hdmuf_check,
+                                 dirichlet_form, divergence_form_check,
+                                 drift_boundary, drift_bulk, ibp_hdmuf_check,
                                  ibp_potential_check, invariance_bulk_value,
                                  invariance_check, invariance_local_value,
                                  projected_symmetric_ibp_check,
@@ -95,11 +95,9 @@ def test_drift_bulk_vs_boundary():
     mu = chaos_measure(h, -1, PG.xi, M)
     p = BoundaryField.constant(1 / (2 * np.pi), 4) + 0.6 * BoundaryField.basis(1, 4)
     f = realize_symbol(p)
-    b1 = drift(p, h, mu, PG, route="boundary")
-    b2 = drift(p, h, mu, PG, f=f, route="bulk")
+    b1 = drift_boundary(p, h, mu, PG)
+    b2 = drift_bulk(f, h, mu, PG)
     assert abs(b1 - b2) < 1e-4 * max(abs(b1), 1.0)
-    with pytest.raises(ValueError):
-        drift(p, h, mu, PG, route="bulk")
 
 
 def test_apply_generator_trivial_cases():

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab.spectral import (BoundaryField, GridTooSmallError, conjugate_pv,
-                                grid_angles, grid_conjugate,
-                                grid_dirichlet_to_neumann,
+from growthlab import fields
+from growthlab.spectral import (BoundaryField, GridTooSmallError, batch_coeffs,
+                                batch_values, conjugate_pv, grid_angles,
+                                grid_conjugate, grid_dirichlet_to_neumann,
                                 harmonic_extend_quadrature)
 
 SQRT_PI = np.sqrt(np.pi)
@@ -20,6 +21,9 @@ def test_cos_on_grid_has_coefficient_sqrt_pi():
     f = BoundaryField.from_grid(np.cos(grid_angles(16)), degree=1)
     assert abs(f.coeffs[1] - SQRT_PI) < 1e-12
     assert abs(f.coeffs[0]) < 1e-12 and abs(f.coeffs[2]) < 1e-12
+    c = BoundaryField.cosine(2, 0.3, 3)
+    assert c.degree == 3
+    assert np.abs(c.values(16) - 0.3 * np.cos(2 * grid_angles(16))).max() < 1e-14
 
 
 def test_constant_has_coefficient_sqrt_two_pi():
@@ -143,3 +147,32 @@ def test_product_is_exact():
     prod = p.product(q)
     M = 64
     assert np.abs(prod.values(M) - p.values(M) * q.values(M)).max() < 1e-12
+
+
+@pytest.mark.parametrize("N, M", [(4, 16), (8, 33), (16, 128), (5, 11), (3, 8)])
+def test_batched_transforms_match_single_fields_bit_for_bit(N, M):
+    rng = np.random.default_rng(N * M)
+    coeffs = rng.standard_normal((3, 4, 2 * N + 1))
+    grid = batch_values(coeffs, M)
+    back = batch_coeffs(grid, N)
+    assert grid.shape == (3, 4, M) and back.shape == coeffs.shape
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(grid[idx], BoundaryField(coeffs[idx]).values(M))
+        assert np.array_equal(back[idx], BoundaryField.from_grid(grid[idx], N).coeffs)
+    # the e_k convention, summed term by term
+    theta = grid_angles(M)
+    m = np.arange(1, N + 1)[:, None]
+    direct = (coeffs[..., :1] / np.sqrt(2 * np.pi)
+              + coeffs[..., 1::2] @ np.cos(m * theta) / SQRT_PI
+              + coeffs[..., 2::2] @ np.sin(m * theta) / SQRT_PI)
+    assert np.abs(grid - direct).max() < 1e-12
+    assert np.abs(back - coeffs).max() < 1e-12
+
+
+def test_batch_values_on_a_grid_below_the_degree_raises():
+    with pytest.raises(GridTooSmallError):
+        batch_values(np.zeros((2, 3, 9)), 8)
+    with pytest.raises(GridTooSmallError):
+        batch_coeffs(np.zeros((2, 8)), 4)
+    # fields re-exports the one transform, so every caller shares its checks
+    assert fields.batch_values is batch_values
