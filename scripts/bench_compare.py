@@ -11,7 +11,11 @@ change's median is worse than the parent's by more than the metric's
 bound; metrics are taken over the pairs whose two runs both finished.
 Each entry also records both sides' correctness, failed-operation counts
 and failed runs (a run that exits non-zero, such as a round timeout),
-and whether the two sides wrote byte-identical report.json files.
+and whether the two sides wrote byte-identical report.json files.  When
+they did not, `report_deltas` records, per check and over all pairs, the
+largest |change - parent| of lhs, rhs and stderr, of z = (lhs - rhs) /
+stderr (null for a check without a stderr), and whether its `passed`
+flag flipped, so that a roundoff-level move shows as one.
 
     python3 scripts/bench_compare.py --parent ../parent --change . --number 7 \\
         --workload invariance --workload dirichlet --workload dynamics
@@ -55,6 +59,35 @@ def run_side(command, checkout: Path, workload: str, seed: int, seconds: float):
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
+
+
+def _z(check):
+    return (check["lhs"] - check["rhs"]) / check["stderr"] if check["stderr"] > 0 else None
+
+
+def report_deltas(report_pairs) -> dict:
+    """Per check, the largest moves between parent and change report.json.
+
+    report_pairs holds (parent bytes, change bytes) for each pair whose
+    two runs finished.  Checks are matched by name; one present on a
+    single side is recorded as {"missing": the side without it}.
+    """
+    out = {}
+    for pair in report_pairs:
+        par, chg = ({c["name"]: c for c in json.loads(r)["checks"]} for r in pair)
+        for name in par.keys() ^ chg.keys():
+            out[name] = {"missing": "change" if name in par else "parent"}
+        for name in par.keys() & chg.keys():
+            a, b = par[name], chg[name]
+            za, zb = _z(a), _z(b)
+            d = out.setdefault(name, {"lhs": 0.0, "rhs": 0.0, "stderr": 0.0, "z": None,
+                                      "passed_flipped": False})
+            for key in ("lhs", "rhs", "stderr"):
+                d[key] = max(d[key], abs(b[key] - a[key]))
+            if za is not None and zb is not None:
+                d["z"] = max(d["z"] or 0.0, abs(zb - za))
+            d["passed_flipped"] = d["passed_flipped"] or a["passed"] != b["passed"]
+    return dict(sorted(out.items()))
 
 
 def summarize(spec, parent_runs, change_runs, same_report: bool) -> dict:
@@ -108,7 +141,7 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for seed in args.seed or [1]:
             runs = {"parent": [], "change": []}
-            same = True
+            same, reported = True, []
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 reports = {}
@@ -121,8 +154,11 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {i} {side}: {took}", flush=True)
                 same = same and reports["parent"] is not None \
                     and reports["parent"] == reports["change"]
+                if None not in reports.values():
+                    reported.append((reports["parent"], reports["change"]))
             entries.append(dict(workload=workload, seed=seed, **summarize(
-                bench["end_to_end"], runs["parent"], runs["change"], same)))
+                bench["end_to_end"], runs["parent"], runs["change"], same),
+                report_deltas=None if same else report_deltas(reported)))
 
     out = args.out_dir / f"BENCH_{args.number}.json"
     machine = {"cpus": os.cpu_count(), "python": platform.python_version(),

@@ -13,7 +13,7 @@ bracket of int p dmu is (2 pi xi)^2 int p^2 dmu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -126,14 +126,13 @@ def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
             if abs(half) >= barrier:
                 # bisect inside the step for the crossing time
                 lo_t, hi_t = 0.0, h
-                g_lo = g
                 for _ in range(60):
                     mid = 0.5 * (lo_t + hi_t)
                     g_mid = rk4(coeffs, g, mid)
                     if abs(g_mid) >= barrier:
                         hi_t = mid
                     else:
-                        lo_t, g_lo = mid, g_mid
+                        lo_t = mid
                     if hi_t - lo_t < 1e-15 * max(1.0, t + hi_t):
                         break
                 ts.append(t + hi_t)

@@ -195,34 +195,28 @@ class BoundedSmoothProfile:
         return out
 
 
-_GROUP_CHUNK = 2048    # groups per pass: their (G, Q, 4^n) weights stay in cache
+_GROUP_CHUNK = 2048    # groups per pass: their partial contractions stay in cache
 _CELL_SLACK = 1e-12    # cells a group may overhang its own: roundoff at a knot
 
 
-def _bspline3_weights(t: np.ndarray, order: int) -> np.ndarray:
+def _bspline3_taps(t: np.ndarray, order: int) -> tuple:
     """Cubic B-spline basis (or a derivative) at offsets -1..2 from floor(t).
 
-    t is the fractional position in [0, 1], up to roundoff; returns weights of
-    shape t.shape + (4,) for the coefficient at floor + (-1, 0, 1, 2).
+    t is the fractional position in [0, 1], up to roundoff; returns the four
+    weights, each of t's shape, of the coefficients at floor + (-1, 0, 1, 2).
     """
-    w = np.empty(t.shape + (4,))
     s = 1.0 - t
     if order == 0:
-        w[..., 0] = s * s * s / 6.0
-        w[..., 1] = (4.0 - 6.0 * t * t + 3.0 * t * t * t) / 6.0
-        w[..., 2] = (4.0 - 6.0 * s * s + 3.0 * s * s * s) / 6.0
-        w[..., 3] = t * t * t / 6.0
-    elif order == 1:
-        w[..., 0] = -0.5 * s * s
-        w[..., 1] = (-12.0 * t + 9.0 * t * t) / 6.0
-        w[..., 2] = (12.0 * s - 9.0 * s * s) / 6.0
-        w[..., 3] = 0.5 * t * t
-    else:
-        w[..., 0] = s
-        w[..., 1] = (-12.0 + 18.0 * t) / 6.0
-        w[..., 2] = (-12.0 + 18.0 * s) / 6.0
-        w[..., 3] = t
-    return w
+        return (s * s * s / 6.0,
+                (4.0 - 6.0 * t * t + 3.0 * t * t * t) / 6.0,
+                (4.0 - 6.0 * s * s + 3.0 * s * s * s) / 6.0,
+                t * t * t / 6.0)
+    if order == 1:
+        return (-0.5 * s * s,
+                (-12.0 * t + 9.0 * t * t) / 6.0,
+                (12.0 * s - 9.0 * s * s) / 6.0,
+                0.5 * t * t)
+    return s, (-12.0 + 18.0 * t) / 6.0, (-12.0 + 18.0 * s) / 6.0, t
 
 
 class _SplineTable:
@@ -246,7 +240,9 @@ class _SplineTable:
         self.coef = np.pad(coef, 2, mode="constant")
         self.pts = pts
         self._strides = np.array(self.coef.strides) // self.coef.itemsize
-        self._offsets = np.array([np.dot(o, self._strides)
+        # neighborhood offsets with the last axis slowest, so each axis's four
+        # taps are contiguous blocks when that axis is contracted
+        self._offsets = np.array([np.dot(o[::-1], self._strides)
                                   for o in np.ndindex(*(4,) * self.n)])
 
     def evaluate_many(self, x, orders_list):
@@ -255,42 +251,54 @@ class _SplineTable:
         x has shape (..., Q, n), groups of Q points that share one table
         cell: the cell of the midpoint of the group's first and last
         points.  Its 4^n coefficient neighborhood is gathered once and
-        contracted against the basis weights of every point and requested
-        derivative, so extra points and outputs are nearly free.  Single
-        points are groups of one, x[..., None, :].  A group whose points
-        leave the cell by more than _CELL_SLACK raises ValueError; a point
-        within it that overhangs by d is read on the neighbouring cubic, off
-        by O(d) in the Hessian.  Groups run in chunks of _GROUP_CHUNK.
-        Returns one array of shape x.shape[:-1] per order tuple.
+        contracted one axis at a time, last axis first, against each
+        point's basis weights on that axis; order tuples that end alike
+        share their partial contractions.  Each axis sums its four taps in
+        a fixed order by elementwise multiply-adds, so a point's result has
+        the same bits whatever the group size Q.  Single points are groups
+        of one, x[..., None, :].  A group whose points leave the cell by
+        more than _CELL_SLACK raises ValueError; a point within it that
+        overhangs by d is read on the neighbouring cubic, off by O(d) in the
+        Hessian.  Groups run in chunks of _GROUP_CHUNK.  Returns one array
+        of shape x.shape[:-1] per order tuple.
         """
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1]
         x = x.reshape(-1, shape[-1], self.n)
         outs = [np.empty(x.shape[:-1]) for _ in orders_list]
         cfl = self.coef.ravel()
+        lows, h = self.lows[:, None, None], self.h[:, None, None]
         for start in range(0, x.shape[0], _GROUP_CHUNK):
             sl = slice(start, start + _GROUP_CHUNK)
-            u = (x[sl] - self.lows) / self.h
-            inside = np.all((u > -1.0) & (u < self.pts), axis=-1)
+            # axis-major (n, Q, G): every elementwise pass runs along the groups
+            u = (np.ascontiguousarray(x[sl].transpose(2, 1, 0)) - lows) / h
+            outside = ~np.all((u > -1.0) & (u < self.pts), axis=0)
             u = np.clip(u, 0.0, self.pts - 1.0 - 1e-12)
             base = np.floor(0.5 * (u[:, 0] + u[:, -1]))
             frac = u - base[:, None, :]
             if np.any((frac < -_CELL_SLACK) | (frac > 1.0 + _CELL_SLACK)):
                 raise ValueError("a group of points spans more than one table cell")
-            neigh = cfl[((base.astype(np.int64) + 1) @ self._strides)[:, None] + self._offsets]
-            wtab = {}
-            for orders in orders_list:
-                for k, o in enumerate(orders):
-                    if (k, o) not in wtab:
-                        wtab[(k, o)] = _bspline3_weights(frac[..., k], o) / self.h[k] ** o
+            neigh = cfl[self._offsets[:, None] + self._strides @ (base.astype(np.int64) + 1)]
+            taps = {}
+            partial = {(): neigh[:, None, :]}
             for out, orders in zip(outs, orders_list):
-                w = wtab[(0, orders[0])]
-                for k in range(1, self.n):
-                    w = (w[..., :, None] * wtab[(k, orders[k])][..., None, :]).reshape(
-                        w.shape[:2] + (-1,))
-                acc = np.einsum("gi,gqi->gq", neigh, w)
-                acc[~inside] = 0.0
-                out[sl] = acc
+                for k in range(self.n - 1, -1, -1):
+                    key = orders[k:]
+                    if key in partial:
+                        continue
+                    if (k, orders[k]) not in taps:
+                        taps[(k, orders[k])] = [w / self.h[k] ** orders[k]
+                                                for w in _bspline3_taps(frac[k], orders[k])]
+                    w = taps[(k, orders[k])]
+                    prev = partial[key[1:]]
+                    p = prev.reshape((4, -1) + prev.shape[1:])
+                    acc = p[0] * w[0]
+                    for tap in range(1, 4):
+                        acc += p[tap] * w[tap]
+                    partial[key] = acc
+                acc = partial[orders][0]
+                acc[outside] = 0.0
+                out[sl] = acc.T
         return [out.reshape(shape) for out in outs]
 
 

@@ -202,11 +202,11 @@ def run_identities(cfg: ExperimentConfig) -> list[CheckResult]:
     h = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rng)[0])
     mu = gmc.chaos_measure(h, -1, self_xi(cfg), cfg.M)
     loc = kernels.boundary_localization_suite(f1, f2, mu)
-    for key, (lhs, rhs, rel) in loc.items():
+    for key, (lhs, rhs, _) in loc.items():
         out.append(CheckResult.deterministic(f"localization-{key}", lhs, rhs,
                                              1e-4, "boundary-localization",
                                              gate="rel"))
-    lhs, rhs, rel = kernels.kernel_u_check(f1, BoundaryField(
+    lhs, rhs, _ = kernels.kernel_u_check(f1, BoundaryField(
         fields.sample_trace_batch(8, 1, rng)[0]), mu)
     out.append(CheckResult.deterministic("kernel-field-pairing", lhs, rhs, 1e-4,
                                          "kernel-field-pairing", gate="rel"))

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthlab import generator
 from growthlab.generator import _integrate_spline_exact
 from growthlab.profiles import (_GROUP_CHUNK, BoundedSmoothProfile, IndicatorProfile,
                                 MollifiedProfile, PlateauBump1D, ProductProfile,
-                                _bspline3_weights, _step)
+                                _bspline3_taps, _step)
+from growthlab.quadrature import gauss_legendre
 
 
 def test_step_endpoints_and_monotonicity():
@@ -147,6 +149,39 @@ def test_mollified_profile_psd_guard():
         MollifiedProfile(prof, np.eye(2))       # shape mismatch
 
 
+def _bspline3_weights(t, order):
+    """Cubic B-spline basis (or a derivative) at offsets -1..2 from floor(t),
+    as shape t.shape + (4,): the point-major weights, kept as the reference."""
+    w = np.empty(t.shape + (4,))
+    s = 1.0 - t
+    if order == 0:
+        w[..., 0] = s * s * s / 6.0
+        w[..., 1] = (4.0 - 6.0 * t * t + 3.0 * t * t * t) / 6.0
+        w[..., 2] = (4.0 - 6.0 * s * s + 3.0 * s * s * s) / 6.0
+        w[..., 3] = t * t * t / 6.0
+    elif order == 1:
+        w[..., 0] = -0.5 * s * s
+        w[..., 1] = (-12.0 * t + 9.0 * t * t) / 6.0
+        w[..., 2] = (12.0 * s - 9.0 * s * s) / 6.0
+        w[..., 3] = 0.5 * t * t
+    else:
+        w[..., 0] = s
+        w[..., 1] = (-12.0 + 18.0 * t) / 6.0
+        w[..., 2] = (-12.0 + 18.0 * s) / 6.0
+        w[..., 3] = t
+    return w
+
+
+def test_bspline3_taps_match_the_reference_weights_bit_for_bit():
+    rng = np.random.default_rng(8)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 2000), [0.0, 1.0, 0.5, 1e-15, 1.0 - 1e-12]])
+    for order in (0, 1, 2):
+        taps = _bspline3_taps(t.reshape(5, -1), order)
+        w = _bspline3_weights(t, order)
+        for k in range(4):
+            assert np.array_equal(taps[k].ravel(), w[:, k])
+
+
 def _spline_reference(table, x, orders):
     """One spline entry at points x (P, n), each point gathering its own
     neighborhood: the per-point evaluation, kept as the reference."""
@@ -169,6 +204,15 @@ def _spline_reference(table, x, orders):
     return acc
 
 
+SPLINE_RTOL = 1e-12     # the axis-by-axis contraction sums in another order
+
+
+def _assert_near_reference(got, ref):
+    """got is within SPLINE_RTOL of the reference, relative to its largest entry."""
+    assert np.abs(ref).max() > 0.0
+    assert np.abs(got - ref).max() <= SPLINE_RTOL * np.abs(ref).max()
+
+
 def _mollified_2d():
     prof = ProductProfile.bumps([0.0, 1.0], [1.0, 0.8])
     return MollifiedProfile(prof, np.array([[0.04, 0.01], [0.01, 0.09]]), table_pts=81)
@@ -176,7 +220,8 @@ def _mollified_2d():
 
 def test_mollified_along_on_knot_segments_matches_pointwise():
     """Grouped evaluation on the segments the exact zero-mode integral cuts
-    equals per-point evaluation and the per-point reference, bit for bit."""
+    equals per-point evaluation bit for bit, and the per-point reference
+    within SPLINE_RTOL."""
     mp = _mollified_2d()
     rng = np.random.default_rng(5)
     (lo0, hi0), (lo1, hi1) = mp.box
@@ -188,20 +233,73 @@ def test_mollified_along_on_knot_segments_matches_pointwise():
         val, grad, hess = mp.along(base, slopes, m)
         x = (base[:, None, None, :] + m[..., None] * slopes).reshape(-1, 2)
         assert np.array_equal(val.ravel(), mp.value(x))
-        assert np.array_equal(val.ravel(), _spline_reference(mp._table, x, (0, 0)))
+        _assert_near_reference(val.ravel(), _spline_reference(mp._table, x, (0, 0)))
         for i in range(2):
             assert np.array_equal(grad[i].ravel(), mp.grad_entry(i, x))
             for j in range(2):
                 assert np.array_equal(hess[i][j].ravel(), mp.hess_entry(i, j, x))
                 orders = tuple(int(i == k) + int(j == k) for k in range(2))
-                assert np.array_equal(hess[i][j].ravel(),
-                                      _spline_reference(mp._table, x, orders))
+                _assert_near_reference(hess[i][j].ravel(),
+                                       _spline_reference(mp._table, x, orders))
         seen.append(m.shape)
         return np.zeros(m.shape + (1,))
 
     _integrate_spline_exact(fn, [base], base, slopes, mp)
     B, S, Q = seen[0]
     assert Q == 4 and B * S > 2 * _GROUP_CHUNK
+
+
+def _entry_keys(n):
+    return ([("v",)] + [("g", i) for i in range(n)]
+            + [("h", i, j) for i in range(n) for j in range(i, n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eval_many_matches_the_reference_for_every_order(n):
+    """Every order tuple up to second derivatives at n = 1, 2 and 3, on
+    groups of three points in one cell (some outside the table): groups
+    equal single points bit for bit and the per-point reference within
+    SPLINE_RTOL."""
+    prof = ProductProfile.bumps([0.0, 1.0, -0.5][:n], [1.0, 0.8, 1.3][:n])
+    sigma = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, -0.02], [0.0, -0.02, 0.06]])[:n, :n]
+    mp = MollifiedProfile(prof, sigma, table_pts=21 if n == 3 else 81)
+    t = mp._table
+    rng = np.random.default_rng(9)
+    cells = rng.integers(-2, t.pts + 1, size=(400, 1, n))
+    x = t.lows + t.h * (cells + rng.uniform(0.0, 1.0, size=(400, 3, n)))
+    keys = _entry_keys(n)
+    grouped = mp.eval_many(x, keys)
+    single = mp.eval_many(x.reshape(-1, 1, n), keys)
+    for key in keys:
+        assert grouped[key].shape == (400, 3)
+        assert np.array_equal(grouped[key].ravel(), single[key].ravel())
+        _assert_near_reference(grouped[key].ravel(),
+                               _spline_reference(t, x.reshape(-1, n), mp._orders(key)))
+    assert np.any(grouped[("v",)] == 0.0)
+
+
+@pytest.mark.parametrize("slopes, rtol", [((1.0, 0.0), 1e-13), ((0.7, -1.3), 1e-10)])
+def test_spline_exact_integral_against_eight_gauss_nodes(monkeypatch, slopes, rtol):
+    """Four Gauss nodes per knot segment against eight, for the profile
+    entries times e^{2m}: with one nonzero slope the profile is cubic in m
+    on a segment (about 2e-15 relative), with two of degree 6 (about 2e-12)."""
+    mp = _mollified_2d()
+    rng = np.random.default_rng(7)
+    (lo0, hi0), (lo1, hi1) = mp.box
+    base = np.column_stack([rng.uniform(lo0, hi0, 40), rng.uniform(lo1, hi1, 40)])
+    slopes = np.array(slopes)
+
+    def fn(m, base):
+        v, g, h = mp.along(base, slopes, m)
+        w = np.exp(2.0 * m)
+        return np.stack([v, g[0], g[1], h[0][0], h[0][1], h[1][1]], axis=-1) * w[..., None]
+
+    four = _integrate_spline_exact(fn, [base], base, slopes, mp)
+    monkeypatch.setattr(generator, "_SPLINE_GAUSS", gauss_legendre(0.0, 1.0, 8))
+    eight = _integrate_spline_exact(fn, [base], base, slopes, mp)
+    scale = np.abs(eight).max(axis=0)
+    assert np.all(scale > 0.0)
+    assert np.all(np.abs(four - eight).max(axis=0) <= rtol * scale)
 
 
 def test_mollified_group_straddling_a_knot():

@@ -1,6 +1,7 @@
 """The diagnostics in scripts/, imported from their files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -67,3 +68,30 @@ def test_bench_compare_summary():
     assert lost["runs"]["change"] == {"correct": False, "failed_runs": 1,
                                       "attempted": 20, "failed": 1}
     assert _script("bench_compare").summarize(spec, parent, [None] * 3, False)["metrics"] == {}
+
+
+def test_bench_compare_report_deltas():
+    def report(*checks):
+        return json.dumps({"suite": "s", "checks": [
+            {"name": n, "lhs": lhs, "rhs": rhs, "stderr": se, "passed": ok}
+            for n, lhs, rhs, se, ok in checks]}).encode()
+
+    parent = report(("a", 1.0, 0.5, 0.25, True), ("b", 2.0, 2.0, 0.0, True),
+                    ("c", 0.0, 1.0, 0.5, True), ("gone", 1.0, 1.0, 0.0, True))
+    roundoff = report(("a", 1.0 + 2e-16, 0.5, 0.25, True), ("b", 2.0, 2.0, 0.0, True),
+                      ("c", 0.0, 1.0, 0.5, True), ("new", 0.0, 0.0, 0.0, True))
+    moved = report(("a", 1.0, 0.5, 0.25, True), ("b", 2.5, 2.0, 0.0, False),
+                   ("c", 0.0, 1.0, 0.25, False), ("new", 0.0, 0.0, 0.0, True))
+    out = _script("bench_compare").report_deltas([(parent, roundoff), (parent, moved)])
+    assert list(out) == ["a", "b", "c", "gone", "new"]
+    assert out["a"] == {"lhs": 2.220446049250313e-16, "rhs": 0.0, "stderr": 0.0,
+                        "z": 8.881784197001252e-16, "passed_flipped": False}
+    assert out["b"] == {"lhs": 0.5, "rhs": 0.0, "stderr": 0.0, "z": None,
+                        "passed_flipped": True}
+    assert out["c"] == {"lhs": 0.0, "rhs": 0.0, "stderr": 0.25, "z": 2.0,
+                        "passed_flipped": True}
+    assert out["gone"] == {"missing": "change"} and out["new"] == {"missing": "parent"}
+    same = _script("bench_compare").report_deltas([(parent, parent)])
+    assert all(d == {"lhs": 0.0, "rhs": 0.0, "stderr": 0.0, "z": d["z"],
+                     "passed_flipped": False} for d in same.values())
+    assert same["a"]["z"] == 0.0 and same["b"]["z"] is None
