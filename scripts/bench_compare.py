@@ -125,6 +125,16 @@ def summarize(spec, parent_runs, change_runs, same_report: bool) -> dict:
             "runs": sides, "metrics": metrics}
 
 
+def machine() -> dict:
+    """The machine a comparison ran on: CPUs, usable CPUs and versions.
+
+    `usable_cpus` is the CPUs this process may run on, which bounds a
+    suite's thread pool; `cpus` is every CPU of the machine.
+    """
+    return {"cpus": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": numpy.__version__}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -161,10 +171,8 @@ def main(argv=None) -> int:
                 report_deltas=None if same else report_deltas(reported)))
 
     out = args.out_dir / f"BENCH_{args.number}.json"
-    machine = {"cpus": os.cpu_count(), "python": platform.python_version(),
-               "numpy": numpy.__version__}
     out.write_text(json.dumps({"command": bench["command"], "trace": 0,
-                               "run_seconds": bench["run_seconds"], "machine": machine,
+                               "run_seconds": bench["run_seconds"], "machine": machine(),
                                "workloads": entries}, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -13,6 +13,7 @@ that the 2% sits at least four standard errors out.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -514,16 +515,65 @@ def run_dirichlet(cfg: ExperimentConfig) -> list[CheckResult]:
 
 
 def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
-    xi = self_xi(cfg)
-    out = []
-    n_paths = max(cfg.heavy_n, 1000)
+    """The seven ensembles draw from their own streams, so they run as jobs on
+    a thread pool, one thread per usable CPU (numpy's draws and ufuncs release
+    the GIL), with the bits of a one-after-another run.  Each job returns only
+    what its checks read."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    # one-cell mass law: the path count comes from the slope's closed-form
-    # standard error, not from n_samples, so that the fixed two-percent
-    # relative gate sits at least four standard errors out
-    n_mass = dyn.mass_law_paths(0.1, xi, cfg.dt, cfg.T, rel_tol=0.02)
-    stats = dyn.mass_law_stats(0.1, xi, cfg.dt, cfg.T, n_mass,
-                               make_rng(cfg.seed, 30))
+    xi = self_xi(cfg)
+    n_paths = min(max(cfg.heavy_n, 1000), 3000)
+
+    def mass_law():
+        # one-cell mass law: the path count comes from the slope's closed-form
+        # standard error, not from n_samples, so that the fixed two-percent
+        # relative gate sits at least four standard errors out
+        n_mass = dyn.mass_law_paths(0.1, xi, cfg.dt, cfg.T, rel_tol=0.02)
+        return dyn.mass_law_stats(0.1, xi, cfg.dt, cfg.T, n_mass, make_rng(cfg.seed, 30))
+
+    def bracket(dt, stream):
+        """(quadratic variation, predicted bracket, mean drift) of one ensemble."""
+        paths = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, dt, cfg.T, n_paths,
+                                           make_rng(cfg.seed, stream), M=16, N=4)
+        dX = np.diff(paths, axis=1)
+        qv = ((dX - 2.0 * np.pi ** 2 * xi ** 2 * dt) ** 2).mean(axis=0).sum()
+        pred = ((TWO_PI * xi) ** 2 * paths[:, :-1].mean(axis=0) * dt).sum()
+        return qv, pred, (paths[:, -1].mean() - paths[:, 0].mean()) / cfg.T
+
+    def martingale():
+        """(t, mean, se) of the compensated mass at three checkpoints."""
+        reps = 200
+        ens = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, cfg.dt, 0.12, reps,
+                                         make_rng(cfg.seed, 34), M=16, N=4)
+        drift_line = 2.0 * np.pi ** 2 * xi ** 2 * np.arange(ens.shape[1]) * cfg.dt
+        resid = ens - ens[:, :1] - drift_line[None, :]
+        ks = [int(frac * (ens.shape[1] - 1)) for frac in (0.33, 0.66, 1.0)]
+        return [(k * cfg.dt, resid[:, k].mean(), resid[:, k].std(ddof=1) / np.sqrt(reps))
+                for k in ks]
+
+    def ou_end(h0, dt, T, stream, n):
+        """Final coefficients (n, 2N+1) of a flat-noise baseline."""
+        return dyn.ou_baseline(h0, dt, T, make_rng(cfg.seed, stream), n_paths=n)[:, -1].copy()
+
+    jobs = {    # longest first
+        "mass_law": mass_law,
+        "bracket_half": lambda: bracket(cfg.dt / 2.0, 32),
+        "bracket_full": lambda: bracket(cfg.dt, 31),
+        "positivity": lambda: dyn.simulate_symmetric(
+            gmc.CircleMeasure.uniform(40.0 * np.pi, 32), xi, cfg.dt, 0.12, 8,
+            make_rng(cfg.seed, 33)).masses.min(),
+        "martingale": martingale,
+        "ou": lambda: ou_end(BoundaryField.zeros(8), 0.02, 5.0 / np.pi, 35,
+                             max(cfg.n_samples, 2000)),
+        "ou_gap": lambda: ou_end(BoundaryField.basis(1, 2) * 10.0, 0.01, 0.2, 36,
+                                 max(cfg.n_samples, 20000)),
+    }
+    with ThreadPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
+        futures = {name: pool.submit(job) for name, job in jobs.items()}
+    done = {name: f.result() for name, f in futures.items()}
+
+    out = []
+    stats = done["mass_law"]
     out.append(CheckResult.deterministic("mass-drift-slope", stats.slope,
                                          stats.slope_target, 0.02,
                                          "squared-bessel-mass", gate="rel",
@@ -534,26 +584,12 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
                                          0.5, 0.02, "squared-bessel-mass", gate="rel",
                                          stderr=stats.slope_stderr / (TWO_PI * xi) ** 2))
 
-    def bracket_ratio(paths, dt):
-        dX = np.diff(paths, axis=1)
-        qv = ((dX - 2.0 * np.pi ** 2 * xi ** 2 * dt) ** 2).mean(axis=0).sum()
-        pred = ((TWO_PI * xi) ** 2 * paths[:, :-1].mean(axis=0) * dt).sum()
-        return qv, pred
-
-    spatial = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, cfg.dt, cfg.T,
-                                         min(n_paths, 3000),
-                                         make_rng(cfg.seed, 31), M=16, N=4)
-    qv, pred = bracket_ratio(spatial, cfg.dt)
+    qv, pred, drift_full = done["bracket_full"]
     out.append(CheckResult.deterministic("mass-bracket", qv, pred, 0.05,
                                          "mass-bracket", gate="rel"))
     # half-step run: the bracket gate holds at both resolutions and the two
     # slopes are reported side by side
-    halved = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, cfg.dt / 2.0, cfg.T,
-                                        min(n_paths, 3000),
-                                        make_rng(cfg.seed, 32), M=16, N=4)
-    qv2, pred2 = bracket_ratio(halved, cfg.dt / 2.0)
-    drift_full = (spatial[:, -1].mean() - spatial[:, 0].mean()) / cfg.T
-    drift_half = (halved[:, -1].mean() - halved[:, 0].mean()) / cfg.T
+    qv2, pred2, drift_half = done["bracket_half"]
     out.append(CheckResult.deterministic("mass-step-convergence", qv2, pred2,
                                          0.05, "mass-step-convergence", gate="rel",
                                          series={"dt": [cfg.dt, cfg.dt / 2.0],
@@ -561,23 +597,10 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
                                                  "bracket": [qv / pred, qv2 / pred2]}))
 
     # martingale increments at three checkpoints
-    path = dyn.simulate_symmetric(gmc.CircleMeasure.uniform(40.0 * np.pi, 32), xi,
-                                  cfg.dt, 0.12, 8, make_rng(cfg.seed, 33))
-    out.append(CheckResult.bound("mass-positivity", float(path.masses.min() < 0.0),
+    out.append(CheckResult.bound("mass-positivity", float(done["positivity"] < 0.0),
                                  0.5, "mass-positivity"))
-    mart_rows = []
-    reps = 200
-    ens = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, cfg.dt, 0.12, reps,
-                                     make_rng(cfg.seed, 34), M=16, N=4)
-    drift_line = 2.0 * np.pi ** 2 * xi ** 2 * np.arange(ens.shape[1]) * cfg.dt
-    resid = ens - ens[:, :1] - drift_line[None, :]
-    ok = True
-    for frac in (0.33, 0.66, 1.0):
-        k = int(frac * (ens.shape[1] - 1))
-        mean = resid[:, k].mean()
-        se = resid[:, k].std(ddof=1) / np.sqrt(reps)
-        mart_rows.append((k * cfg.dt, mean, se))
-        ok = ok and abs(mean) <= 3.0 * se
+    mart_rows = done["martingale"]
+    ok = all(abs(mean) <= 3.0 * se for _, mean, se in mart_rows)
     out.append(CheckResult.bound("mass-martingale", float(not ok), 0.5,
                                  "mass-martingale",
                                  series={"t": [r[0] for r in mart_rows],
@@ -585,24 +608,16 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
                                          "se": [r[2] for r in mart_rows]}))
 
     # flat-noise baseline: stationary mode variances and the spectral gap
-    h0 = BoundaryField.zeros(8)
-    ou = dyn.ou_baseline(h0, 0.02, 5.0 / np.pi, make_rng(cfg.seed, 35),
-                         n_paths=max(cfg.n_samples, 2000))
-    ok = True
+    ou = done["ou"]
     worst_z = 0.0
     for k in (1, 2, 3, 4, 6):
         lam = np.ceil(k / 2.0)
-        v = ou[:, -1, k].var(ddof=1)
+        v = ou[:, k].var(ddof=1)
         se = v * np.sqrt(2.0 / (ou.shape[0] - 1))
-        z = abs(v - TWO_PI / lam) / se
-        worst_z = max(worst_z, z)
-        ok = ok and z <= 3.0
+        worst_z = max(worst_z, abs(v - TWO_PI / lam) / se)
     out.append(CheckResult.bound("ou-stationary-variance", worst_z, 3.0,
                                  "flat-noise-baseline"))
-    h1 = BoundaryField.basis(1, 2) * 10.0
-    oud = dyn.ou_baseline(h1, 0.01, 0.2, make_rng(cfg.seed, 36),
-                          n_paths=max(cfg.n_samples, 20000))
-    decay = oud[:, -1, 1].mean() / 10.0
+    decay = done["ou_gap"][:, 1].mean() / 10.0
     out.append(CheckResult.deterministic("ou-spectral-gap", decay,
                                          np.exp(-np.pi * 0.2), 0.02,
                                          "flat-noise-baseline", gate="rel"))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,10 @@ def test_bench_compare_summary():
     assert lost["runs"]["change"] == {"correct": False, "failed_runs": 1,
                                       "attempted": 20, "failed": 1}
     assert _script("bench_compare").summarize(spec, parent, [None] * 3, False)["metrics"] == {}
+    machine = _script("bench_compare").machine()
+    assert list(machine) == ["cpus", "usable_cpus", "python", "numpy"]
+    assert machine["usable_cpus"] == len(os.sched_getaffinity(0))
+    assert 1 <= machine["usable_cpus"] <= machine["cpus"] == os.cpu_count()
 
 
 def test_bench_compare_report_deltas():

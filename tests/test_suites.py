@@ -1,5 +1,7 @@
 """Light-scale runs of every registered suite: all gates must pass."""
 
+import concurrent.futures
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -20,6 +22,21 @@ LIGHT = {
     "dynamics": dict(N=32, M=128, n_samples=1000, n_samples_main=2000),
     "appendix": dict(N=16, M=64, n_samples=2000),
 }
+
+
+# (name, lhs, rhs) of every dynamics check at seed 1, LIGHT, as the suite
+# gave them when its ensembles ran one after another
+GOLDEN_DYNAMICS = [
+    ("mass-drift-slope", 3.282312214341658, 3.2898681336964537),
+    ("mass-scaled-drift", 0.49885163796119897, 0.5),
+    ("mass-bracket", 414.4792006137935, 415.60170322067927),
+    ("mass-step-convergence", 415.0024496677964, 414.7008678573541),
+    ("mass-positivity", 0.0, 0.0),
+    ("mass-martingale", 0.0, 0.0),
+    ("ou-stationary-variance", 1.5303530283565778, 0.0),
+    ("ou-spectral-gap", 0.5331599145517236, 0.5334880910911033),
+    ("driving-from-state-radial", 0.5063228296124165, 0.5063228296124165),
+]
 
 
 @lru_cache(maxsize=None)
@@ -50,6 +67,25 @@ def test_mass_law_gates_carry_stderr_and_power():
         assert r.gate == "rel" and r.tol == 0.02
         assert r.stderr > 0.0
         assert 0.02 * abs(r.rhs) >= 4.0 * r.stderr, (name, r.rhs, r.stderr)
+
+
+def test_dynamics_keeps_its_bits():
+    assert [(r.name, r.lhs, r.rhs) for r in light_run("dynamics")] == GOLDEN_DYNAMICS
+
+
+def test_dynamics_on_one_worker_matches_the_pool(monkeypatch):
+    pools = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run_suite(ExperimentConfig(suite="dynamics", seed=1, **LIGHT["dynamics"]))
+    assert pools == [1]
+    assert one == light_run("dynamics")
 
 
 @pytest.mark.parametrize("suite", sorted(LIGHT))
