@@ -532,13 +532,20 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
         return dyn.mass_law_stats(0.1, xi, cfg.dt, cfg.T, n_mass, make_rng(cfg.seed, 30))
 
     def bracket(dt, stream):
-        """(quadratic variation, predicted bracket, mean drift) of one ensemble."""
+        """(quadratic variation, predicted bracket, stderr of their difference,
+        mean drift) of one ensemble.
+
+        qv - pred is the mean over paths of q_i - p_i, each path's sums of
+        (dX - c)^2 and sigma^2 X dt, so its stderr is their sd / sqrt(n).
+        """
         paths = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, dt, cfg.T, n_paths,
                                            make_rng(cfg.seed, stream), M=16, N=4)
-        dX = np.diff(paths, axis=1)
-        qv = ((dX - 2.0 * np.pi ** 2 * xi ** 2 * dt) ** 2).mean(axis=0).sum()
+        sq = (np.diff(paths, axis=1) - 2.0 * np.pi ** 2 * xi ** 2 * dt) ** 2
+        qv = sq.mean(axis=0).sum()
         pred = ((TWO_PI * xi) ** 2 * paths[:, :-1].mean(axis=0) * dt).sum()
-        return qv, pred, (paths[:, -1].mean() - paths[:, 0].mean()) / cfg.T
+        excess = sq.sum(axis=1) - (TWO_PI * xi) ** 2 * dt * paths[:, :-1].sum(axis=1)
+        return (qv, pred, excess.std(ddof=1) / np.sqrt(n_paths),
+                (paths[:, -1].mean() - paths[:, 0].mean()) / cfg.T)
 
     def martingale():
         """(t, mean, se) of the compensated mass at three checkpoints."""
@@ -552,10 +559,11 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
                 for k in ks]
 
     def ou_end(h0, dt, T, stream, n):
-        """Final coefficients (n, 2N+1) of a flat-noise baseline."""
+        """Final coefficients (n, 2N+1) of a flat-noise baseline, copied so
+        that the paths die in the job."""
         return dyn.ou_baseline(h0, dt, T, make_rng(cfg.seed, stream), n_paths=n)[:, -1].copy()
 
-    jobs = {    # longest first
+    jobs = {    # longest first, so the short jobs fill in beside the long ones
         "mass_law": mass_law,
         "bracket_half": lambda: bracket(cfg.dt / 2.0, 32),
         "bracket_full": lambda: bracket(cfg.dt, 31),
@@ -584,14 +592,15 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
                                          0.5, 0.02, "squared-bessel-mass", gate="rel",
                                          stderr=stats.slope_stderr / (TWO_PI * xi) ** 2))
 
-    qv, pred, drift_full = done["bracket_full"]
+    qv, pred, se, drift_full = done["bracket_full"]
     out.append(CheckResult.deterministic("mass-bracket", qv, pred, 0.05,
-                                         "mass-bracket", gate="rel"))
+                                         "mass-bracket", gate="rel", stderr=se))
     # half-step run: the bracket gate holds at both resolutions and the two
     # slopes are reported side by side
-    qv2, pred2, drift_half = done["bracket_half"]
+    qv2, pred2, se2, drift_half = done["bracket_half"]
     out.append(CheckResult.deterministic("mass-step-convergence", qv2, pred2,
                                          0.05, "mass-step-convergence", gate="rel",
+                                         stderr=se2,
                                          series={"dt": [cfg.dt, cfg.dt / 2.0],
                                                  "slope": [drift_full, drift_half],
                                                  "bracket": [qv / pred, qv2 / pred2]}))
@@ -617,10 +626,12 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
         worst_z = max(worst_z, abs(v - TWO_PI / lam) / se)
     out.append(CheckResult.bound("ou-stationary-variance", worst_z, 3.0,
                                  "flat-noise-baseline"))
-    decay = done["ou_gap"][:, 1].mean() / 10.0
-    out.append(CheckResult.deterministic("ou-spectral-gap", decay,
+    gap_end = done["ou_gap"][:, 1]
+    out.append(CheckResult.deterministic("ou-spectral-gap", gap_end.mean() / 10.0,
                                          np.exp(-np.pi * 0.2), 0.02,
-                                         "flat-noise-baseline", gate="rel"))
+                                         "flat-noise-baseline", gate="rel",
+                                         stderr=gap_end.std(ddof=1)
+                                         / np.sqrt(gap_end.size) / 10.0))
 
     # growth driving from a constant-field path
     flat = dyn.MeasurePath(np.array([0.0, cfg.dt, 2 * cfg.dt]),

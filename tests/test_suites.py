@@ -61,12 +61,19 @@ def test_identities_pass_on_the_coarse_grid():
 
 
 def test_mass_law_gates_carry_stderr_and_power():
+    # every fixed relative dynamics gate keeps its tolerance and reports the
+    # stderr of lhs - rhs, at least four of which fit inside the tolerance
     checks = {r.name: r for r in light_run("dynamics")}
-    for name in ("mass-drift-slope", "mass-scaled-drift"):
+    for name, tol in (("mass-drift-slope", 0.02), ("mass-scaled-drift", 0.02),
+                      ("mass-bracket", 0.05), ("mass-step-convergence", 0.05),
+                      ("ou-spectral-gap", 0.02)):
         r = checks[name]
-        assert r.gate == "rel" and r.tol == 0.02
+        assert r.gate == "rel" and r.tol == tol
         assert r.stderr > 0.0
-        assert 0.02 * abs(r.rhs) >= 4.0 * r.stderr, (name, r.rhs, r.stderr)
+        assert tol * abs(r.rhs) >= 4.0 * r.stderr, (name, r.rhs, r.stderr)
+    # mode 1 at T = 0.2 from 10: sd sqrt(2 pi (1 - e^{-0.4 pi})) over 20,000 paths
+    closed = np.sqrt(2.0 * np.pi * (1.0 - np.exp(-0.4 * np.pi)) / 20000) / 10.0
+    assert checks["ou-spectral-gap"].stderr == pytest.approx(closed, rel=0.05)
 
 
 def test_dynamics_keeps_its_bits():
