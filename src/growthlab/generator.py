@@ -204,11 +204,9 @@ class _TraceBatch:
         return self.mu_int(W)
 
 
-def _take_rows(rows, live):
-    """The rows in live of every per-sample array in a nested list."""
-    if isinstance(rows, list):
-        return [_take_rows(r, live) for r in rows]
-    return np.asarray(rows)[live]
+def _nested(f, rows):
+    """f applied to every per-sample array of a nested list."""
+    return [_nested(f, r) for r in rows] if isinstance(rows, list) else f(rows)
 
 
 def _integrate_live(fn, rows, lo, hi, n_out: int | None = None):
@@ -223,7 +221,7 @@ def _integrate_live(fn, rows, lo, hi, n_out: int | None = None):
     live = hi > lo
     out = np.zeros(lo.shape if n_out is None else lo.shape + (n_out,))
     if live.any():
-        sub = _take_rows(rows, live)
+        sub = _nested(lambda r: r[live], rows)
         out[live] = batched_gauss_panels(lambda m: fn(m, *sub), lo[live], hi[live])
     return out
 
@@ -270,17 +268,55 @@ def _m_interval(*blocks):
                       for base, slopes, prof in blocks])
 
 
-def _first_order_integrand(F: CylindricalFunctional, rate: float):
-    """fn(m, base, a, c) = (a psi + sum_i c_i d_i psi) e^{rate m}, as (B, K, 1),
-    with psi the profile of F at base + m slopes."""
-    slopes = F.slopes()
+def _zero_mode_rows(blocks, inputs, fn, n_out, n_samples: int,
+                    rng: np.random.Generator, xi: float, N: int, M: int, batch: int):
+    """Per-sample zero-mode integrals of fn over n_samples trace fields.
 
-    def fn(m, base, a, c):
-        val, grad, _ = F.profile.along(base, slopes, m, 1)
+    Each block is (symbols, profile, order, shift): its profile is taken
+    at the sample's pairings with the symbols plus shift, moved along m by
+    the symbols' integrals.  Per batch, inputs(tb) returns the per-sample
+    inputs drawn from the _TraceBatch tb, as a list of (B,) arrays or
+    nested lists of them, and fn(m, *psi, *inputs) is the integrand: psi
+    holds each block's (value, grad, hess) up to its order, and every
+    input is shaped to broadcast against m.  A MollifiedProfile block is
+    integrated exactly between knots, any other profile by Gauss panels on
+    the live rows (_integrate_live with n_out).  Raises before any draw if
+    no symbol has a nonzero mean.  Returns the rows of every sample.
+    """
+    slopes = [np.array([p.integral() for p in symbols]) for symbols, *_ in blocks]
+    if not any(np.any(s != 0.0) for s in slopes):
+        raise IntegrabilityError(
+            "no symbol has nonzero mean: the zero-mode integral does not localize")
+    profiles = [prof for _, prof, _, _ in blocks]
+
+    def integrand(m, bases, rows):
+        psi = [prof.along(base, s, m, order)
+               for base, s, (_, prof, order, _) in zip(bases, slopes, blocks)]
+        shaped = _nested(lambda r: r.reshape(r.shape + (1,) * (m.ndim - 1)), rows)
+        return fn(m, *psi, *shaped)
+
+    def per_batch(b):
+        tb = _TraceBatch(N, b, rng, xi, M)
+        bases = [tb.bases(symbols) + shift for symbols, _, _, shift in blocks]
+        rows = [bases, inputs(tb)]
+        if isinstance(profiles[0], MollifiedProfile):
+            return _integrate_spline_exact(integrand, rows, bases[0], slopes[0],
+                                           profiles[0])
+        lo, hi = _m_interval(*zip(bases, slopes, profiles))
+        return _integrate_live(integrand, rows, lo, hi, n_out)
+
+    return monte_carlo_rows(per_batch, n_samples, batch)
+
+
+def _first_order_integrand(rate: float):
+    """fn(m, psi, a, c) = (a psi + sum_i c_i d_i psi) e^{rate m}, as (B, K, 1)."""
+
+    def fn(m, psi, a, c):
+        val, grad, _ = psi
         w = np.exp(rate * m)
-        out = a[:, None] * w * val
-        for i in range(F.dim):
-            out = out + c[i][:, None] * w * grad[i]
+        out = a * w * val
+        for i in range(len(grad)):
+            out = out + c[i] * w * grad[i]
         return out[..., None]
 
     return fn
@@ -317,8 +353,7 @@ def _paired_from_samples(lhs, rhs) -> PairedEstimate:
 
 def invariance_check(F: CylindricalFunctional, params: CouplingParams,
                      n_samples: int, rng: np.random.Generator, N: int = 64,
-                     M: int = 256, batch: int = 4096, nr: int = 40,
-                     gh_points: int = 16, table_pts: int = 81) -> PairedEstimate:
+                     M: int = 256, batch: int = 4096) -> PairedEstimate:
     """Stationarity residual of the growth generator under the field measure.
 
     lhs is the expectation of the generator form of the time derivative
@@ -337,12 +372,8 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     F.require_guard()
     xi = params.xi
     delta = params.zero_mode_weight
-    fs = F.realized()
-    sigma = bulk_covariance_matrix(fs, nr=nr)
-    log_shift = params.alpha * np.array([f.log_pairing() for f in fs])
-    psit = MollifiedProfile(F.profile, sigma, gh_points=gh_points,
-                            table_pts=table_pts)
-    slopes = F.slopes()
+    psit = MollifiedProfile(F.profile, bulk_covariance_matrix(F.realized(), nr=40),
+                            gh_points=16, table_pts=81)
     n = F.dim
 
     ca = params.chi - params.alpha
@@ -353,25 +384,23 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     lhs_mean = [-TWO_PI * params.beta * p.mean() for p in F.symbols]
     rhs_mean = [coef_rhs_mean * p.mean() for p in F.symbols]
 
-    def fn(m, base, lhs_c, rhs_c, diffusion_c, mass_c):
-        val, grad, hess = psit.along(base, slopes, m)
+    def fn(m, psi, lhs_c, rhs_c, diffusion_c, mass_c):
+        val, grad, hess = psi
         w = np.exp((delta - xi) * m)
         w_mean = np.exp(delta * m)
         lhs = np.zeros_like(m)
         rhs = np.zeros_like(m)
         for i in range(n):
-            lhs += lhs_c[i][:, None, None] * w * grad[i]
+            lhs += lhs_c[i] * w * grad[i]
             lhs += lhs_mean[i] * w_mean * grad[i]
-            rhs += rhs_c[i][:, None, None] * w * grad[i]
+            rhs += rhs_c[i] * w * grad[i]
             rhs += rhs_mean[i] * w_mean * grad[i]
             for j in range(n):
-                lhs += diffusion_c[i][j][:, None, None] * w * hess[i][j]
-        rhs += mass_c[:, None, None] * w * val
+                lhs += diffusion_c[i][j] * w * hess[i][j]
+        rhs += mass_c * w * val
         return np.stack([lhs, rhs], axis=-1)
 
-    def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
-        base = tb.bases(F.symbols) + log_shift[None, :]
+    def inputs(tb):
         A = [tb.mu_int(p.values(M)) for p in F.symbols]
         B = [tb.mu_int(p.dirichlet_to_neumann().values(M)) for p in F.symbols]
         lhs_c = [tb.vpair_dnh(p) + TWO_PI * ca * A[i] - TWO_PI * params.chi * B[i]
@@ -379,36 +408,32 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
         rhs_c = [coef_rhs_a * A[i] + coef_rhs_b * B[i] for i in range(n)]
         diffusion_c = [[TWO_PI * np.pi * tb.mu_int(p.values(M) * q.values(M))
                         for q in F.symbols] for p in F.symbols]
-        return _integrate_spline_exact(fn, [base, lhs_c, rhs_c, diffusion_c,
-                                            coef_rhs_mass * tb.mass0], base, slopes, psit)
+        return [lhs_c, rhs_c, diffusion_c, coef_rhs_mass * tb.mass0]
 
-    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    rows = _zero_mode_rows([(F.symbols, psit, 2, _log_shift(F, params))], inputs, fn, 2,
+                           n_samples, rng, xi, N, M, batch)
     return _paired_from_samples(rows[:, 0], rows[:, 1])
 
 
+def _log_shift(F: CylindricalFunctional, params: CouplingParams) -> np.ndarray:
+    """alpha times the log pairings of the realized test functions."""
+    return params.alpha * np.array([f.log_pairing() for f in F.realized()])
+
+
 def _invariance_setup(F: CylindricalFunctional, params: CouplingParams,
-                      h: BoundaryField, m: float, M: int, nr: int, gh_points: int,
-                      psit: MollifiedProfile | None, sigma: np.ndarray | None):
-    """Realized test functions, mollified profile, chaos measure and shifted
-    pairing arguments of the stationarity integrand at one configuration."""
-    fs = F.realized()
-    if sigma is None:
-        sigma = bulk_covariance_matrix(fs, nr=nr)
-    if psit is None:
-        psit = MollifiedProfile(F.profile, sigma, gh_points=gh_points)
+                      h: BoundaryField, m: float, M: int):
+    """Chaos measure and shifted pairing arguments of the stationarity
+    integrand at one configuration."""
     mu, args = _at_configuration(F, h, m, params.xi, M)
-    log_shift = params.alpha * np.array([f.log_pairing() for f in fs])
-    return fs, psit, mu, args + log_shift
+    return mu, args + _log_shift(F, params)
 
 
 def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
-                           h: BoundaryField, m: float, M: int = 256,
-                           nr: int = 40, gh_points: int = 16,
-                           psit: MollifiedProfile | None = None,
-                           sigma: np.ndarray | None = None) -> float:
+                           h: BoundaryField, m: float, psit: MollifiedProfile,
+                           M: int = 256) -> float:
     """Boundary-localized form of the stationarity integrand at one
     configuration (the fast route the Monte Carlo estimator uses)."""
-    _, psit, mu, args = _invariance_setup(F, params, h, m, M, nr, gh_points, psit, sigma)
+    mu, args = _invariance_setup(F, params, h, m, M)
     total = 0.0
     for i, p in enumerate(F.symbols):
         C = mu.integrate(vkernel_pair_dnh(p, h, M))
@@ -424,14 +449,13 @@ def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
 
 
 def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
-                          h: BoundaryField, m: float, M: int = 256,
-                          nr: int = 40, gh_points: int = 16,
-                          psit: MollifiedProfile | None = None,
-                          sigma: np.ndarray | None = None) -> float:
+                          h: BoundaryField, m: float, psit: MollifiedProfile,
+                          M: int = 256, nr: int = 40) -> float:
     """Generator form of the stationarity integrand at one configuration,
     assembled from bulk quadratures (the cross-check route for the
     boundary-localized estimator)."""
-    fs, psit, mu, args = _invariance_setup(F, params, h, m, M, nr, gh_points, psit, sigma)
+    mu, args = _invariance_setup(F, params, h, m, M)
+    fs = F.realized()
     total = 0.0
     K = max(f.degree for f in fs) + 2
     for i, f in enumerate(fs):
@@ -487,15 +511,15 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
     def generator_term(b, sig, grad, hess):
         out = np.zeros_like(grad[0])
         for j in range(len(b)):
-            out += b[j][:, None] * grad[j]
+            out += b[j] * grad[j]
         for j in range(len(b)):
             for k in range(len(b)):
-                out += 0.5 * sig[j][k][:, None] * hess[j][k]
+                out += 0.5 * sig[j][k] * hess[j][k]
         return out
 
-    def fn(m, baseF, baseG, bF, bG, sigF, sigG, cross, across, mass0):
-        Fv, Fg, Fh = F.profile.along(baseF, slopesF, m)
-        Gv, Gg, Gh = G.profile.along(baseG, slopesG, m)
+    def fn(m, F_, G_, bF, bG, sigF, sigG, cross, across, mass0):
+        Fv, Fg, Fh = F_
+        Gv, Gg, Gh = G_
         w = np.exp((delta - xi) * m)
         LG = generator_term(bG, sigG, Gg, Gh)
         LF = generator_term(bF, sigF, Fg, Fh)
@@ -503,29 +527,25 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
         anti = np.zeros_like(m)
         for i in range(nF):
             for j in range(nG):
-                sym += 0.5 * cross[i][j][:, None] * Fg[i] * Gg[j]
-                anti += 0.5 * across[i][j][:, None] * Fg[i] * Gg[j]
+                sym += 0.5 * cross[i][j] * Fg[i] * Gg[j]
+                anti += 0.5 * across[i][j] * Fg[i] * Gg[j]
         meanF = sum(g * s for g, s in zip(Fg, slopesF))
         meanG = sum(g * s for g, s in zip(Gg, slopesG))
-        anti += (0.5 * TWO_PI ** 2 * xi * mass0[:, None]
+        anti += (0.5 * TWO_PI ** 2 * xi * mass0
                  * (meanF * Gv - meanG * Fv))
         return np.stack([-Fv * LG * w, -Gv * LF * w, sym * w, anti * w], axis=-1)
 
-    def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
-        baseF, baseG = tb.bases(F.symbols), tb.bases(G.symbols)
+    def inputs(tb):
         across = [[TWO_PI ** 2 * tb.mu_int(a_grid[i][j]) for j in range(nG)]
                   for i in range(nF)]
-        lo, hi = _m_interval((baseF, slopesF, F.profile), (baseG, slopesG, G.profile))
         # cross/across carry (2 pi)^2 and are halved in fn, landing the closed
         # forms on their 2 pi^2 normalization; same for the mean-mass term
-        return _integrate_live(fn, [baseF, baseG, drifts(tb, F.symbols),
-                                    drifts(tb, G.symbols), sigmas(tb, F.symbols, F.symbols),
-                                    sigmas(tb, G.symbols, G.symbols),
-                                    sigmas(tb, F.symbols, G.symbols), across, tb.mass0],
-                               lo, hi, 4)
+        return [drifts(tb, F.symbols), drifts(tb, G.symbols),
+                sigmas(tb, F.symbols, F.symbols), sigmas(tb, G.symbols, G.symbols),
+                sigmas(tb, F.symbols, G.symbols), across, tb.mass0]
 
-    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    rows = _zero_mode_rows([(F.symbols, F.profile, 2, 0.0), (G.symbols, G.profile, 2, 0.0)],
+                           inputs, fn, 4, n_samples, rng, xi, N, M, batch)
     lhs_f, lhs_s, sym, anti = rows.T
     fwd = _paired_from_samples(lhs_f, sym + anti)
     swp = _paired_from_samples(lhs_s, sym - anti)
@@ -542,30 +562,26 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
 
 def rotational_invariance_check(ell: BoundaryField, F: CylindricalFunctional,
                                 n_samples: int, rng: np.random.Generator,
-                                params: CouplingParams | None = None,
                                 N: int = 64, M: int = 256,
                                 batch: int = 4096) -> tuple[float, float]:
-    """Residual of the rotation identity
+    """Residual of the rotation identity at pure gravity
 
         E[(int d_t ell dmu) F + 2 pi xi int ell conj(DF) dmu] = 0.
 
     Returns (estimate, stderr).
     """
-    params = params or CouplingParams.pure_gravity()
-    F.require_guard()
+    params = CouplingParams.pure_gravity()
     xi, delta = params.xi, params.zero_mode_weight
     dtl = ell.tangential_derivative().values(M)
     lt = [ell.values(M) * p.conjugate().values(M) for p in F.symbols]
-    fn = _first_order_integrand(F, delta - xi)
 
-    def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
-        base = tb.bases(F.symbols)
-        lo, hi = _m_interval((base, F.slopes(), F.profile))
-        return _integrate_live(fn, [base, tb.mu_int(dtl),
-                                    [TWO_PI * xi * tb.mu_int(g) for g in lt]], lo, hi, 1)
+    def inputs(tb):
+        return [tb.mu_int(dtl), [TWO_PI * xi * tb.mu_int(g) for g in lt]]
 
-    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
+    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0)], inputs,
+                           _first_order_integrand(delta - xi), 1, n_samples, rng, xi,
+                           N, M, batch)
+    return mean_stderr(rows[:, 0])
 
 
 def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
@@ -577,38 +593,33 @@ def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
     """
     params = CouplingParams.pure_gravity()
     xi, delta = params.xi, params.zero_mode_weight
-    if not (F.has_nonzero_mean_symbol or G.has_nonzero_mean_symbol):
-        raise IntegrabilityError("neither functional localizes the zero mode")
     pv = p.values(M)
     pmean = p.mean()
     dnp = p.dirichlet_to_neumann().values(M)
     left_F = [contract_left(q, p, M) for q in F.symbols]
     left_G = [contract_left(q, p, M) for q in G.symbols]
-    slopesF, slopesG = F.slopes(), G.slopes()
     w_rate = delta - xi
 
-    def fn(m, baseF, baseG, K1, KF, KG):
-        Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
-        Gv, Gg, _ = G.profile.along(baseG, slopesG, m, 1)
-        out = K1[:, None] * Fv * Gv
+    def fn(m, F_, G_, K1, KF, KG):
+        Fv, Fg, _ = F_
+        Gv, Gg, _ = G_
+        out = K1 * Fv * Gv
         for i in range(F.dim):
-            out = out + KF[i][:, None] * Fg[i] * Gv
+            out = out + KF[i] * Fg[i] * Gv
         for j in range(G.dim):
-            out = out + KG[j][:, None] * Fv * Gg[j]
+            out = out + KG[j] * Fv * Gg[j]
         return out * np.exp(w_rate * m)
 
-    def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
-        baseF, baseG = tb.bases(F.symbols), tb.bases(G.symbols)
+    def inputs(tb):
         K1 = (tb.vpair_dnh(p)
               + TWO_PI * xi * tb.mu_int(pv - pmean)
               + 2.0 * xi * TWO_PI * tb.mu_int(dnp))
-        KF = [TWO_PI * tb.mu_int(g) for g in left_F]
-        KG = [TWO_PI * tb.mu_int(g) for g in left_G]
-        lo, hi = _m_interval((baseF, slopesF, F.profile), (baseG, slopesG, G.profile))
-        return _integrate_live(fn, [baseF, baseG, K1, KF, KG], lo, hi)[:, None]
+        return [K1, [TWO_PI * tb.mu_int(g) for g in left_F],
+                [TWO_PI * tb.mu_int(g) for g in left_G]]
 
-    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
+    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0), (G.symbols, G.profile, 1, 0.0)],
+                           inputs, fn, None, n_samples, rng, xi, N, M, batch)
+    return mean_stderr(rows)
 
 
 def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
@@ -628,26 +639,23 @@ def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
     if c is None:
         c = params.c
     xi, delta = params.xi, params.zero_mode_weight
-    F.require_guard()
     lv = ell.values(M)
     kv = k.values(M)
     k_int = k.integral()
     pk = np.array([sum(p.coeffs[i] * k.coeffs[i]
                        for i in range(min(p.coeffs.size, k.coeffs.size)))
                    for p in F.symbols])
-    fn = _first_order_integrand(F, delta - xi)
 
-    def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
-        base = tb.bases(F.symbols)
+    def inputs(tb):
         kdv = -pair_dnh(tb.coeffs, k) / TWO_PI + c * k_int   # int k DV dl per sample
         Lmu = tb.mu_int(lv)
         LK = tb.mu_int(lv * kv)
-        lo, hi = _m_interval((base, F.slopes(), F.profile))
-        return _integrate_live(fn, [base, -kdv * Lmu - xi * LK, [pk_i * Lmu for pk_i in pk]],
-                               lo, hi, 1)
+        return [-kdv * Lmu - xi * LK, [pk_i * Lmu for pk_i in pk]]
 
-    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
+    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0)], inputs,
+                           _first_order_integrand(delta - xi), 1, n_samples, rng, xi,
+                           N, M, batch)
+    return mean_stderr(rows[:, 0])
 
 
 def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
@@ -706,11 +714,7 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         raise ValueError("symbols must be orthonormal in L^2 of the circle")
     params = CouplingParams.pure_gravity()
     xi, delta = params.xi, params.zero_mode_weight
-    F = CylindricalFunctional(list(P), F_profile)
-    if not (F.has_nonzero_mean_symbol or G.has_nonzero_mean_symbol):
-        raise IntegrabilityError("neither functional localizes the zero mode")
     nP, nG = len(P), G.dim
-    slopesF, slopesG = F.slopes(), G.slopes()
     s2 = np.zeros(M)
     pi1 = np.zeros(M)
     for p in P:
@@ -724,27 +728,25 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         for i, p in enumerate(P):
             proj_q[j] += p.l2_inner(q) * pgrid[i]
 
-    def fn(m, baseF, baseG, cross, projq_mu, kern_q, pi1_q):
-        Fv, Fg, _ = F_profile.along(baseF, slopesF, m, 1)
-        _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
+    def fn(m, F_, G_, cross, projq_mu, kern_q, pi1_q):
+        Fv, Fg, _ = F_
+        _, Gg, Gh = G_
         lhs = np.zeros_like(m)
         for i in range(nP):
             for j in range(nG):
-                lhs = lhs + cross[i][j][:, None] * Fg[i] * Gg[j]
+                lhs = lhs + cross[i][j] * Fg[i] * Gg[j]
         inner = np.zeros_like(m)
         for j in range(nG):
             for j2 in range(nG):
-                inner = inner + projq_mu[j2][j][:, None] * Gh[j][j2]
+                inner = inner + projq_mu[j2][j] * Gh[j][j2]
         for j in range(nG):
-            inner = inner + (xi / TWO_PI) * pi1_q[j][:, None] * Gg[j]
-            inner = inner + (1.0 / TWO_PI) * kern_q[j][:, None] * Gg[j]
+            inner = inner + (xi / TWO_PI) * pi1_q[j] * Gg[j]
+            inner = inner + (1.0 / TWO_PI) * kern_q[j] * Gg[j]
         rhs = -Fv * inner
         w = np.exp((delta - xi) * m)
         return np.stack([lhs * w, rhs * w], axis=-1)
 
-    def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
-        baseF, baseG = tb.bases(P), tb.bases(G.symbols)
+    def inputs(tb):
         # Pi_P(d_nH h) per sample on the grid
         coefs = np.stack([pair_dnh(tb.coeffs, p) for p in P], axis=-1)    # (B, nP)
         proj_dnh = coefs @ pgrid                                   # (B, M)
@@ -755,11 +757,10 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         kern = xi * (-TWO_PI * s2)[None, :] + proj_dnh             # (B, M)
         kern_q = [tb.mu_int(kern * qgrid[j][None, :]) for j in range(nG)]
         pi1_q = [tb.mu_int(pi1 * qgrid[j][None, :]) for j in range(nG)]
-        lo, hi = _m_interval((baseF, slopesF, F_profile), (baseG, slopesG, G.profile))
-        return _integrate_live(fn, [baseF, baseG, cross, projq_mu, kern_q, pi1_q],
-                               lo, hi, 2)
+        return [cross, projq_mu, kern_q, pi1_q]
 
-    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    rows = _zero_mode_rows([(P, F_profile, 1, 0.0), (G.symbols, G.profile, 2, 0.0)],
+                           inputs, fn, 2, n_samples, rng, xi, N, M, batch)
     return _paired_from_samples(rows[:, 0], rows[:, 1])
 
 
@@ -826,7 +827,6 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
     G.require_guard()
     xi, delta, c = params.xi, params.zero_mode_weight, params.c
     nF, nG = F.dim, G.dim
-    slopesF, slopesG = F.slopes(), G.slopes()
     left = [[contract_left(p, q, M) for q in G.symbols] for p in F.symbols]
     row = [TWO_PI * (q.values(M) - q.mean()) for q in G.symbols]
     qv = [q.values(M) for q in G.symbols]
@@ -835,38 +835,35 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
     sym_qq = [[qv[j] * qv[k] + qt[j] * qt[k] - G.symbols[j].mean() * G.symbols[k].mean()
                for k in range(nG)] for j in range(nG)]
 
-    def fn(m, baseF, baseG, lhs_c, div_h, div_g, dv_pair):
-        Fv, Fg, _ = F.profile.along(baseF, slopesF, m, 1)
-        _, Gg, Gh = G.profile.along(baseG, slopesG, m, 2)
+    def fn(m, F_, G_, lhs_c, div_h, div_g, dv_pair):
+        Fv, Fg, _ = F_
+        _, Gg, Gh = G_
         lhs = np.zeros_like(m)
         for i in range(nF):
             for j in range(nG):
-                lhs = lhs + lhs_c[i][j][:, None] * Fg[i] * Gg[j]
+                lhs = lhs + lhs_c[i][j] * Fg[i] * Gg[j]
         div = np.zeros_like(m)
         for j in range(nG):
             for k in range(nG):
-                div = div + div_h[j][k][:, None] * Gh[j][k]
+                div = div + div_h[j][k] * Gh[j][k]
         for j in range(nG):
-            div = div + div_g[j][:, None] * Gg[j]
+            div = div + div_g[j] * Gg[j]
         dvp = np.zeros_like(m)
         for j in range(nG):
-            dvp = dvp + dv_pair[j][:, None] * Gg[j]
+            dvp = dvp + dv_pair[j] * Gg[j]
         rhs = -Fv * (div - dvp)
         w = np.exp((delta - xi) * m)
         return np.stack([lhs * w, rhs * w], axis=-1)
 
-    def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
-        baseF, baseG = tb.bases(F.symbols), tb.bases(G.symbols)
+    def inputs(tb):
         lhs_c = [[tb.mu_int(left[i][j]) for j in range(nG)] for i in range(nF)]
         div_h = [[np.pi * tb.mu_int(sym_qq[j][k]) for k in range(nG)] for j in range(nG)]
         div_g = [2.0 * xi * tb.mu_int(dn_q[j]) for j in range(nG)]
         # <DV V_{q_j}, mu>: DV = -(1/2pi) d_nH h + c against the first slot
         dv_pair = [-tb.vpair_dnh(q) / TWO_PI + c * tb.mu_int(row[j])
                    for j, q in enumerate(G.symbols)]
-        lo, hi = _m_interval((baseF, slopesF, F.profile), (baseG, slopesG, G.profile))
-        return _integrate_live(fn, [baseF, baseG, lhs_c, div_h, div_g, dv_pair],
-                               lo, hi, 2)
+        return [lhs_c, div_h, div_g, dv_pair]
 
-    rows = monte_carlo_rows(per_batch, n_samples, batch)
+    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0), (G.symbols, G.profile, 2, 0.0)],
+                           inputs, fn, 2, n_samples, rng, xi, N, M, batch)
     return _paired_from_samples(rows[:, 0], rows[:, 1])

@@ -470,8 +470,8 @@ def run_invariance(cfg: ExperimentConfig) -> list[CheckResult]:
     for _ in range(5):
         h = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rng)[0])
         m = float(rng.uniform(-0.5, 0.5))
-        v1 = generator.invariance_local_value(F, pg, h, m, M=cfg.M, psit=psit, sigma=sigma)
-        v2 = generator.invariance_bulk_value(F, pg, h, m, M=cfg.M, psit=psit, sigma=sigma)
+        v1 = generator.invariance_local_value(F, pg, h, m, M=cfg.M, psit=psit)
+        v2 = generator.invariance_bulk_value(F, pg, h, m, M=cfg.M, psit=psit)
         worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-12))
     out.append(CheckResult.bound("generator-bulk-boundary", worst, 1e-4,
                                  "generator-localization"))

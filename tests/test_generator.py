@@ -164,8 +164,8 @@ def test_generator_bulk_vs_localized_integrand():
     rng = make_rng(5)
     for params in (PG, PG.replace(alpha=PG.alpha + 0.3, beta=0.05)):
         h = BoundaryField(sample_trace_batch(N, 1, rng)[0])
-        v1 = invariance_local_value(F, params, h, 0.2, M=M, psit=psit, sigma=sigma)
-        v2 = invariance_bulk_value(F, params, h, 0.2, M=M, psit=psit, sigma=sigma)
+        v1 = invariance_local_value(F, params, h, 0.2, M=M, psit=psit)
+        v2 = invariance_bulk_value(F, params, h, 0.2, M=M, psit=psit)
         assert abs(v1 - v2) < 1e-4 * max(abs(v1), abs(v2), 1e-12)
 
 
