@@ -148,6 +148,27 @@ def _at_configuration(F: CylindricalFunctional, h: BoundaryField, m: float,
     return mu, args
 
 
+def _generator_term(b, sig, grad, hess):
+    """sum_j b_j d_j psi + 1/2 sum_jk sigma_jk d_jk psi, entry by entry, for
+    scalars or for per-sample arrays shaped against the profile's."""
+    out = 0.0
+    for j in range(len(b)):
+        out = out + b[j] * grad[j]
+    for j in range(len(b)):
+        for k in range(len(b)):
+            out = out + 0.5 * sig[j][k] * hess[j][k]
+    return out
+
+
+def _generator_at(F: CylindricalFunctional, h: BoundaryField, mu: CircleMeasure,
+                  params: CouplingParams, grad, hess) -> float:
+    """Generator term at one configuration from drift_boundary and diffusion
+    against mu, with the profile's derivatives grad and hess there."""
+    b = [drift_boundary(p, h, mu, params) for p in F.symbols]
+    sig = [[diffusion(p, q, mu) for q in F.symbols] for p in F.symbols]
+    return float(_generator_term(b, sig, grad, hess))
+
+
 def apply_generator(F: CylindricalFunctional, h: BoundaryField, m: float,
                     params: CouplingParams, mu: CircleMeasure | None = None,
                     M: int = 256) -> float:
@@ -159,15 +180,8 @@ def apply_generator(F: CylindricalFunctional, h: BoundaryField, m: float,
     F.require_guard()
     chaos, args = _at_configuration(F, h, m, params.xi, M)
     mu = chaos if mu is None else mu
-    grad = F.profile.grad(args[None, :])[0]
-    hess = F.profile.hess(args[None, :])[0]
-    total = 0.0
-    for i, p in enumerate(F.symbols):
-        total += drift_boundary(p, h, mu, params) * grad[i]
-    for i, p in enumerate(F.symbols):
-        for j, q in enumerate(F.symbols):
-            total += 0.5 * diffusion(p, q, mu) * hess[i, j]
-    return float(total)
+    return _generator_at(F, h, mu, params, F.profile.grad(args[None, :])[0],
+                         F.profile.hess(args[None, :])[0])
 
 
 # -- shared Monte Carlo batch ----------------------------------------------------
@@ -190,12 +204,9 @@ class _TraceBatch:
         """Integral of grid values against the m=0 chaos measure."""
         return (self.mu0 * gvals).sum(axis=-1) * self.dtheta
 
-    def pair(self, p: BoundaryField) -> np.ndarray:
-        return pair_symbol(self.coeffs, p)
-
     def bases(self, symbols) -> np.ndarray:
         """(B, n) pairings of the samples with each symbol, at m = 0."""
-        return np.stack([self.pair(p) for p in symbols], axis=-1)
+        return np.stack([pair_symbol(self.coeffs, p) for p in symbols], axis=-1)
 
     def vpair_dnh(self, p: BoundaryField) -> np.ndarray:
         """V-kernel drift term: pairing of V_p with the field's normal data."""
@@ -203,23 +214,34 @@ class _TraceBatch:
         W = TWO_PI * (pt * self.dnh_conj - grid_conjugate(self.dnh * pt))
         return self.mu_int(W)
 
+    def drift(self, p: BoundaryField, params: CouplingParams) -> np.ndarray:
+        """Chaos part of the drift b(p) per sample: drift_boundary at m = 0
+        without its beta term, which does not scale with the measure."""
+        return (self.vpair_dnh(p)
+                - TWO_PI * params.chi * self.mu_int(p.dirichlet_to_neumann().values(self.M))
+                + TWO_PI * (params.chi - params.alpha) * self.mu_int(p.values(self.M)))
+
+    def diffusion(self, p: BoundaryField, q: BoundaryField) -> np.ndarray:
+        """sigma(p, q) = (2 pi)^2 int p q dmu per sample, at m = 0."""
+        return TWO_PI ** 2 * self.mu_int(p.values(self.M) * q.values(self.M))
+
 
 def _nested(f, rows):
     """f applied to every per-sample array of a nested list."""
     return [_nested(f, r) for r in rows] if isinstance(rows, list) else f(rows)
 
 
-def _integrate_live(fn, rows, lo, hi, n_out: int | None = None):
+def _integrate_live(fn, rows, lo, hi, n_out: int):
     """Per-sample integrals over [lo, hi] of fn(m, *rows), live rows only.
 
     rows are nested lists of per-sample arrays (leading axis B).  Rows with
     hi > lo go to batched_gauss_panels together, and fn sees exactly those
     rows of every array; a row with an empty interval is an exact zero in
-    the output and never reaches fn.  The output has shape (B,) for an fn
-    returning (B, K), and (B, n_out) for one returning (B, K, n_out).
+    the output and never reaches fn.  fn returns (B, K, n_out), and the
+    output has shape (B, n_out).
     """
     live = hi > lo
-    out = np.zeros(lo.shape if n_out is None else lo.shape + (n_out,))
+    out = np.zeros(lo.shape + (n_out,))
     if live.any():
         sub = _nested(lambda r: r[live], rows)
         out[live] = batched_gauss_panels(lambda m: fn(m, *sub), lo[live], hi[live])
@@ -369,46 +391,38 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     zero.  The generator-side coefficients carry the 2 pi normalization of
     the boundary-localized drift.
     """
-    F.require_guard()
     xi = params.xi
     delta = params.zero_mode_weight
     psit = MollifiedProfile(F.profile, bulk_covariance_matrix(F.realized(), nr=40),
                             gh_points=16, table_pts=81)
     n = F.dim
 
-    ca = params.chi - params.alpha
     coef_rhs_a = TWO_PI * (params.chi - params.alpha + TWO_PI * params.c)
     coef_rhs_b = -TWO_PI * (params.chi + 2.0 * xi + 1.0 / (2.0 * xi))
-    coef_rhs_mean = -TWO_PI * params.beta
     coef_rhs_mass = -0.5 * ((TWO_PI * params.c) ** 2 - xi ** 2)
-    lhs_mean = [-TWO_PI * params.beta * p.mean() for p in F.symbols]
-    rhs_mean = [coef_rhs_mean * p.mean() for p in F.symbols]
+    # the beta term of the drift, the same on both sides, does not scale with mu
+    beta_c = [-TWO_PI * params.beta * p.mean() for p in F.symbols]
 
-    def fn(m, psi, lhs_c, rhs_c, diffusion_c, mass_c):
+    def fn(m, psi, b, sig, rhs_c, mass_c):
         val, grad, hess = psi
         w = np.exp((delta - xi) * m)
         w_mean = np.exp(delta * m)
-        lhs = np.zeros_like(m)
+        lhs = _generator_term(b, sig, grad, hess) * w
         rhs = np.zeros_like(m)
         for i in range(n):
-            lhs += lhs_c[i] * w * grad[i]
-            lhs += lhs_mean[i] * w_mean * grad[i]
+            lhs += beta_c[i] * w_mean * grad[i]
             rhs += rhs_c[i] * w * grad[i]
-            rhs += rhs_mean[i] * w_mean * grad[i]
-            for j in range(n):
-                lhs += diffusion_c[i][j] * w * hess[i][j]
+            rhs += beta_c[i] * w_mean * grad[i]
         rhs += mass_c * w * val
         return np.stack([lhs, rhs], axis=-1)
 
     def inputs(tb):
         A = [tb.mu_int(p.values(M)) for p in F.symbols]
         B = [tb.mu_int(p.dirichlet_to_neumann().values(M)) for p in F.symbols]
-        lhs_c = [tb.vpair_dnh(p) + TWO_PI * ca * A[i] - TWO_PI * params.chi * B[i]
-                 for i, p in enumerate(F.symbols)]
-        rhs_c = [coef_rhs_a * A[i] + coef_rhs_b * B[i] for i in range(n)]
-        diffusion_c = [[TWO_PI * np.pi * tb.mu_int(p.values(M) * q.values(M))
-                        for q in F.symbols] for p in F.symbols]
-        return [lhs_c, rhs_c, diffusion_c, coef_rhs_mass * tb.mass0]
+        return [[tb.drift(p, params) for p in F.symbols],
+                [[tb.diffusion(p, q) for q in F.symbols] for p in F.symbols],
+                [coef_rhs_a * A[i] + coef_rhs_b * B[i] for i in range(n)],
+                coef_rhs_mass * tb.mass0]
 
     rows = _zero_mode_rows([(F.symbols, psit, 2, _log_shift(F, params))], inputs, fn, 2,
                            n_samples, rng, xi, N, M, batch)
@@ -420,32 +434,15 @@ def _log_shift(F: CylindricalFunctional, params: CouplingParams) -> np.ndarray:
     return params.alpha * np.array([f.log_pairing() for f in F.realized()])
 
 
-def _invariance_setup(F: CylindricalFunctional, params: CouplingParams,
-                      h: BoundaryField, m: float, M: int):
-    """Chaos measure and shifted pairing arguments of the stationarity
-    integrand at one configuration."""
-    mu, args = _at_configuration(F, h, m, params.xi, M)
-    return mu, args + _log_shift(F, params)
-
-
 def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
                            h: BoundaryField, m: float, psit: MollifiedProfile,
                            M: int = 256) -> float:
     """Boundary-localized form of the stationarity integrand at one
     configuration (the fast route the Monte Carlo estimator uses)."""
-    mu, args = _invariance_setup(F, params, h, m, M)
-    total = 0.0
-    for i, p in enumerate(F.symbols):
-        C = mu.integrate(vkernel_pair_dnh(p, h, M))
-        A = mu.integrate_field(p)
-        B = mu.integrate_field(p.dirichlet_to_neumann())
-        coef = (C + TWO_PI * (params.chi - params.alpha) * A
-                - TWO_PI * params.chi * B - TWO_PI * params.beta * p.mean())
-        total += coef * psit.grad_entry(i, args[None, :])[0]
-        for j, q in enumerate(F.symbols):
-            D = mu.integrate(p.values(M) * q.values(M))
-            total += TWO_PI * np.pi * D * psit.hess_entry(i, j, args[None, :])[0]
-    return float(total)
+    mu, args = _at_configuration(F, h, m, params.xi, M)
+    x, n = (args + _log_shift(F, params))[None, :], F.dim
+    return _generator_at(F, h, mu, params, [psit.grad_entry(i, x)[0] for i in range(n)],
+                         [[psit.hess_entry(i, j, x)[0] for j in range(n)] for i in range(n)])
 
 
 def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
@@ -454,19 +451,19 @@ def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
     """Generator form of the stationarity integrand at one configuration,
     assembled from bulk quadratures (the cross-check route for the
     boundary-localized estimator)."""
-    mu, args = _invariance_setup(F, params, h, m, M)
-    fs = F.realized()
+    mu, args = _at_configuration(F, h, m, params.xi, M)
+    x, fs = (args + _log_shift(F, params))[None, :], F.realized()
     total = 0.0
     K = max(f.degree for f in fs) + 2
     for i, f in enumerate(fs):
         bulk = bulk_pairings(f, mu, nr, h)
-        gi = psit.grad_entry(i, args[None, :])[0]
+        gi = psit.grad_entry(i, x)[0]
         total += (bulk["harmonic"] + params.alpha * bulk["log"]
                   + params.chi * bulk["conformal"] - params.beta * f.integral()) * gi
         for j, fj in enumerate(fs):
             gterm = green_pair_modes(lambda rr: f.angular_modes(rr, K), f.support,
                                      dmu_modes(fj, mu, K), fj.support, K, nr)
-            total += -TWO_PI * gterm * psit.hess_entry(i, j, args[None, :])[0]
+            total += -TWO_PI * gterm * psit.hess_entry(i, j, x)[0]
     return float(total)
 
 
@@ -495,34 +492,16 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
     G.require_guard()
     xi = params.xi
     delta = params.zero_mode_weight
-    Q = params.Q
     nF, nG = F.dim, G.dim
     slopesF, slopesG = F.slopes(), G.slopes()
     a_grid = [[operator_a(p, q, M) for q in G.symbols] for p in F.symbols]
-
-    def drifts(tb, symbols):
-        return [tb.vpair_dnh(p) + TWO_PI * Q * tb.mu_int(p.dirichlet_to_neumann().values(M))
-                + TWO_PI * xi * tb.mu_int(p.values(M)) for p in symbols]
-
-    def sigmas(tb, left, right):
-        return [[TWO_PI ** 2 * tb.mu_int(p.values(M) * q.values(M)) for q in right]
-                for p in left]
-
-    def generator_term(b, sig, grad, hess):
-        out = np.zeros_like(grad[0])
-        for j in range(len(b)):
-            out += b[j] * grad[j]
-        for j in range(len(b)):
-            for k in range(len(b)):
-                out += 0.5 * sig[j][k] * hess[j][k]
-        return out
 
     def fn(m, F_, G_, bF, bG, sigF, sigG, cross, across, mass0):
         Fv, Fg, Fh = F_
         Gv, Gg, Gh = G_
         w = np.exp((delta - xi) * m)
-        LG = generator_term(bG, sigG, Gg, Gh)
-        LF = generator_term(bF, sigF, Fg, Fh)
+        LG = _generator_term(bG, sigG, Gg, Gh)
+        LF = _generator_term(bF, sigF, Fg, Fh)
         sym = np.zeros_like(m)
         anti = np.zeros_like(m)
         for i in range(nF):
@@ -540,21 +519,17 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
                   for i in range(nF)]
         # cross/across carry (2 pi)^2 and are halved in fn, landing the closed
         # forms on their 2 pi^2 normalization; same for the mean-mass term
-        return [drifts(tb, F.symbols), drifts(tb, G.symbols),
-                sigmas(tb, F.symbols, F.symbols), sigmas(tb, G.symbols, G.symbols),
-                sigmas(tb, F.symbols, G.symbols), across, tb.mass0]
+        drifts = [[tb.drift(p, params) for p in H.symbols] for H in (F, G)]
+        sigmas = [[[tb.diffusion(p, q) for q in R.symbols] for p in L.symbols]
+                  for L, R in ((F, F), (G, G), (F, G))]
+        return drifts + sigmas + [across, tb.mass0]
 
     rows = _zero_mode_rows([(F.symbols, F.profile, 2, 0.0), (G.symbols, G.profile, 2, 0.0)],
                            inputs, fn, 4, n_samples, rng, xi, N, M, batch)
     lhs_f, lhs_s, sym, anti = rows.T
     fwd = _paired_from_samples(lhs_f, sym + anti)
     swp = _paired_from_samples(lhs_s, sym - anti)
-    # sym and antisym are totals of per-batch sums, the order they are pinned in
-    sym_tot = anti_tot = 0.0
-    for start in range(0, n_samples, batch):
-        sym_tot += sym[start : start + batch].sum()
-        anti_tot += anti[start : start + batch].sum()
-    return DirichletFormResult(fwd, swp, sym_tot / n_samples, anti_tot / n_samples)
+    return DirichletFormResult(fwd, swp, sym.mean(), anti.mean())
 
 
 # -- measure-level lemma checks ----------------------------------------------------
@@ -593,8 +568,7 @@ def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
     """
     params = CouplingParams.pure_gravity()
     xi, delta = params.xi, params.zero_mode_weight
-    pv = p.values(M)
-    pmean = p.mean()
+    p0 = p.values(M) - p.mean()
     dnp = p.dirichlet_to_neumann().values(M)
     left_F = [contract_left(q, p, M) for q in F.symbols]
     left_G = [contract_left(q, p, M) for q in G.symbols]
@@ -608,18 +582,18 @@ def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
             out = out + KF[i] * Fg[i] * Gv
         for j in range(G.dim):
             out = out + KG[j] * Fv * Gg[j]
-        return out * np.exp(w_rate * m)
+        return (out * np.exp(w_rate * m))[..., None]
 
     def inputs(tb):
         K1 = (tb.vpair_dnh(p)
-              + TWO_PI * xi * tb.mu_int(pv - pmean)
+              + TWO_PI * xi * tb.mu_int(p0)
               + 2.0 * xi * TWO_PI * tb.mu_int(dnp))
         return [K1, [TWO_PI * tb.mu_int(g) for g in left_F],
                 [TWO_PI * tb.mu_int(g) for g in left_G]]
 
     rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0), (G.symbols, G.profile, 1, 0.0)],
-                           inputs, fn, None, n_samples, rng, xi, N, M, batch)
-    return mean_stderr(rows)
+                           inputs, fn, 1, n_samples, rng, xi, N, M, batch)
+    return mean_stderr(rows[:, 0])
 
 
 def ibp_potential_check(ell: BoundaryField, k: BoundaryField,

@@ -21,7 +21,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import fields, generator, gmc, kernels, loewner
 from .disk import DiskTestFunction, bump, realize_symbol
-from .profiles import BoundedSmoothProfile, ProductProfile
+from .profiles import BoundedSmoothProfile, MollifiedProfile, ProductProfile
 from .rng import make_rng
 from .spectral import BoundaryField, conjugate_pv, grid_angles
 
@@ -462,10 +462,7 @@ def run_invariance(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # generator forms agree configuration by configuration
     rng = make_rng(cfg.seed, 11)
-    fs = F.realized()
-    sigma = fields.bulk_covariance_matrix(fs)
-    from .profiles import MollifiedProfile
-    psit = MollifiedProfile(F.profile, sigma)
+    psit = MollifiedProfile(F.profile, fields.bulk_covariance_matrix(F.realized()))
     worst = 0.0
     for _ in range(5):
         h = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rng)[0])
