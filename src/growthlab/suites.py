@@ -613,14 +613,14 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
                                          "mean": [r[1] for r in mart_rows],
                                          "se": [r[2] for r in mart_rows]}))
 
-    # flat-noise baseline: stationary mode variances and the spectral gap
+    # flat-noise baseline: stationary mode variances and the spectral gap; the
+    # stderr of a sample variance under the null is the target's, not v's
     ou = done["ou"]
     worst_z = 0.0
     for k in (1, 2, 3, 4, 6):
-        lam = np.ceil(k / 2.0)
-        v = ou[:, k].var(ddof=1)
-        se = v * np.sqrt(2.0 / (ou.shape[0] - 1))
-        worst_z = max(worst_z, abs(v - TWO_PI / lam) / se)
+        target = TWO_PI / np.ceil(k / 2.0)
+        se = target * np.sqrt(2.0 / (ou.shape[0] - 1))
+        worst_z = max(worst_z, abs(ou[:, k].var(ddof=1) - target) / se)
     out.append(CheckResult.bound("ou-stationary-variance", worst_z, 3.0,
                                  "flat-noise-baseline"))
     gap_end = done["ou_gap"][:, 1]
