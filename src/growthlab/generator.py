@@ -150,13 +150,14 @@ def _at_configuration(F: CylindricalFunctional, h: BoundaryField, m: float,
 
 def _generator_term(b, sig, grad, hess):
     """sum_j b_j d_j psi + 1/2 sum_jk sigma_jk d_jk psi, entry by entry, for
-    scalars or for per-sample arrays shaped against the profile's."""
-    out = 0.0
-    for j in range(len(b)):
-        out = out + b[j] * grad[j]
+    scalars or for per-sample arrays shaped against the profile's; sums in
+    place, as the nodes of a batch make arrays of many megabytes."""
+    out = b[0] * grad[0]
+    for j in range(1, len(b)):
+        out += b[j] * grad[j]
     for j in range(len(b)):
         for k in range(len(b)):
-            out = out + 0.5 * sig[j][k] * hess[j][k]
+            out += 0.5 * sig[j][k] * hess[j][k]
     return out
 
 
