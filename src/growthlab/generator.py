@@ -301,9 +301,9 @@ def _zero_mode_rows(blocks, inputs, fn, n_out, n_samples: int,
     inputs drawn from the _TraceBatch tb, as a list of (B,) arrays or
     nested lists of them, and fn(m, *psi, *inputs) is the integrand: psi
     holds each block's (value, grad, hess) up to its order, and every
-    input is shaped to broadcast against m.  A MollifiedProfile block is
-    integrated exactly between knots, any other profile by Gauss panels on
-    the live rows (_integrate_live with n_out).  Raises before any draw if
+    input is shaped to broadcast against m.  A lone MollifiedProfile block
+    is integrated exactly between knots, any other profile by Gauss panels
+    on the live rows (_integrate_live with n_out).  Raises before any draw if
     no symbol has a nonzero mean.  Returns the rows of every sample.
     """
     slopes = [np.array([p.integral() for p in symbols]) for symbols, *_ in blocks]
