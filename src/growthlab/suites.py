@@ -1,5 +1,7 @@
 """Named check suites: every verifiable identity of the lab, wired to a
-uniform result record with its gate and a traceability anchor.
+uniform result record with its gate and a traceability anchor.  CHECKS
+declares each check's gate, tolerance and anchor once; a suite function
+only measures, and run_suite gates its measurements in CHECKS order.
 
 Deterministic identities gate on absolute or relative residuals at the
 tolerances of their operators (spectral-only 1e-10/1e-8, mixed bulk
@@ -27,10 +29,15 @@ from .spectral import BoundaryField, conjugate_pv, grid_angles
 
 TWO_PI = 2.0 * np.pi
 PURE_GRAVITY_SUITES = ("invariance", "dirichlet")
+ATOM_STEP = 1e-3        # time step of the atom-driving check, gated at 40 t^2
 
 
 class CouplingMismatchError(ValueError):
     """A suite fixed at pure gravity was configured with another xi."""
+
+
+class CheckTableError(RuntimeError):
+    """A suite measured a check that CHECKS does not declare, or missed one."""
 
 
 @dataclass
@@ -78,27 +85,119 @@ class CheckResult:
     series: dict = field(default_factory=dict)
 
     @classmethod
-    def deterministic(cls, name, lhs, rhs, tol, anchor, gate="abs", series=None,
-                      stderr=0.0):
-        """Fixed tolerance gate; a Monte Carlo lhs reports its stderr.
+    def gated(cls, name, gate, tol, anchor, lhs, rhs=0.0, stderr=0.0, series=None):
+        """The verdict of one check under its gate.
 
-        A "rel" gate measures the residual relative to the target rhs.
+        "abs" gates |lhs - rhs| <= tol and "rel" the same residual over
+        |rhs|; either may report the stderr of a Monte Carlo lhs.  "3se"
+        gates |lhs - rhs| <= tol * stderr, tol being the k of k standard
+        errors.  "bound" gates lhs <= tol and keeps no rhs or stderr.
         """
+        lhs, rhs, stderr = float(lhs), float(rhs), float(stderr)
         resid = abs(lhs - rhs)
-        if gate == "rel":
-            resid = resid / max(abs(rhs), 1e-300)
-        return cls(name, float(lhs), float(rhs), float(stderr), tol, gate,
-                   bool(resid <= tol), anchor, series or {})
+        if gate == "abs":
+            passed = resid <= tol
+        elif gate == "rel":
+            passed = resid / max(abs(rhs), 1e-300) <= tol
+        elif gate == "3se":
+            passed = resid <= tol * stderr
+        elif gate == "bound":
+            passed, rhs, stderr = lhs <= tol, 0.0, 0.0
+        else:
+            raise ValueError(f"unknown gate {gate!r}")
+        return cls(name, lhs, rhs, stderr, tol, gate, bool(passed), anchor, series or {})
 
-    @classmethod
-    def statistical(cls, name, lhs, rhs, stderr, anchor, k=3.0, series=None):
-        return cls(name, float(lhs), float(rhs), float(stderr), k, "3se",
-                   bool(abs(lhs - rhs) <= k * stderr), anchor, series or {})
 
-    @classmethod
-    def bound(cls, name, value, tol, anchor, series=None):
-        return cls(name, float(value), 0.0, 0.0, tol, "bound",
-                   bool(value <= tol), anchor, series or {})
+def _rows(names: str, gate: str, tol: float, anchor: str) -> list[tuple]:
+    """CHECKS rows of the whitespace-separated names under one gate."""
+    return [(name, gate, tol, anchor) for name in names.split()]
+
+
+# (name, gate, tol, anchor) of every check of every suite, in report order
+CHECKS = {
+    "identities": [
+        *_rows("conjugation-basis-action conjugation-involution conjugation-antisymmetry",
+               "abs", 1e-12, "harmonic-conjugation"),
+        ("normal-derivative-eigenbasis", "abs", 1e-12, "dirichlet-to-neumann"),
+        *_rows("normal-tangential-exchange normal-derivative-square",
+               "abs", 1e-10, "dirichlet-to-neumann"),
+        ("principal-value-conjugation", "abs", 1e-6, "harmonic-conjugation"),
+        ("grid-roundtrip", "abs", 1e-12, "fourier-basis"),
+        ("parseval", "abs", 1e-10, "fourier-basis"),
+        *_rows("kernel-row_integral kernel-diagonal kernel-symmetric_contraction "
+               "kernel-antisymmetric_contraction kernel-mean_decomposition "
+               "kernel-sign-formula", "abs", 1e-8, "kernel-contractions"),
+        ("kernel-finite-rank-decay", "bound", 0.5, "kernel-finite-rank"),
+        *_rows("localization-log_pairing localization-conformal_factor "
+               "localization-green_pairing", "rel", 1e-4, "boundary-localization"),
+        ("kernel-field-pairing", "rel", 1e-4, "kernel-field-pairing"),
+        ("transport-two-routes", "abs", 1e-8, "transport-operator"),
+        ("transport-measure-linearity", "abs", 1e-10, "transport-operator"),
+    ],
+    "gmc": [
+        ("chaos-mean-mass", "3se", 3.0, "chaos-normalization"),
+        ("chaos-second-moment", "3se", 3.0, "chaos-second-moment"),
+        ("chaos-shift-scaling", "abs", 1e-12, "driving-measure-scaling"),
+        ("chaos-derivative", "rel", 1e-6, "chaos-derivative"),
+        ("chaos-weighted-field", "3se", 3.0, "chaos-weighted-field"),
+        ("inverse-map-smooth-decay", "abs", 0.5, "inverse-map"),
+        ("inverse-map-l2-decay", "bound", 0.5, "inverse-map"),
+        ("inverse-map-variance-ratio", "bound", 50.0, "inverse-map-variance"),
+    ],
+    "loewner": [
+        *_rows("uniform-flow-scaling uniform-flow-lifetime", "abs", 1e-8, "uniform-flow"),
+        *_rows("conformal-radius-routes conformal-radius-value conformal-radius-mass2",
+               "abs", 1e-8, "conformal-radius"),
+        ("atom-euler-step", "bound", 40.0 * ATOM_STEP * ATOM_STEP, "atom-driving"),
+        ("mapper-capacity", "abs", 1e-6, "nearly-circular-map"),
+        ("hadamard-variation", "rel", 1e-2, "hadamard-variation"),
+        ("hadamard-order", "bound", 0.35, "hadamard-variation"),
+        ("smooth-metric-driving", "bound", 1e-2, "smooth-metric-driving"),
+        ("smooth-metric-linear-decay", "bound", 0.5, "smooth-metric-driving"),
+        ("reparametrization-speed", "rel", 5e-3, "reparametrization"),
+        ("lifetime-monotonicity", "bound", 0.5, "domain-monotonicity"),
+    ],
+    "invariance": [
+        *_rows("pure-gravity-gamma-squared pure-gravity-dimension pure-gravity-Q "
+               "pure-gravity-residuals", "abs", 1e-14, "pure-gravity-couplings"),
+        ("invariance-pure-gravity", "3se", 3.0, "invariance-equation"),
+        *_rows("invariance-residual-alpha invariance-residual-chi "
+               "invariance-residual-beta invariance-residual-c",
+               "3se", 3.0, "invariance-residual"),
+        ("generator-bulk-boundary", "bound", 1e-4, "generator-localization"),
+    ],
+    "dirichlet": [
+        *_rows("dirichlet-form-split dirichlet-form-swapped dirichlet-exchange",
+               "3se", 3.0, "dirichlet-form"),
+        ("dirichlet-self-antisymmetry", "abs", 1e-10, "dirichlet-form"),
+        ("divergence-form", "3se", 3.0, "divergence-form"),
+    ],
+    "dynamics": [
+        *_rows("mass-drift-slope mass-scaled-drift", "rel", 0.02, "squared-bessel-mass"),
+        ("mass-bracket", "rel", 0.05, "mass-bracket"),
+        ("mass-step-convergence", "rel", 0.05, "mass-step-convergence"),
+        ("mass-positivity", "bound", 0.5, "mass-positivity"),
+        ("mass-martingale", "bound", 0.5, "mass-martingale"),
+        ("ou-stationary-variance", "bound", 3.0, "flat-noise-baseline"),
+        ("ou-spectral-gap", "rel", 0.02, "flat-noise-baseline"),
+        ("driving-from-state-radial", "rel", 1e-6, "state-driven-growth"),
+    ],
+    "appendix": [
+        *_rows("gaussian-ibp1 gaussian-ibp2 gaussian-cm1 gaussian-cm2 gaussian-cm3",
+               "3se", 3.0, "gaussian-identities"),
+        ("trace-shift-identity", "3se", 3.0, "trace-shift-identity"),
+        ("conjugate-shift-identity", "bound", 1e-8, "conjugate-shift"),
+        ("derivative-martingale", "bound", 1e-10, "derivative-martingale"),
+        ("renormalized-drift-divergence", "bound", 0.5, "renormalized-drift-divergence"),
+        *_rows("exploration-drift exploration-drift-meanzero",
+               "bound", 1e-4, "exploration-drift"),
+        ("projection-covariance", "bound", 1e-10, "projection-covariance"),
+        ("projected-symmetric-ibp", "3se", 3.0, "projected-ibp"),
+        ("rotation-identity", "3se", 3.0, "rotation-identity"),
+        ("field-transport-ibp", "3se", 3.0, "field-transport-ibp"),
+        ("potential-gradient-ibp", "3se", 3.0, "potential-gradient-ibp"),
+    ],
+}
 
 
 # -- shared fixtures -------------------------------------------------------------
@@ -126,9 +225,9 @@ def _fixture_g(N: int) -> generator.CylindricalFunctional:
 # -- suite: identities -------------------------------------------------------------
 
 
-def run_identities(cfg: ExperimentConfig) -> list[CheckResult]:
+def run_identities(cfg: ExperimentConfig) -> dict:
     rng = make_rng(cfg.seed, 1)
-    out = []
+    out = {}
     deg = 16
     M = max(cfg.M, 8 * deg)
     p = BoundaryField(rng.standard_normal(2 * deg + 1))
@@ -141,91 +240,61 @@ def run_identities(cfg: ExperimentConfig) -> list[CheckResult]:
         s = BoundaryField.basis(2 * mdeg, deg)
         res = max(res, np.abs(c.conjugate().coeffs - s.coeffs).max(),
                   np.abs(s.conjugate().coeffs + c.coeffs).max())
-    out.append(CheckResult.deterministic("conjugation-basis-action", res, 0.0,
-                                         1e-12, "harmonic-conjugation"))
+    out["conjugation-basis-action"] = res
     tt = p.conjugate().conjugate() + p - BoundaryField.constant(p.mean(), deg)
-    out.append(CheckResult.deterministic("conjugation-involution",
-                                         np.abs(tt.coeffs).max(), 0.0, 1e-12,
-                                         "harmonic-conjugation"))
-    anti = p.conjugate().l2_inner(q) + p.l2_inner(q.conjugate())
-    out.append(CheckResult.deterministic("conjugation-antisymmetry", anti, 0.0,
-                                         1e-12, "harmonic-conjugation"))
-    res = max(np.abs((BoundaryField.basis(k, deg).dirichlet_to_neumann().coeffs
-                      + np.ceil(k / 2) * BoundaryField.basis(k, deg).coeffs)).max()
-              for k in range(0, 2 * deg + 1))
-    out.append(CheckResult.deterministic("normal-derivative-eigenbasis", res, 0.0,
-                                         1e-12, "dirichlet-to-neumann"))
+    out["conjugation-involution"] = np.abs(tt.coeffs).max()
+    out["conjugation-antisymmetry"] = p.conjugate().l2_inner(q) + p.l2_inner(q.conjugate())
+    out["normal-derivative-eigenbasis"] = max(
+        np.abs((BoundaryField.basis(k, deg).dirichlet_to_neumann().coeffs
+                + np.ceil(k / 2) * BoundaryField.basis(k, deg).coeffs)).max()
+        for k in range(0, 2 * deg + 1))
     r1 = p.dirichlet_to_neumann().coeffs + p.conjugate().tangential_derivative().coeffs
     r2 = p.conjugate().dirichlet_to_neumann().coeffs - p.tangential_derivative().coeffs
-    out.append(CheckResult.deterministic("normal-tangential-exchange",
-                                         max(np.abs(r1).max(), np.abs(r2).max()),
-                                         0.0, 1e-10, "dirichlet-to-neumann"))
+    out["normal-tangential-exchange"] = max(np.abs(r1).max(), np.abs(r2).max())
     sq = p.dirichlet_to_neumann().dirichlet_to_neumann().coeffs \
         + p.tangential_derivative().tangential_derivative().coeffs
-    out.append(CheckResult.deterministic("normal-derivative-square",
-                                         np.abs(sq).max(), 0.0, 1e-10,
-                                         "dirichlet-to-neumann"))
-    pv = conjugate_pv(p, M) - p.conjugate().values(M)
-    out.append(CheckResult.deterministic("principal-value-conjugation",
-                                         np.abs(pv).max(), 0.0, 1e-6,
-                                         "harmonic-conjugation"))
+    out["normal-derivative-square"] = np.abs(sq).max()
+    out["principal-value-conjugation"] = np.abs(conjugate_pv(p, M) - p.conjugate().values(M)).max()
     grid = p.values(M)
-    rt = BoundaryField.from_grid(grid, degree=deg).coeffs - p.coeffs
-    out.append(CheckResult.deterministic("grid-roundtrip", np.abs(rt).max(), 0.0,
-                                         1e-12, "fourier-basis"))
-    pars = float(np.sum(p.coeffs ** 2)) - float(np.sum(grid ** 2) * TWO_PI / M)
-    out.append(CheckResult.deterministic("parseval", pars, 0.0, 1e-10,
-                                         "fourier-basis"))
+    out["grid-roundtrip"] = np.abs(BoundaryField.from_grid(grid, degree=deg).coeffs
+                                   - p.coeffs).max()
+    out["parseval"] = float(np.sum(p.coeffs ** 2)) - float(np.sum(grid ** 2) * TWO_PI / M)
 
     # kernel contractions
     suite = kernels.contraction_suite(p, q)
-    for key, anchor in [("row_integral", "kernel-contractions"),
-                        ("diagonal", "kernel-contractions"),
-                        ("symmetric_contraction", "kernel-contractions"),
-                        ("antisymmetric_contraction", "kernel-contractions"),
-                        ("mean_decomposition", "kernel-contractions")]:
-        out.append(CheckResult.deterministic(f"kernel-{key}", suite[key], 0.0,
-                                             1e-8, anchor))
-    out.append(CheckResult.deterministic(
-        "kernel-sign-formula",
-        max(kernels.sign_formula_residual(2, 5), kernels.sign_formula_residual(5, 2),
-            kernels.sign_formula_residual(3, 3)), 0.0, 1e-8, "kernel-contractions"))
+    for key in ("row_integral", "diagonal", "symmetric_contraction",
+                "antisymmetric_contraction", "mean_decomposition"):
+        out[f"kernel-{key}"] = suite[key]
+    out["kernel-sign-formula"] = max(kernels.sign_formula_residual(2, 5),
+                                     kernels.sign_formula_residual(5, 2),
+                                     kernels.sign_formula_residual(3, 3))
     ranks = kernels.finite_rank_truncation(BoundaryField(rng.standard_normal(25)),
                                            [4, 8, 16])
     mono = float(ranks[0] > ranks[1] > ranks[2]) - 1.0  # 0 when monotone
-    out.append(CheckResult.bound("kernel-finite-rank-decay", -mono, 0.5,
-                                 "kernel-finite-rank",
-                                 series={"ranks": [4, 8, 16], "residuals": ranks}))
+    out["kernel-finite-rank-decay"] = (-mono, 0.0, 0.0,
+                                       {"ranks": [4, 8, 16], "residuals": ranks})
 
     # boundary localization and the field-pairing kernel identity
     f1 = DiskTestFunction.separable(bump(0.3, 0.6), BoundaryField(rng.standard_normal(7)))
     f2 = DiskTestFunction.separable(bump(0.4, 0.75), BoundaryField(rng.standard_normal(5)))
     h = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rng)[0])
     mu = gmc.chaos_measure(h, -1, self_xi(cfg), cfg.M)
-    loc = kernels.boundary_localization_suite(f1, f2, mu)
-    for key, (lhs, rhs, _) in loc.items():
-        out.append(CheckResult.deterministic(f"localization-{key}", lhs, rhs,
-                                             1e-4, "boundary-localization",
-                                             gate="rel"))
+    for key, (lhs, rhs, _) in kernels.boundary_localization_suite(f1, f2, mu).items():
+        out[f"localization-{key}"] = (lhs, rhs)
     lhs, rhs, _ = kernels.kernel_u_check(f1, BoundaryField(
         fields.sample_trace_batch(8, 1, rng)[0]), mu)
-    out.append(CheckResult.deterministic("kernel-field-pairing", lhs, rhs, 1e-4,
-                                         "kernel-field-pairing", gate="rel"))
+    out["kernel-field-pairing"] = (lhs, rhs)
 
     # transport operator routes and linearity in the measure
     r = np.linspace(0.35, 0.55, 4)[:, None]
     th = np.linspace(0.0, 6.0, 5)[None, :]
     d1 = kernels.dmu(f1, mu, r, th, "split")
     d2 = kernels.dmu(f1, mu, r, th, "combined")
-    out.append(CheckResult.deterministic("transport-two-routes",
-                                         np.abs(d1 - d2).max(), 0.0, 1e-8,
-                                         "transport-operator"))
+    out["transport-two-routes"] = np.abs(d1 - d2).max()
     mu2 = gmc.CircleMeasure.uniform(0.7, cfg.M)
     combo = kernels.dmu(f1, gmc.CircleMeasure(0.4 * mu.density + 1.1 * mu2.density), r, th)
     lin = combo - 0.4 * kernels.dmu(f1, mu, r, th) - 1.1 * kernels.dmu(f1, mu2, r, th)
-    out.append(CheckResult.deterministic("transport-measure-linearity",
-                                         np.abs(lin).max(), 0.0, 1e-10,
-                                         "transport-operator"))
+    out["transport-measure-linearity"] = np.abs(lin).max()
     return out
 
 
@@ -235,7 +304,7 @@ def not_decaying(errs) -> float:
 
 
 def self_xi(cfg: ExperimentConfig) -> float:
-    return cfg.xi if cfg.xi is not None else 1.0 / np.sqrt(6.0)
+    return cfg.xi if cfg.xi is not None else fields.CouplingParams.pure_gravity().xi
 
 
 def run_xi(cfg: ExperimentConfig) -> float:
@@ -249,53 +318,43 @@ def run_xi(cfg: ExperimentConfig) -> float:
 # -- suite: gmc ---------------------------------------------------------------------
 
 
-def run_gmc(cfg: ExperimentConfig) -> list[CheckResult]:
+def run_gmc(cfg: ExperimentConfig) -> dict:
     xi = self_xi(cfg)
     rng = make_rng(cfg.seed, 2)
-    out = []
+    out = {}
     n = max(cfg.n_samples, 1000)
 
     coeffs = fields.sample_trace_batch(cfg.N, n, rng)
     vals = fields.batch_values(coeffs, cfg.M)
     dens = gmc.chaos_density_batch(vals, 1, xi, cfg.N)
     masses = dens.sum(axis=1) * TWO_PI / cfg.M
-    se = masses.std(ddof=1) / np.sqrt(n)
-    out.append(CheckResult.statistical("chaos-mean-mass", masses.mean(), TWO_PI,
-                                       se, "chaos-normalization"))
+    out["chaos-mean-mass"] = (masses.mean(), TWO_PI, masses.std(ddof=1) / np.sqrt(n))
 
     # second moment against the singular-kernel quadrature target
     N2, M2 = 4 * cfg.N, 16 * cfg.N
     c2 = fields.sample_trace_batch(N2, n, make_rng(cfg.seed, 3))
     d2 = gmc.chaos_density_batch(fields.batch_values(c2, M2), 1, xi, N2)
     m2 = (d2.sum(axis=1) * TWO_PI / M2) ** 2
-    target = gmc.second_moment_limit(xi)
-    se2 = m2.std(ddof=1) / np.sqrt(n)
-    out.append(CheckResult.statistical("chaos-second-moment", m2.mean(), target,
-                                       se2, "chaos-second-moment"))
+    out["chaos-second-moment"] = (m2.mean(), gmc.second_moment_limit(xi),
+                                  m2.std(ddof=1) / np.sqrt(n))
 
     # deterministic scaling response of the driving measure
     h = BoundaryField(coeffs[0])
     shift = 0.37
     d_plain = gmc.chaos_measure(h, -1, xi, cfg.M).density
     d_shift = gmc.chaos_measure(h + BoundaryField.constant(shift, 1), -1, xi, cfg.M).density
-    resid = np.abs(d_shift - np.exp(-xi * shift) * d_plain).max()
-    out.append(CheckResult.deterministic("chaos-shift-scaling", resid, 0.0, 1e-12,
-                                         "driving-measure-scaling"))
+    out["chaos-shift-scaling"] = np.abs(d_shift - np.exp(-xi * shift) * d_plain).max()
 
     # directional derivative of weighted mass
     psmooth = BoundaryField(make_rng(cfg.seed, 4).standard_normal(7))
     fsym = BoundaryField(make_rng(cfg.seed, 5).standard_normal(9))
-    fd, exact = gmc.chaos_derivative(psmooth, fsym, h, -xi, cfg.M)
-    out.append(CheckResult.deterministic("chaos-derivative", fd, exact, 1e-6,
-                                         "chaos-derivative", gate="rel"))
+    out["chaos-derivative"] = gmc.chaos_derivative(psmooth, fsym, h, -xi, cfg.M)
 
     # shifted-field representation of the weighted expectation
     prof = BoundedSmoothProfile(1, scale=0.3)
-    lhs, rhs, se3 = gmc.weighted_field_check(
+    out["chaos-weighted-field"] = gmc.weighted_field_check(
         BoundaryField.constant(1.0, 2), [BoundaryField.basis(1, cfg.N)], prof,
         xi, cfg.N, cfg.M, n, make_rng(cfg.seed, 6))
-    out.append(CheckResult.statistical("chaos-weighted-field", lhs, rhs, se3,
-                                       "chaos-weighted-field"))
 
     # inverse map: smooth recovery, whose centred ball averages err by
     # O(eps^2) (a window off by one cell plateaus), and ensemble convergence
@@ -305,25 +364,21 @@ def run_gmc(cfg: ExperimentConfig) -> list[CheckResult]:
     sup_errs = [float(np.abs(gmc.inverse_map(mu_sm, eps, xi, 8).values(cfg.M)
                              - (hsm.values(cfg.M) - hsm.mean())).max()) for eps in radii]
     order = np.polyfit(np.log(radii), np.log(sup_errs), 1)[0]
-    out.append(CheckResult.deterministic("inverse-map-smooth-decay", order, 2.0, 0.5,
-                                         "inverse-map",
-                                         series={"eps": radii, "sup_error": sup_errs}))
+    out["inverse-map-smooth-decay"] = (order, 2.0, 0.0,
+                                       {"eps": radii, "sup_error": sup_errs})
 
     n_ens = min(n, 400)
     pq = BoundaryField.basis(1, cfg.N)
     errs, ratios = inverse_map_ensemble(cfg, xi, n_ens, make_rng(cfg.seed, 7), pq)
-    out.append(CheckResult.bound("inverse-map-l2-decay", not_decaying(errs), 0.5,
-                                 "inverse-map",
-                                 series={"eps": [0.2, 0.1, 0.05], "l2_error": errs,
-                                         "variance_ratio": ratios}))
-    out.append(CheckResult.bound("inverse-map-variance-ratio", max(ratios),
-                                 50.0, "inverse-map-variance"))
+    out["inverse-map-l2-decay"] = (not_decaying(errs), 0.0, 0.0,
+                                   {"eps": [0.2, 0.1, 0.05], "l2_error": errs,
+                                    "variance_ratio": ratios})
+    out["inverse-map-variance-ratio"] = max(ratios)
     return out
 
 
 def inverse_map_ensemble(cfg, xi, n_ens, rng, pq):
-    errs = []
-    ratios = []
+    errs, ratios = [], []
     coeffs = fields.sample_trace_batch(cfg.N, n_ens, rng)
     vals = fields.batch_values(coeffs, cfg.M)
     dens = gmc.chaos_density_batch(vals, 1, xi, cfg.N)
@@ -342,39 +397,30 @@ def inverse_map_ensemble(cfg, xi, n_ens, rng, pq):
 # -- suite: loewner -------------------------------------------------------------------
 
 
-def run_loewner(cfg: ExperimentConfig) -> list[CheckResult]:
+def run_loewner(cfg: ExperimentConfig) -> dict:
     xi = self_xi(cfg)
-    out = []
+    out = {}
     M = cfg.M
     mu1 = gmc.CircleMeasure.uniform(1.0, M)
 
     res = loewner.flow(loewner.DrivingPath.constant(mu1, 0.5), 0.3 + 0.2j, dt=0.02)
-    out.append(CheckResult.deterministic(
-        "uniform-flow-scaling", abs(res.at_end() - np.exp(0.5) * (0.3 + 0.2j)),
-        0.0, 1e-8, "uniform-flow"))
+    out["uniform-flow-scaling"] = abs(res.at_end() - np.exp(0.5) * (0.3 + 0.2j))
     res2 = loewner.flow(loewner.DrivingPath.constant(mu1, 2.0), 0.5 + 0j)
-    out.append(CheckResult.deterministic(
-        "uniform-flow-lifetime", res2.lifetime, np.log((1.0 - 1e-6) / 0.5), 1e-8,
-        "uniform-flow"))
+    out["uniform-flow-lifetime"] = (res2.lifetime, np.log((1.0 - 1e-6) / 0.5))
 
     ode, mass = loewner.conformal_radius(loewner.DrivingPath.constant(mu1, 1.0), 1.0)
-    out.append(CheckResult.deterministic("conformal-radius-routes", ode, mass,
-                                         1e-8, "conformal-radius"))
-    out.append(CheckResult.deterministic("conformal-radius-value", ode, np.e,
-                                         1e-8, "conformal-radius"))
+    out["conformal-radius-routes"] = (ode, mass)
+    out["conformal-radius-value"] = (ode, np.e)
     ode2, _ = loewner.conformal_radius(
         loewner.DrivingPath.constant(gmc.CircleMeasure.uniform(2.0, M), 0.5), 0.5)
-    out.append(CheckResult.deterministic("conformal-radius-mass2", ode2, np.e,
-                                         1e-8, "conformal-radius"))
+    out["conformal-radius-mass2"] = (ode2, np.e)
 
     # one short step from a near-atom matches the atom vector field
     spike = gmc.CircleMeasure.narrow_bump(0.0, 1.0, M)
-    t = 1e-3
+    t = ATOM_STEP
     z0 = 0.4 + 0.3j
     g1 = loewner.flow(loewner.DrivingPath.constant(spike, t), z0, dt=t / 8).at_end()
-    euler = z0 - t * z0 * (z0 + 1.0) / (z0 - 1.0)
-    out.append(CheckResult.bound("atom-euler-step", abs(g1 - euler), 40.0 * t * t,
-                                 "atom-driving"))
+    out["atom-euler-step"] = abs(g1 - (z0 - t * z0 * (z0 + 1.0) / (z0 - 1.0)))
 
     # mapper capacity against the doubled-resolution oracle
     th = grid_angles(M)
@@ -382,72 +428,54 @@ def run_loewner(cfg: ExperimentConfig) -> list[CheckResult]:
     th2 = grid_angles(2 * M)
     dom2 = loewner.StarDomain(1.0 - 0.05 * (1.0 + np.cos(th2)) / 2.0)
     cm, cm2 = loewner.nearly_circular_map(dom), loewner.nearly_circular_map(dom2)
-    out.append(CheckResult.deterministic("mapper-capacity", cm.gprime0, cm2.gprime0,
-                                         1e-6, "nearly-circular-map"))
+    out["mapper-capacity"] = (cm.gprime0, cm2.gprime0)
 
     had = loewner.hadamard_check(
         BoundaryField.constant(1.0, 2) + 0.4 * BoundaryField.basis(1, 2),
         0.3 + 0.2j, -0.4 + 0.1j, M=M)
-    fd_mid = had["sweep"][1][1]
-    out.append(CheckResult.deterministic("hadamard-variation", fd_mid,
-                                         had["formula"], 1e-2, "hadamard-variation",
-                                         gate="rel",
-                                         series={"dt": [r[0] for r in had["sweep"]],
-                                                 "fd": [r[1] for r in had["sweep"]],
-                                                 "rel_err": [r[2] for r in had["sweep"]]}))
-    out.append(CheckResult.bound("hadamard-order", abs(had["order"] - 1.0), 0.35,
-                                 "hadamard-variation"))
+    out["hadamard-variation"] = (had["sweep"][1][1], had["formula"], 0.0,
+                                 {"dt": [r[0] for r in had["sweep"]],
+                                  "fd": [r[1] for r in had["sweep"]],
+                                  "rel_err": [r[2] for r in had["sweep"]]})
+    out["hadamard-order"] = abs(had["order"] - 1.0)
 
     phi = BoundaryField.cosine(1, 0.1, 4)
     smd = loewner.smooth_metric_driving(phi, xi, 1e-3, M=M)
-    out.append(CheckResult.bound("smooth-metric-driving", smd["rel_error"], 1e-2,
-                                 "smooth-metric-driving"))
+    out["smooth-metric-driving"] = smd["rel_error"]
     smd2 = loewner.smooth_metric_driving(phi, xi, 2e-3, M=M)
-    out.append(CheckResult.bound("smooth-metric-linear-decay",
-                                 abs(smd2["rel_error"] / smd["rel_error"] - 2.0), 0.5,
-                                 "smooth-metric-driving"))
+    out["smooth-metric-linear-decay"] = abs(smd2["rel_error"] / smd["rel_error"] - 2.0)
 
     # reparametrization: doubled speed over half the horizon, same measure rate
     dom_a = loewner.StarDomain(1.0 - 1e-3 * np.exp(-xi * phi.values(M)))
     dom_b = loewner.StarDomain(1.0 - 2e-3 * np.exp(-xi * phi.values(M)))
     fit_a = loewner.fit_driving_measure(loewner.nearly_circular_map(dom_a), 1e-3)
     fit_b = loewner.fit_driving_measure(loewner.nearly_circular_map(dom_b), 1e-3)
-    ratio = fit_b.total_mass / fit_a.total_mass
-    out.append(CheckResult.deterministic("reparametrization-speed", ratio, 2.0,
-                                         5e-3, "reparametrization", gate="rel"))
+    out["reparametrization-speed"] = (fit_b.total_mass / fit_a.total_mass, 2.0)
 
     # domain monotonicity of lifetimes
     lt1 = loewner.flow(loewner.DrivingPath.constant(mu1, 3.0), 0.6 + 0j).lifetime
     lt2 = loewner.flow(loewner.DrivingPath.constant(1.5 * mu1, 3.0), 0.6 + 0j).lifetime
-    out.append(CheckResult.bound("lifetime-monotonicity", float(lt2 > lt1), 0.5,
-                                 "domain-monotonicity"))
+    out["lifetime-monotonicity"] = float(lt2 > lt1)
     return out
 
 
 # -- suite: invariance ------------------------------------------------------------------
 
 
-def run_invariance(cfg: ExperimentConfig) -> list[CheckResult]:
-    out = []
+def run_invariance(cfg: ExperimentConfig) -> dict:
     sol = generator.pure_gravity_solve()
-    out.append(CheckResult.deterministic("pure-gravity-gamma-squared",
-                                         sol.gamma ** 2, 8.0 / 3.0, 1e-14,
-                                         "pure-gravity-couplings"))
-    out.append(CheckResult.deterministic("pure-gravity-dimension", sol.d_gamma, 4.0,
-                                         1e-14, "pure-gravity-couplings"))
-    out.append(CheckResult.deterministic("pure-gravity-Q",
-                                         sol.Q, 2.0 * sol.xi + 1.0 / (2.0 * sol.xi),
-                                         1e-14, "pure-gravity-couplings"))
-    out.append(CheckResult.deterministic("pure-gravity-residuals",
-                                         max(sol.residuals), 0.0, 1e-14,
-                                         "pure-gravity-couplings"))
+    out = {
+        "pure-gravity-gamma-squared": (sol.gamma ** 2, 8.0 / 3.0),
+        "pure-gravity-dimension": (sol.d_gamma, 4.0),
+        "pure-gravity-Q": (sol.Q, 2.0 * sol.xi + 1.0 / (2.0 * sol.xi)),
+        "pure-gravity-residuals": max(sol.residuals),
+    }
 
     F = _fixture_functional(cfg.N)
     pg = fields.CouplingParams.pure_gravity()
     res = generator.invariance_check(F, pg, cfg.heavy_n, make_rng(cfg.seed, 10),
                                      N=cfg.N, M=cfg.M)
-    out.append(CheckResult.statistical("invariance-pure-gravity", res.lhs, 0.0,
-                                       res.lhs_stderr, "invariance-equation"))
+    out["invariance-pure-gravity"] = (res.lhs, 0.0, res.lhs_stderr)
     perturbed = {
         "alpha": pg.replace(alpha=pg.alpha + 0.2),
         "chi": pg.replace(chi=pg.chi + 0.15),
@@ -457,8 +485,7 @@ def run_invariance(cfg: ExperimentConfig) -> list[CheckResult]:
     for name, params in perturbed.items():
         r = generator.invariance_check(F, params, cfg.n_samples,
                                        make_rng(cfg.seed, 10), N=cfg.N, M=cfg.M)
-        out.append(CheckResult.statistical(f"invariance-residual-{name}", r.lhs,
-                                           r.rhs, r.stderr, "invariance-residual"))
+        out[f"invariance-residual-{name}"] = (r.lhs, r.rhs, r.stderr)
 
     # generator forms agree configuration by configuration
     rng = make_rng(cfg.seed, 11)
@@ -470,48 +497,37 @@ def run_invariance(cfg: ExperimentConfig) -> list[CheckResult]:
         v1 = generator.invariance_local_value(F, pg, h, m, M=cfg.M, psit=psit)
         v2 = generator.invariance_bulk_value(F, pg, h, m, M=cfg.M, psit=psit)
         worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-12))
-    out.append(CheckResult.bound("generator-bulk-boundary", worst, 1e-4,
-                                 "generator-localization"))
+    out["generator-bulk-boundary"] = worst
     return out
 
 
 # -- suite: dirichlet --------------------------------------------------------------------
 
 
-def run_dirichlet(cfg: ExperimentConfig) -> list[CheckResult]:
-    out = []
+def run_dirichlet(cfg: ExperimentConfig) -> dict:
     F = _fixture_functional(cfg.N)
     G = _fixture_g(cfg.N)
     res = generator.dirichlet_form(F, G, cfg.heavy_n, make_rng(cfg.seed, 20),
                                    N=cfg.N, M=cfg.M)
-    out.append(CheckResult.statistical("dirichlet-form-split", res.forward.lhs,
-                                       res.forward.rhs, res.forward.stderr,
-                                       "dirichlet-form"))
-    out.append(CheckResult.statistical("dirichlet-form-swapped", res.swapped.lhs,
-                                       res.swapped.rhs, res.swapped.stderr,
-                                       "dirichlet-form"))
-    exch = res.forward.lhs + res.swapped.lhs - 2.0 * res.sym
-    exch_se = np.hypot(res.forward.stderr, res.swapped.stderr)
-    out.append(CheckResult.statistical("dirichlet-exchange", exch, 0.0,
-                                       max(exch_se, 1e-12), "dirichlet-form"))
-
+    fwd, swp = res.forward, res.swapped
+    exch_se = np.hypot(fwd.stderr, swp.stderr)
     # antisym(F, F) vanishes sample by sample, so a few samples test it fully
     self_res = generator.dirichlet_form(F, F, 100, make_rng(cfg.seed, 21), N=cfg.N, M=cfg.M)
-    out.append(CheckResult.deterministic("dirichlet-self-antisymmetry",
-                                         self_res.antisym, 0.0, 1e-10,
-                                         "dirichlet-form"))
-
     div = generator.divergence_form_check(F, G, cfg.n_samples,
                                           make_rng(cfg.seed, 22), N=cfg.N, M=cfg.M)
-    out.append(CheckResult.statistical("divergence-form", div.lhs, div.rhs,
-                                       div.stderr, "divergence-form"))
-    return out
+    return {
+        "dirichlet-form-split": (fwd.lhs, fwd.rhs, fwd.stderr),
+        "dirichlet-form-swapped": (swp.lhs, swp.rhs, swp.stderr),
+        "dirichlet-exchange": (fwd.lhs + swp.lhs - 2.0 * res.sym, 0.0, max(exch_se, 1e-12)),
+        "dirichlet-self-antisymmetry": self_res.antisym,
+        "divergence-form": (div.lhs, div.rhs, div.stderr),
+    }
 
 
 # -- suite: dynamics ---------------------------------------------------------------------
 
 
-def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
+def run_dynamics(cfg: ExperimentConfig) -> dict:
     """The seven ensembles draw from their own streams, so they run as jobs on
     a thread pool, one thread per usable CPU (numpy's draws and ufuncs release
     the GIL), with the bits of a one-after-another run.  Each job returns only
@@ -577,41 +593,32 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
         futures = {name: pool.submit(job) for name, job in jobs.items()}
     done = {name: f.result() for name, f in futures.items()}
 
-    out = []
+    out = {}
     stats = done["mass_law"]
-    out.append(CheckResult.deterministic("mass-drift-slope", stats.slope,
-                                         stats.slope_target, 0.02,
-                                         "squared-bessel-mass", gate="rel",
-                                         stderr=stats.slope_stderr,
-                                         series={"t": stats.times.tolist()[::50],
-                                                 "mean": stats.mean_curve.tolist()[::50]}))
-    out.append(CheckResult.deterministic("mass-scaled-drift", stats.scaled_drift,
-                                         0.5, 0.02, "squared-bessel-mass", gate="rel",
-                                         stderr=stats.slope_stderr / (TWO_PI * xi) ** 2))
+    out["mass-drift-slope"] = (stats.slope, stats.slope_target, stats.slope_stderr,
+                               {"t": stats.times.tolist()[::50],
+                                "mean": stats.mean_curve.tolist()[::50]})
+    out["mass-scaled-drift"] = (stats.scaled_drift, 0.5,
+                                stats.slope_stderr / (TWO_PI * xi) ** 2)
 
     qv, pred, se, drift_full = done["bracket_full"]
-    out.append(CheckResult.deterministic("mass-bracket", qv, pred, 0.05,
-                                         "mass-bracket", gate="rel", stderr=se))
+    out["mass-bracket"] = (qv, pred, se)
     # half-step run: the bracket gate holds at both resolutions and the two
     # slopes are reported side by side
     qv2, pred2, se2, drift_half = done["bracket_half"]
-    out.append(CheckResult.deterministic("mass-step-convergence", qv2, pred2,
-                                         0.05, "mass-step-convergence", gate="rel",
-                                         stderr=se2,
-                                         series={"dt": [cfg.dt, cfg.dt / 2.0],
-                                                 "slope": [drift_full, drift_half],
-                                                 "bracket": [qv / pred, qv2 / pred2]}))
+    out["mass-step-convergence"] = (qv2, pred2, se2,
+                                    {"dt": [cfg.dt, cfg.dt / 2.0],
+                                     "slope": [drift_full, drift_half],
+                                     "bracket": [qv / pred, qv2 / pred2]})
 
     # martingale increments at three checkpoints
-    out.append(CheckResult.bound("mass-positivity", float(done["positivity"] < 0.0),
-                                 0.5, "mass-positivity"))
+    out["mass-positivity"] = float(done["positivity"] < 0.0)
     mart_rows = done["martingale"]
     ok = all(abs(mean) <= 3.0 * se for _, mean, se in mart_rows)
-    out.append(CheckResult.bound("mass-martingale", float(not ok), 0.5,
-                                 "mass-martingale",
-                                 series={"t": [r[0] for r in mart_rows],
-                                         "mean": [r[1] for r in mart_rows],
-                                         "se": [r[2] for r in mart_rows]}))
+    out["mass-martingale"] = (float(not ok), 0.0, 0.0,
+                              {"t": [r[0] for r in mart_rows],
+                               "mean": [r[1] for r in mart_rows],
+                               "se": [r[2] for r in mart_rows]})
 
     # flat-noise baseline: stationary mode variances and the spectral gap; the
     # stderr of a sample variance under the null is the target's, not v's
@@ -621,14 +628,10 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
         target = TWO_PI / np.ceil(k / 2.0)
         se = target * np.sqrt(2.0 / (ou.shape[0] - 1))
         worst_z = max(worst_z, abs(ou[:, k].var(ddof=1) - target) / se)
-    out.append(CheckResult.bound("ou-stationary-variance", worst_z, 3.0,
-                                 "flat-noise-baseline"))
+    out["ou-stationary-variance"] = worst_z
     gap_end = done["ou_gap"][:, 1]
-    out.append(CheckResult.deterministic("ou-spectral-gap", gap_end.mean() / 10.0,
-                                         np.exp(-np.pi * 0.2), 0.02,
-                                         "flat-noise-baseline", gate="rel",
-                                         stderr=gap_end.std(ddof=1)
-                                         / np.sqrt(gap_end.size) / 10.0))
+    out["ou-spectral-gap"] = (gap_end.mean() / 10.0, np.exp(-np.pi * 0.2),
+                              gap_end.std(ddof=1) / np.sqrt(gap_end.size) / 10.0)
 
     # growth driving from a constant-field path
     flat = dyn.MeasurePath(np.array([0.0, cfg.dt, 2 * cfg.dt]),
@@ -636,62 +639,49 @@ def run_dynamics(cfg: ExperimentConfig) -> list[CheckResult]:
                            [BoundaryField.zeros(2)] * 3)
     driving = dyn.driving_from_state(flat, xi)
     g = loewner.flow(driving, 0.5 + 0j).at_end()
-    expected = 0.5 * np.exp(driving.mass_integral())
-    out.append(CheckResult.deterministic("driving-from-state-radial", abs(g),
-                                         expected, 1e-6, "state-driven-growth",
-                                         gate="rel"))
+    out["driving-from-state-radial"] = (abs(g), 0.5 * np.exp(driving.mass_integral()))
     return out
 
 
 # -- suite: appendix ---------------------------------------------------------------------
 
 
-def run_appendix(cfg: ExperimentConfig) -> list[CheckResult]:
+def run_appendix(cfg: ExperimentConfig) -> dict:
     xi = self_xi(cfg)
-    out = []
+    out = {}
     n = cfg.n_samples
 
     cov2 = np.array([[1.0, 0.3], [0.3, 2.0]])
     cov4 = 0.8 * np.eye(4) + 0.15
-    for which, cov in [("IBP1", cov2), ("IBP2", np.eye(3) + 0.2),
-                       ("CM1", np.array([[1.0, 0.4], [0.4, 1.0]])),
-                       ("CM2", cov4), ("CM3", cov4)]:
-        lhs, rhs, se = fields.gaussian_identity_check(
-            which, cov, max(n, 20000), make_rng(cfg.seed, 40 + len(out)))
-        out.append(CheckResult.statistical(f"gaussian-{which.lower()}", lhs, rhs,
-                                           se, "gaussian-identities"))
+    for i, (which, cov) in enumerate([("IBP1", cov2), ("IBP2", np.eye(3) + 0.2),
+                                      ("CM1", np.array([[1.0, 0.4], [0.4, 1.0]])),
+                                      ("CM2", cov4), ("CM3", cov4)]):
+        out[f"gaussian-{which.lower()}"] = fields.gaussian_identity_check(
+            which, cov, max(n, 20000), make_rng(cfg.seed, 40 + i))
 
     # shift identity of the mean-zero trace measure
     prof = BoundedSmoothProfile(2, scale=0.25)
     symbols = [BoundaryField.basis(1, 4), BoundaryField.basis(4, 4)]
-    lhs, rhs, se = fields.cameron_martin_check(
+    out["trace-shift-identity"] = fields.cameron_martin_check(
         symbols, prof, 0.7 * BoundaryField.basis(1, 4) + 0.4 * BoundaryField.basis(3, 4),
         0.5, cfg.N, max(n, 20000), make_rng(cfg.seed, 46))
-    out.append(CheckResult.statistical("trace-shift-identity", lhs, rhs, se,
-                                       "trace-shift-identity"))
 
     # conjugate-gradient shift identity, deterministic per sample
     rng = make_rng(cfg.seed, 47)
     h = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rng)[0])
     prof2 = ProductProfile.bumps([0.0, 0.0], [3.0, 3.0])
-    resid = fields.tilde_shift_check([BoundaryField.basis(1, 4),
-                                      0.5 * BoundaryField.basis(3, 4)
-                                      + 0.2 * BoundaryField.basis(2, 4)],
-                                     prof2, h, xi)
-    out.append(CheckResult.bound("conjugate-shift-identity", resid, 1e-8,
-                                 "conjugate-shift"))
+    out["conjugate-shift-identity"] = fields.tilde_shift_check(
+        [BoundaryField.basis(1, 4),
+         0.5 * BoundaryField.basis(3, 4) + 0.2 * BoundaryField.basis(2, 4)], prof2, h, xi)
 
-    out.append(CheckResult.bound(
-        "derivative-martingale",
-        generator.derivative_martingale_identity(8, xi, make_rng(cfg.seed, 48)),
-        1e-10, "derivative-martingale"))
+    out["derivative-martingale"] = generator.derivative_martingale_identity(
+        8, xi, make_rng(cfg.seed, 48))
     ranks = [2, 8, min(32, cfg.M // 4)]
     growth = generator.truncated_second_moment_growth(
         cfg.N, xi, BoundaryField.constant(1.0, 2), ranks, M=cfg.M)
-    out.append(CheckResult.bound("renormalized-drift-divergence",
-                                 float(not (growth[0] < growth[1] < growth[2])), 0.5,
-                                 "renormalized-drift-divergence",
-                                 series={"rank": ranks, "second_moment": growth}))
+    out["renormalized-drift-divergence"] = (
+        float(not (growth[0] < growth[1] < growth[2])), 0.0, 0.0,
+        {"rank": ranks, "second_moment": growth})
 
     # exploration-drift comparison
     rngq = make_rng(cfg.seed, 49)
@@ -700,49 +690,37 @@ def run_appendix(cfg: ExperimentConfig) -> list[CheckResult]:
     hq = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rngq)[0])
     nu = gmc.CircleMeasure(np.exp(0.3 * np.cos(grid_angles(cfg.M))))
     nu = nu * (1.0 / nu.total_mass)
-    cmp = generator.qle_drift_compare(p, f, hq, nu)
-    out.append(CheckResult.bound("exploration-drift", cmp["residual"], 1e-4,
-                                 "exploration-drift"))
+    out["exploration-drift"] = generator.qle_drift_compare(p, f, hq, nu)["residual"]
     p0 = p - BoundaryField.constant(p.mean(), 1)
-    cmp0 = generator.qle_drift_compare(p0, realize_symbol(p0), hq, nu)
-    out.append(CheckResult.bound("exploration-drift-meanzero", cmp0["residual"],
-                                 1e-4, "exploration-drift"))
+    out["exploration-drift-meanzero"] = generator.qle_drift_compare(
+        p0, realize_symbol(p0), hq, nu)["residual"]
 
     # projected symmetric integration by parts
     P = [BoundaryField.basis(0, 2), BoundaryField.basis(1, 2), BoundaryField.basis(2, 2)]
-    out.append(CheckResult.bound("projection-covariance",
-                                 generator.projection_covariance_identity(
-                                     [BoundaryField.basis(1, 2), BoundaryField.basis(2, 2)],
-                                     N=cfg.N, M=cfg.M),
-                                 1e-10, "projection-covariance"))
+    out["projection-covariance"] = generator.projection_covariance_identity(
+        [BoundaryField.basis(1, 2), BoundaryField.basis(2, 2)], N=cfg.N, M=cfg.M)
     Fprof = ProductProfile.bumps([0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
     G = _fixture_g(cfg.N)
-    proj = generator.projected_symmetric_ibp_check(P, Fprof, G, n,
-                                                   make_rng(cfg.seed, 50),
+    proj = generator.projected_symmetric_ibp_check(P, Fprof, G, n, make_rng(cfg.seed, 50),
                                                    N=cfg.N, M=cfg.M)
-    out.append(CheckResult.statistical("projected-symmetric-ibp", proj.lhs,
-                                       proj.rhs, proj.stderr, "projected-ibp"))
+    out["projected-symmetric-ibp"] = (proj.lhs, proj.rhs, proj.stderr)
 
     # rotation identity and potential-gradient integration by parts
     F = _fixture_functional(cfg.N)
     est, se = generator.rotational_invariance_check(
         BoundaryField.basis(3, 4) + BoundaryField.constant(0.2, 4), F, n,
         make_rng(cfg.seed, 51), N=cfg.N, M=cfg.M)
-    out.append(CheckResult.statistical("rotation-identity", est, 0.0, se,
-                                       "rotation-identity"))
-    G2 = _fixture_g(cfg.N)
+    out["rotation-identity"] = (est, 0.0, se)
     est2, se2 = generator.ibp_hdmuf_check(0.5 * BoundaryField.basis(1, 4)
                                           + BoundaryField.constant(0.1, 4),
-                                          F, G2, n, make_rng(cfg.seed, 52),
+                                          F, G, n, make_rng(cfg.seed, 52),
                                           N=cfg.N, M=cfg.M)
-    out.append(CheckResult.statistical("field-transport-ibp", est2, 0.0, se2,
-                                       "field-transport-ibp"))
+    out["field-transport-ibp"] = (est2, 0.0, se2)
     est3, se3 = generator.ibp_potential_check(
         BoundaryField.constant(0.3, 2) + 0.5 * BoundaryField.basis(2, 2),
         BoundaryField.basis(1, 2), F, n, make_rng(cfg.seed, 53),
         N=cfg.N, M=cfg.M)
-    out.append(CheckResult.statistical("potential-gradient-ibp", est3, 0.0, se3,
-                                       "potential-gradient-ibp"))
+    out["potential-gradient-ibp"] = (est3, 0.0, se3)
     return out
 
 
@@ -775,54 +753,20 @@ DESCRIPTIONS = {
 def describe(suite: str) -> dict:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    names = _CHECK_INVENTORY.get(suite)
-    return {"suite": suite, "description": DESCRIPTIONS[suite], "checks": names}
-
-
-_CHECK_INVENTORY = {
-    "identities": ["conjugation-basis-action", "conjugation-involution",
-                   "conjugation-antisymmetry", "normal-derivative-eigenbasis",
-                   "normal-tangential-exchange", "normal-derivative-square",
-                   "principal-value-conjugation", "grid-roundtrip", "parseval",
-                   "kernel-row_integral", "kernel-diagonal",
-                   "kernel-symmetric_contraction", "kernel-antisymmetric_contraction",
-                   "kernel-mean_decomposition", "kernel-sign-formula",
-                   "kernel-finite-rank-decay", "localization-log_pairing",
-                   "localization-conformal_factor", "localization-green_pairing",
-                   "kernel-field-pairing", "transport-two-routes",
-                   "transport-measure-linearity"],
-    "gmc": ["chaos-mean-mass", "chaos-second-moment", "chaos-shift-scaling",
-            "chaos-derivative", "chaos-weighted-field", "inverse-map-smooth-decay",
-            "inverse-map-l2-decay", "inverse-map-variance-ratio"],
-    "loewner": ["uniform-flow-scaling", "uniform-flow-lifetime",
-                "conformal-radius-routes", "conformal-radius-value",
-                "conformal-radius-mass2", "atom-euler-step", "mapper-capacity",
-                "hadamard-variation", "hadamard-order", "smooth-metric-driving",
-                "smooth-metric-linear-decay", "reparametrization-speed",
-                "lifetime-monotonicity"],
-    "invariance": ["pure-gravity-gamma-squared", "pure-gravity-dimension",
-                   "pure-gravity-Q", "pure-gravity-residuals",
-                   "invariance-pure-gravity", "invariance-residual-alpha",
-                   "invariance-residual-chi", "invariance-residual-beta",
-                   "invariance-residual-c", "generator-bulk-boundary"],
-    "dirichlet": ["dirichlet-form-split", "dirichlet-form-swapped",
-                  "dirichlet-exchange", "dirichlet-self-antisymmetry",
-                  "divergence-form"],
-    "dynamics": ["mass-drift-slope", "mass-scaled-drift", "mass-bracket",
-                 "mass-step-convergence", "mass-positivity", "mass-martingale",
-                 "ou-stationary-variance", "ou-spectral-gap",
-                 "driving-from-state-radial"],
-    "appendix": ["gaussian-ibp1", "gaussian-ibp2", "gaussian-cm1", "gaussian-cm2",
-                 "gaussian-cm3", "trace-shift-identity", "conjugate-shift-identity",
-                 "derivative-martingale", "renormalized-drift-divergence",
-                 "exploration-drift", "exploration-drift-meanzero",
-                 "projection-covariance", "projected-symmetric-ibp",
-                 "rotation-identity", "field-transport-ibp",
-                 "potential-gradient-ibp"],
-}
+    return {"suite": suite, "description": DESCRIPTIONS[suite],
+            "checks": [name for name, *_ in CHECKS[suite]]}
 
 
 def run_suite(cfg: ExperimentConfig) -> list[CheckResult]:
+    """Run cfg.suite and gate each of its measurements as CHECKS declares."""
     if cfg.suite not in SUITES:
         raise KeyError(f"unknown suite {cfg.suite!r}; available: {list_suites()}")
-    return SUITES[cfg.suite](cfg)
+    measured = SUITES[cfg.suite](cfg)
+    rows = CHECKS[cfg.suite]
+    declared = {name for name, *_ in rows}
+    if set(measured) != declared:
+        raise CheckTableError(
+            f"{cfg.suite}: measured but undeclared {sorted(set(measured) - declared)}, "
+            f"declared but unmeasured {sorted(declared - set(measured))}")
+    values = {name: m if isinstance(m, tuple) else (m,) for name, m in measured.items()}
+    return [CheckResult.gated(*row, *values[row[0]]) for row in rows]

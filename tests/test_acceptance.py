@@ -16,8 +16,7 @@ from growthlab.disk import DiskTestFunction, bump, realize_symbol
 from growthlab.profiles import ProductProfile
 from growthlab.rng import make_rng
 from growthlab.spectral import BoundaryField, conjugate_pv, grid_angles
-from growthlab.suites import (ExperimentConfig, _fixture_functional,
-                              _fixture_g, run_appendix, run_identities)
+from growthlab.suites import _fixture_functional, _fixture_g
 
 N, M = 64, 256
 XI = 1.0 / np.sqrt(6.0)

@@ -10,8 +10,9 @@ import pytest
 from growthlab.dynamics import path_to_csv, simulate_symmetric
 from growthlab.gmc import CircleMeasure
 from growthlab.rng import make_rng
-from growthlab.suites import (CheckResult, ExperimentConfig, describe, not_decaying,
-                              run_suite)
+from growthlab import suites
+from growthlab.suites import (CHECKS, CheckResult, CheckTableError, ExperimentConfig,
+                              describe, not_decaying, run_suite)
 
 LIGHT = {
     "identities": dict(N=32, M=128, n_samples=300),
@@ -106,8 +107,7 @@ def test_rel_gate_measures_against_the_target():
     target = 3.7
 
     def passes(lhs):
-        return CheckResult.deterministic("rel", lhs, target, 0.02, "rel-gate",
-                                         gate="rel").passed
+        return CheckResult.gated("rel", "rel", 0.02, "rel-gate", lhs, target).passed
 
     assert not passes(1.0204 * target)
     assert not passes(0.9796 * target)
@@ -118,12 +118,47 @@ def test_rel_gate_measures_against_the_target():
 def test_decay_gates_can_fail():
     # the inverse-map l2 decay check passes only on strictly falling errors
     def gate(errs):
-        return CheckResult.bound("inverse-map-l2-decay", not_decaying(errs),
-                                 0.5, "inverse-map").passed
+        return CheckResult.gated("inverse-map-l2-decay", "bound", 0.5, "inverse-map",
+                                 not_decaying(errs)).passed
 
     assert gate([0.0527, 0.0504, 0.0500])
     for errs in ([0.05, 0.06, 0.04], [0.05, 0.04, 0.04], [0.03, 0.04, 0.05]):
         assert not gate(errs), errs
+
+
+# (tol, passing (lhs, rhs, stderr), failing (lhs, rhs, stderr)) of each gate
+GATE_CASES = {
+    "abs": (1e-8, (1.0 + 5e-9, 1.0, 0.0), (1.0 + 2e-8, 1.0, 0.0)),
+    "rel": (0.02, (0.0101, 0.01, 0.0), (0.0103, 0.01, 0.0)),
+    "3se": (3.0, (1.29, 1.0, 0.1), (0.69, 1.0, 0.1)),
+    "bound": (0.5, (0.0, 7.0, 1.0), (1.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_CASES))
+def test_every_gate_kind_can_fail(gate):
+    tol, ok, bad = GATE_CASES[gate]
+    good = CheckResult.gated("check", gate, tol, "anchor", *ok)
+    assert good.passed and good.gate == gate and good.tol == tol
+    assert not CheckResult.gated("check", gate, tol, "anchor", *bad).passed
+    if gate == "bound":     # a bound keeps its lhs alone
+        assert (good.rhs, good.stderr) == (0.0, 0.0)
+    else:
+        assert (good.lhs, good.rhs, good.stderr) == ok
+
+
+def test_run_suite_gates_in_table_order_and_raises_on_a_stray_name(monkeypatch):
+    names = [row[0] for row in CHECKS["dirichlet"]]
+    measured = {name: (1.0, 1.0, 0.1) for name in reversed(names)}
+    monkeypatch.setitem(suites.SUITES, "dirichlet", lambda cfg: dict(measured))
+    cfg = ExperimentConfig(suite="dirichlet")
+    assert [r.name for r in run_suite(cfg)] == names
+    measured["dirichlet-undeclared"] = 0.0
+    with pytest.raises(CheckTableError, match="dirichlet-undeclared"):
+        run_suite(cfg)
+    del measured["dirichlet-undeclared"], measured["divergence-form"]
+    with pytest.raises(CheckTableError, match="divergence-form"):
+        run_suite(cfg)
 
 
 def test_measure_path_csv_roundtrip(tmp_path):
