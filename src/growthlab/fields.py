@@ -285,22 +285,20 @@ def mean_zero_pairing(h: BoundaryField, p: BoundaryField) -> float:
 # -- zero-mode localization -----------------------------------------------------
 
 
-def m_support(blocks, margin_sigmas: float = 8.0):
+def m_support(blocks):
     """Localized m-interval per sample from compact profile blocks.
 
-    Each block is (base, slopes, box, sigmas): base (B, n) pairing values
-    at m = 0, slopes (n,) their m-derivatives, box the profile support and
-    sigmas per-coordinate mollification scales (zeros when raw).  Raises
+    Each block is (base, slopes, box): base (B, n) pairing values at m = 0,
+    slopes (n,) their m-derivatives and box the profile support.  Raises
     if no coordinate anywhere carries a nonzero slope.
     """
     B = blocks[0][0].shape[0]
     lo = np.full(B, -np.inf)
     hi = np.full(B, np.inf)
     any_slope = False
-    for base, slopes, box, sigmas in blocks:
+    for base, slopes, box in blocks:
         for j, s in enumerate(slopes):
-            a = box[j][0] - margin_sigmas * sigmas[j]
-            b = box[j][1] + margin_sigmas * sigmas[j]
+            a, b = box[j]
             if s == 0.0:
                 dead = (base[:, j] < a) | (base[:, j] > b)
                 lo[dead], hi[dead] = np.inf, -np.inf
@@ -351,13 +349,12 @@ def rho_expectation(obs: CylindricalObservable, N: int, n_samples: int,
     slopes = obs.slopes()
     if obs.mass_power and not 0.0 < obs.xi < 1.0:
         raise ValueError("chaos parameter must lie in (0, 1)")
-    sigmas = np.zeros(len(obs.symbols))
     rate = delta + obs.mass_power * obs.mass_sign * obs.xi
 
     def per_batch(b):
         coeffs = sample_trace_batch(N, b, rng)
         base = np.stack([pair_symbol(coeffs, p) for p in obs.symbols], axis=-1)
-        lo, hi = m_support([(base, slopes, obs.profile.box, sigmas)])
+        lo, hi = m_support([(base, slopes, obs.profile.box)])
         if obs.mass_power:
             vals = batch_values(coeffs, M)
             dens = chaos_density_batch(vals, obs.mass_sign, obs.xi, N)

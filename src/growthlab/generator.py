@@ -287,8 +287,7 @@ def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
 def _m_interval(*blocks):
     """Per-sample m-interval on which every (base, slopes, profile) block is
     inside its profile's support box."""
-    return m_support([(base, slopes, prof.box, np.zeros(len(slopes)))
-                      for base, slopes, prof in blocks])
+    return m_support([(base, slopes, prof.box) for base, slopes, prof in blocks])
 
 
 def _zero_mode_rows(blocks, inputs, fn, n_out, n_samples: int,
@@ -489,8 +488,6 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
     product term plus the mean-mass term), under common random numbers.
     """
     params = CouplingParams.pure_gravity()
-    F.require_guard()
-    G.require_guard()
     xi = params.xi
     delta = params.zero_mode_weight
     nF, nG = F.dim, G.dim
@@ -798,8 +795,6 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
     boundary-spectral, common random numbers.
     """
     params = CouplingParams.pure_gravity()
-    F.require_guard()
-    G.require_guard()
     xi, delta, c = params.xi, params.zero_mode_weight, params.c
     nF, nG = F.dim, G.dim
     left = [[contract_left(p, q, M) for q in G.symbols] for p in F.symbols]

@@ -187,13 +187,11 @@ def test_rho_expectation_guard():
 
 def test_m_support_intersection():
     base = np.array([[0.0, 5.0]])
-    lo, hi = m_support([(base, np.array([1.0, 0.0]), [(-1.0, 1.0), (-6.0, 6.0)],
-                        np.zeros(2))])
+    lo, hi = m_support([(base, np.array([1.0, 0.0]), [(-1.0, 1.0), (-6.0, 6.0)])])
     assert lo[0] == -1.0 and hi[0] == 1.0
     # dead row: slope-free coordinate outside its box
     base2 = np.array([[0.0, 50.0]])
-    lo2, hi2 = m_support([(base2, np.array([1.0, 0.0]), [(-1.0, 1.0), (-6.0, 6.0)],
-                          np.zeros(2))])
+    lo2, hi2 = m_support([(base2, np.array([1.0, 0.0]), [(-1.0, 1.0), (-6.0, 6.0)])])
     assert hi2[0] - lo2[0] == 0.0
 
 

@@ -187,6 +187,18 @@ def test_zero_mode_estimators_raise_before_any_draw(name):
     assert rng.random() == make_rng(1).random()
 
 
+def test_dirichlet_pairs_take_a_second_functional_without_zero_mode():
+    """F's block alone localizes the zero mode, so the second functional of
+    the Dirichlet form and the divergence-form route needs no nonzero-mean
+    symbol of its own."""
+    F, D = fixture_F(), _no_zero_mode()
+    res = dirichlet_form(F, D, 3000, make_rng(1), N=16, M=64)
+    div = divergence_form_check(F, D, 2000, make_rng(1), N=16, M=64)
+    for est in (res.forward, res.swapped, div):
+        assert np.isfinite([est.lhs, est.rhs, est.stderr]).all() and est.stderr > 0.0
+        assert est.consistent(3.0), (est.lhs, est.rhs, est.z)
+
+
 def test_generator_bulk_vs_localized_integrand():
     F = fixture_F()
     fs = F.realized()
