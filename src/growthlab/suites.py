@@ -126,7 +126,8 @@ CHECKS = {
         ("parseval", "abs", 1e-10, "fourier-basis"),
         *_rows("kernel-row_integral kernel-diagonal kernel-symmetric_contraction "
                "kernel-antisymmetric_contraction kernel-mean_decomposition "
-               "kernel-sign-formula", "abs", 1e-8, "kernel-contractions"),
+               "kernel-spectral_left_contraction kernel-sign-formula",
+               "abs", 1e-8, "kernel-contractions"),
         ("kernel-finite-rank-decay", "bound", 0.5, "kernel-finite-rank"),
         *_rows("localization-log_pairing localization-conformal_factor "
                "localization-green_pairing", "rel", 1e-4, "boundary-localization"),
@@ -261,10 +262,7 @@ def run_identities(cfg: ExperimentConfig) -> dict:
     out["parseval"] = float(np.sum(p.coeffs ** 2)) - float(np.sum(grid ** 2) * TWO_PI / M)
 
     # kernel contractions
-    suite = kernels.contraction_suite(p, q)
-    for key in ("row_integral", "diagonal", "symmetric_contraction",
-                "antisymmetric_contraction", "mean_decomposition"):
-        out[f"kernel-{key}"] = suite[key]
+    out.update({f"kernel-{k}": v for k, v in kernels.contraction_suite(p, q).items()})
     out["kernel-sign-formula"] = max(kernels.sign_formula_residual(2, 5),
                                      kernels.sign_formula_residual(5, 2),
                                      kernels.sign_formula_residual(3, 3))
