@@ -15,7 +15,11 @@ and whether the two sides wrote byte-identical report.json files.  When
 they did not, `report_deltas` records, per check and over all pairs, the
 largest |change - parent| of lhs, rhs and stderr, of z = (lhs - rhs) /
 stderr (null for a check without a stderr), and whether its `passed`
-flag flipped, so that a roundoff-level move shows as one.
+flag flipped, so that a roundoff-level move shows as one.  Beside the
+summed counts stand each side's failed share (failed / attempted) and
+every run's attempted count: a run fits as many rounds as its time
+allows, so a side that fits a round fewer attempts fewer operations at
+the same share.
 
     python3 scripts/bench_compare.py --parent ../parent --change . --number 7 \\
         --workload invariance --workload dirichlet --workload dynamics
@@ -117,10 +121,13 @@ def summarize(spec, parent_runs, change_runs, same_report: bool) -> dict:
     sides = {}
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         ran = [r for r in runs if r is not None]
+        attempted = sum(r["attempted"] for r in ran)
+        failed = sum(r["failed"] for r in ran)
         sides[side] = {"correct": len(ran) == len(runs) and all(r["correct"] for r in ran),
                        "failed_runs": len(runs) - len(ran),
-                       "attempted": sum(r["attempted"] for r in ran),
-                       "failed": sum(r["failed"] for r in ran)}
+                       "attempted": attempted, "failed": failed,
+                       "failed_share": failed / attempted if attempted else None,
+                       "attempted_per_run": [r["attempted"] for r in ran]}
     return {"pairs": len(done), "report_bytes_match": same_report,
             "runs": sides, "metrics": metrics}
 

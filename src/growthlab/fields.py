@@ -56,6 +56,15 @@ class CouplingParams:
 
     @classmethod
     def pure_gravity(cls) -> "CouplingParams":
+        """The couplings solving the invariance relations for metric growth.
+
+        With (alpha, chi, beta) = (-2Q + gamma, -Q, 0) the first relation
+        forces 2 xi in {gamma/2, 2/gamma}.  The second branch gives
+        d = gamma^2, which the dimension bound d >= 2 + gamma^2/2 rejects:
+        it would need gamma^2 >= 4.  The surviving branch fixes d = 4, and
+        the mean-shift relations select Q = 5 gamma / 4, hence
+        gamma^2 = 8/3.
+        """
         gamma = np.sqrt(8.0 / 3.0)
         xi = 1.0 / np.sqrt(6.0)
         Q = 5.0 / np.sqrt(6.0)

@@ -4,7 +4,9 @@ and the Dirichlet form with its symmetric/antisymmetric split.
 Drifts are assembled in two interchangeable forms: a bulk form pairing the
 transported test function against the field by disk quadrature, and a
 boundary form in which every term is a circle integral against the driving
-measure (the V-kernel carries the field pairing).  Measure-level checks
+measure (the V-kernel carries the field pairing).  _TraceBatch holds the
+boundary form once: the estimators evaluate it per sample, and the
+per-configuration routes on a batch of one.  Measure-level checks
 run Monte Carlo over trace samples with the zero mode integrated per
 sample; left and right sides always share random numbers, and gates are
 placed at three standard errors of the paired difference.
@@ -19,11 +21,11 @@ import numpy as np
 from .disk import DiskTestFunction, realize_symbol
 from .fields import (CouplingParams, IntegrabilityError, batch_values,
                      bulk_covariance_matrix, m_support, mean_stderr,
-                     mean_zero_pairing, monte_carlo_rows, pair_dnh, pair_symbol,
-                     sample_trace_batch, truncated_boundary_covariance)
-from .gmc import CircleMeasure, chaos_density_batch
+                     monte_carlo_rows, pair_dnh, pair_symbol, sample_trace_batch,
+                     truncated_boundary_covariance)
+from .gmc import CircleMeasure, chaos_density_batch, chaos_measure
 from .kernels import (bulk_pairings, contract_left, dmu_modes, operator_a,
-                      vkernel_pair_dnh)
+                      vkernel_dnh_grid)
 from .profiles import MollifiedProfile, ProductProfile
 from .quadrature import (batched_gauss_panels, gauss_legendre,
                          green_pair_modes)
@@ -54,98 +56,71 @@ class CylindricalFunctional:
     def slopes(self) -> np.ndarray:
         return np.array([p.integral() for p in self.symbols])
 
-    @property
-    def has_nonzero_mean_symbol(self) -> bool:
-        return bool(np.any(self.slopes() != 0.0))
-
-    def require_guard(self):
-        if not self.has_nonzero_mean_symbol:
-            raise IntegrabilityError(
-                "functional has no nonzero-mean symbol; zero-mode integral diverges")
-
     def realized(self) -> list:
         if self._realized is None:
             self._realized = [realize_symbol(p, self.annulus) for p in self.symbols]
         return self._realized
 
 
-# -- pure gravity --------------------------------------------------------------
+# -- the generator -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PureGravitySolution:
-    gamma: float
-    d_gamma: float
-    xi: float
-    Q: float
-    two_pi_c: float
-    residuals: tuple
-    rejected_branch: str
+class _TraceBatch:
+    """Trace fields with their driving measures on a grid, and the
+    generator's per-field terms against them: the drift b(p), the
+    diffusion sigma(p, q) and the V-kernel pairing.  The only
+    implementation of these terms, used by every estimator per sample and
+    by the per-configuration routes on a batch of one.
 
-
-def pure_gravity_solve() -> PureGravitySolution:
-    """Solve the invariance relations for the metric-growth couplings.
-
-    With (alpha, chi, beta) = (-2Q + gamma, -Q, 0) the first relation
-    forces 2 xi in {gamma/2, 2/gamma}; the second branch gives
-    d = gamma^2, excluded by the dimension bound d >= 2 + gamma^2/2 which
-    would force gamma^2 >= 4.  The surviving branch fixes d = 4, and the
-    mean-shift relations select Q = 5 gamma / 4, hence gamma^2 = 8/3.
+    draw() samples fields against the chaos e^{-xi h} at m = 0; at() holds
+    one field h against a given measure mu.
     """
-    gamma = np.sqrt(8.0 / 3.0)
-    d_gamma = 4.0
-    xi = gamma / d_gamma
-    Q = gamma / 2.0 + 2.0 / gamma
-    two_pi_c = -xi
-    chi = -Q
-    alpha = -2.0 * Q + gamma
-    residuals = (abs(2.0 * xi + 1.0 / (2.0 * xi) + chi),
-                 abs(chi - alpha + two_pi_c),
-                 abs(two_pi_c ** 2 - xi ** 2),
-                 0.0)
-    # rejected branch: 2 xi = 2/gamma means d = gamma^2; the bound
-    # d >= 2 + gamma^2/2 then needs gamma^2 >= 4, impossible below 2
-    g2 = 4.0  # gamma^2 demanded by the rejected branch at the bound
-    rejected = (f"d = gamma^2 rejected: requires gamma^2 >= {g2}, "
-                "outside (0, 4)")
-    return PureGravitySolution(gamma, d_gamma, xi, Q, two_pi_c, residuals, rejected)
 
+    def __init__(self, coeffs: np.ndarray, grid: np.ndarray, mu0: np.ndarray):
+        self.M = grid.shape[-1]
+        self.dtheta = TWO_PI / self.M
+        self.coeffs = coeffs
+        self.dnh = grid_dirichlet_to_neumann(grid)
+        self.dnh_conj = grid_conjugate(self.dnh)
+        self.mu0 = mu0
+        self.mass0 = mu0.sum(axis=1) * self.dtheta
 
-# -- deterministic generator pieces ---------------------------------------------
+    @classmethod
+    def draw(cls, N: int, b: int, rng: np.random.Generator, xi: float,
+             M: int) -> "_TraceBatch":
+        """b mean-zero trace samples of degree N against their chaos."""
+        coeffs = sample_trace_batch(N, b, rng)
+        grid = batch_values(coeffs, M)
+        return cls(coeffs, grid, chaos_density_batch(grid, -1, xi, N))
 
+    @classmethod
+    def at(cls, h: BoundaryField, mu: CircleMeasure) -> "_TraceBatch":
+        """A batch of one: the field h against the measure mu."""
+        return cls(h.coeffs[None, :], h.values(mu.M)[None, :], mu.density[None, :])
 
-def diffusion(p: BoundaryField, q: BoundaryField, mu: CircleMeasure) -> float:
-    """sigma(p, q) = (2 pi)^2 int p q d mu."""
-    return TWO_PI ** 2 * mu.integrate(p.values(mu.M) * q.values(mu.M))
+    def mu_int(self, gvals) -> np.ndarray:
+        """Integral of grid values against each sample's measure."""
+        return (self.mu0 * gvals).sum(axis=-1) * self.dtheta
 
+    def bases(self, symbols) -> np.ndarray:
+        """(B, n) pairings of the mean-zero fields with each symbol."""
+        return np.stack([pair_symbol(self.coeffs, p) for p in symbols], axis=-1)
 
-def drift_boundary(p: BoundaryField, h: BoundaryField, mu: CircleMeasure,
-                   params: CouplingParams) -> float:
-    """Boundary-localized drift b(p)."""
-    vterm = mu.integrate(vkernel_pair_dnh(p, h, mu.M))
-    a = mu.integrate_field(p)
-    b = mu.integrate_field(p.dirichlet_to_neumann())
-    return (vterm - TWO_PI * params.chi * b + TWO_PI * (params.chi - params.alpha) * a
-            - params.beta * p.integral())
+    def vpair_dnh(self, p: BoundaryField) -> np.ndarray:
+        """V-kernel drift term: pairing of V_p with the field's normal data."""
+        return self.mu_int(vkernel_dnh_grid(p.conjugate().values(self.M), self.dnh,
+                                            self.dnh_conj))
 
+    def drift(self, p: BoundaryField, params: CouplingParams) -> np.ndarray:
+        """Measure part of the drift b(p) per sample; the full drift
+        subtracts beta int p dl, which does not scale with the measure."""
+        return (self.vpair_dnh(p)
+                - TWO_PI * params.chi * self.mu_int(p.dirichlet_to_neumann().values(self.M))
+                + TWO_PI * (params.chi - params.alpha) * self.mu_int(p.values(self.M)))
 
-def drift_bulk(f: DiskTestFunction, h: BoundaryField, mu: CircleMeasure,
-               params: CouplingParams, nr: int = 48) -> float:
-    """Bulk-form drift: field pairing of the transported test function."""
-    bulk = bulk_pairings(f, mu, nr, h)
-    p = f.poisson_adjoint()
-    return (bulk["harmonic"] - TWO_PI * params.alpha * mu.integrate_field(p)
-            + params.chi * bulk["conformal"] - params.beta * p.integral())
-
-
-def _at_configuration(F: CylindricalFunctional, h: BoundaryField, m: float,
-                      xi: float, M: int):
-    """Chaos measure e^{-xi (h + m)} and the pairings <h + m, p_i> at one field."""
-    dens = chaos_density_batch(h.values(M)[None, :], -1, xi, h.degree)[0]
-    mu = CircleMeasure(dens * np.exp(-xi * m))
-    args = np.array([mean_zero_pairing(h, p) + (h.mean() + m) * p.integral()
-                     for p in F.symbols])
-    return mu, args
+    def diffusion(self, p: BoundaryField, q: BoundaryField) -> np.ndarray:
+        """sigma(p, q) = (2 pi)^2 int p q dmu per sample."""
+        return TWO_PI ** 2 * self.mu_int(p.values(self.M) * q.values(self.M))
 
 
 def _generator_term(b, sig, grad, hess):
@@ -161,70 +136,13 @@ def _generator_term(b, sig, grad, hess):
     return out
 
 
-def _generator_at(F: CylindricalFunctional, h: BoundaryField, mu: CircleMeasure,
-                  params: CouplingParams, grad, hess) -> float:
-    """Generator term at one configuration from drift_boundary and diffusion
-    against mu, with the profile's derivatives grad and hess there."""
-    b = [drift_boundary(p, h, mu, params) for p in F.symbols]
-    sig = [[diffusion(p, q, mu) for q in F.symbols] for p in F.symbols]
-    return float(_generator_term(b, sig, grad, hess))
-
-
-def apply_generator(F: CylindricalFunctional, h: BoundaryField, m: float,
-                    params: CouplingParams, mu: CircleMeasure | None = None,
-                    M: int = 256) -> float:
-    """Generator applied to a cylindrical functional at one configuration.
-
-    The driving measure defaults to the chaos e^{-xi h} of the full field
-    h + m.
-    """
-    F.require_guard()
-    chaos, args = _at_configuration(F, h, m, params.xi, M)
-    mu = chaos if mu is None else mu
-    return _generator_at(F, h, mu, params, F.profile.grad(args[None, :])[0],
-                         F.profile.hess(args[None, :])[0])
-
-
-# -- shared Monte Carlo batch ----------------------------------------------------
-
-
-class _TraceBatch:
-    """Per-batch grids and chaos data shared by the estimators."""
-
-    def __init__(self, N: int, b: int, rng: np.random.Generator, xi: float, M: int):
-        self.M = M
-        self.dtheta = TWO_PI / M
-        self.coeffs = sample_trace_batch(N, b, rng)
-        self.grid = batch_values(self.coeffs, M)
-        self.dnh = grid_dirichlet_to_neumann(self.grid)
-        self.dnh_conj = grid_conjugate(self.dnh)
-        self.mu0 = chaos_density_batch(self.grid, -1, xi, N)
-        self.mass0 = self.mu0.sum(axis=1) * self.dtheta
-
-    def mu_int(self, gvals) -> np.ndarray:
-        """Integral of grid values against the m=0 chaos measure."""
-        return (self.mu0 * gvals).sum(axis=-1) * self.dtheta
-
-    def bases(self, symbols) -> np.ndarray:
-        """(B, n) pairings of the samples with each symbol, at m = 0."""
-        return np.stack([pair_symbol(self.coeffs, p) for p in symbols], axis=-1)
-
-    def vpair_dnh(self, p: BoundaryField) -> np.ndarray:
-        """V-kernel drift term: pairing of V_p with the field's normal data."""
-        pt = p.conjugate().values(self.M)
-        W = TWO_PI * (pt * self.dnh_conj - grid_conjugate(self.dnh * pt))
-        return self.mu_int(W)
-
-    def drift(self, p: BoundaryField, params: CouplingParams) -> np.ndarray:
-        """Chaos part of the drift b(p) per sample: drift_boundary at m = 0
-        without its beta term, which does not scale with the measure."""
-        return (self.vpair_dnh(p)
-                - TWO_PI * params.chi * self.mu_int(p.dirichlet_to_neumann().values(self.M))
-                + TWO_PI * (params.chi - params.alpha) * self.mu_int(p.values(self.M)))
-
-    def diffusion(self, p: BoundaryField, q: BoundaryField) -> np.ndarray:
-        """sigma(p, q) = (2 pi)^2 int p q dmu per sample, at m = 0."""
-        return TWO_PI ** 2 * self.mu_int(p.values(self.M) * q.values(self.M))
+def drift_bulk(f: DiskTestFunction, h: BoundaryField, mu: CircleMeasure,
+               params: CouplingParams, nr: int = 48) -> float:
+    """Bulk-form drift: field pairing of the transported test function."""
+    bulk = bulk_pairings(f, mu, nr, h)
+    p = f.poisson_adjoint()
+    return (bulk["harmonic"] - TWO_PI * params.alpha * mu.integrate_field(p)
+            + params.chi * bulk["conformal"] - params.beta * p.integral())
 
 
 def _nested(f, rows):
@@ -318,7 +236,7 @@ def _zero_mode_rows(blocks, inputs, fn, n_out, n_samples: int,
         return fn(m, *psi, *shaped)
 
     def per_batch(b):
-        tb = _TraceBatch(N, b, rng, xi, M)
+        tb = _TraceBatch.draw(N, b, rng, xi, M)
         bases = [tb.bases(symbols) + shift for symbols, _, _, shift in blocks]
         rows = [bases, inputs(tb)]
         if isinstance(profiles[0], MollifiedProfile):
@@ -434,15 +352,29 @@ def _log_shift(F: CylindricalFunctional, params: CouplingParams) -> np.ndarray:
     return params.alpha * np.array([f.log_pairing() for f in F.realized()])
 
 
+def _configuration(F: CylindricalFunctional, params: CouplingParams,
+                   h: BoundaryField, m: float, M: int):
+    """One field h with zero mode m: the _TraceBatch of h against its chaos
+    mu = e^{-xi (h + m)}, mu, and the profile argument <h + m, p_i> plus the
+    log shift, shaped (1, n)."""
+    mu = chaos_measure(h, -1, params.xi, M) * np.exp(-params.xi * m)
+    tb = _TraceBatch.at(h, mu)
+    return tb, mu, tb.bases(F.symbols) + (h.mean() + m) * F.slopes() + _log_shift(F, params)
+
+
 def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
                            h: BoundaryField, m: float, psit: MollifiedProfile,
                            M: int = 256) -> float:
     """Boundary-localized form of the stationarity integrand at one
-    configuration (the fast route the Monte Carlo estimator uses)."""
-    mu, args = _at_configuration(F, h, m, params.xi, M)
-    x, n = (args + _log_shift(F, params))[None, :], F.dim
-    return _generator_at(F, h, mu, params, [psit.grad_entry(i, x)[0] for i in range(n)],
-                         [[psit.hess_entry(i, j, x)[0] for j in range(n)] for i in range(n)])
+    configuration: the generator term of the Monte Carlo estimators, with
+    their _TraceBatch drift and diffusion on a batch of one."""
+    tb, _, x = _configuration(F, params, h, m, M)
+    n = F.dim
+    b = [tb.drift(p, params) - params.beta * p.integral() for p in F.symbols]
+    sig = [[tb.diffusion(p, q) for q in F.symbols] for p in F.symbols]
+    return float(_generator_term(b, sig, [psit.grad_entry(i, x) for i in range(n)],
+                                 [[psit.hess_entry(i, j, x) for j in range(n)]
+                                  for i in range(n)])[0])
 
 
 def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
@@ -451,8 +383,8 @@ def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
     """Generator form of the stationarity integrand at one configuration,
     assembled from bulk quadratures (the cross-check route for the
     boundary-localized estimator)."""
-    mu, args = _at_configuration(F, h, m, params.xi, M)
-    x, fs = (args + _log_shift(F, params))[None, :], F.realized()
+    _, mu, x = _configuration(F, params, h, m, M)
+    fs = F.realized()
     total = 0.0
     K = max(f.degree for f in fs) + 2
     for i, f in enumerate(fs):
@@ -644,7 +576,7 @@ def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
         raise ValueError("exploration drift is stated for probability measures")
     params = CouplingParams.pure_gravity()
     xi, Q = params.xi, params.Q
-    b_ours = drift_boundary(p, h, nu, params)
+    b_ours = float(_TraceBatch.at(h, nu).drift(p, params)[0])    # beta = 0
     hterm = bulk_pairings(f, nu, nr, h)["harmonic"]
     b_ms = (hterm + TWO_PI * Q * nu.integrate_field(p.dirichlet_to_neumann())
             + TWO_PI * xi * nu.integrate_field(p - BoundaryField.constant(p.mean(), 1)))

@@ -147,7 +147,7 @@ def weighted_field_check(f: BoundaryField, symbols: list[BoundaryField], profile
         coeffs = sample_trace_batch(N, b, rng)
         vals = batch_values(coeffs, M)
         dens = chaos_density_batch(vals, 1 if alpha >= 0 else -1, abs(alpha), N)
-        args = np.stack([coeffs @ _padded(p, N) for p in symbols], axis=-1)
+        args = np.stack([coeffs @ p.truncate(N).coeffs for p in symbols], axis=-1)
         lhs = (fv * dens).sum(axis=1) * dtheta * profile.value(args)
         shifted = args[:, None, :] + alpha * shifts[None, :, :]
         rhs = (profile.value(shifted) * fv[None, :]).sum(axis=1) * dtheta
@@ -157,13 +157,6 @@ def weighted_field_check(f: BoundaryField, symbols: list[BoundaryField], profile
     lhs = float(rows[:, 0].mean())
     diff, stderr = mean_stderr(rows[:, 1])
     return lhs, lhs - diff, stderr
-
-
-def _padded(p: BoundaryField, N: int) -> np.ndarray:
-    out = np.zeros(2 * N + 1)
-    n = min(p.degree, N)
-    out[: 2 * n + 1] = p.coeffs[: 2 * n + 1]
-    return out
 
 
 def ball_masses(cells: np.ndarray, eps: float) -> np.ndarray:

@@ -194,12 +194,17 @@ def operator_a(p: BoundaryField, q: BoundaryField, M: int) -> np.ndarray:
     return grid_conjugate(pt * qv - pv * qt)
 
 
+def vkernel_dnh_grid(pt: np.ndarray, dnh: np.ndarray, dnh_conj: np.ndarray) -> np.ndarray:
+    """w -> int V_p(w, w') d_n H h(w') dl(w') = 2 pi (ptilde conj(d_n H h)
+    - conj(d_n H h ptilde)) on the grid, from the grid values of ptilde, of
+    d_n H h and of its conjugate; batched along the last axis."""
+    return 2.0 * np.pi * (pt * dnh_conj - grid_conjugate(dnh * pt))
+
+
 def vkernel_pair_dnh(p: BoundaryField, h: BoundaryField, M: int) -> np.ndarray:
     """w -> int V_p(w, w') d_n H h(w') dl(w'), in closed spectral form."""
-    q = h.dirichlet_to_neumann()
-    qv = q.values(M)
-    pt = p.conjugate().values(M)
-    return 2.0 * np.pi * (pt * grid_conjugate(qv) - grid_conjugate(qv * pt))
+    dnh = h.dirichlet_to_neumann().values(M)
+    return vkernel_dnh_grid(p.conjugate().values(M), dnh, grid_conjugate(dnh))
 
 
 def contraction_suite(p: BoundaryField, q: BoundaryField, M: int | None = None) -> dict:

@@ -5,17 +5,16 @@ from growthlab.disk import realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
                               bulk_covariance_matrix, sample_trace_batch)
 from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
-from growthlab.generator import (CylindricalFunctional, _integrate_live,
-                                 _m_interval, _TraceBatch, apply_generator,
-                                 derivative_martingale_identity, diffusion,
+from growthlab.generator import (CylindricalFunctional, _generator_term,
+                                 _integrate_live, _m_interval, _TraceBatch,
+                                 derivative_martingale_identity,
                                  dirichlet_form, divergence_form_check,
-                                 drift_boundary, drift_bulk, ibp_hdmuf_check,
+                                 drift_bulk, ibp_hdmuf_check,
                                  ibp_potential_check, invariance_bulk_value,
                                  invariance_check, invariance_local_value,
                                  projected_symmetric_ibp_check,
                                  projection_covariance_identity,
-                                 pure_gravity_solve, qle_drift_compare,
-                                 rotational_invariance_check,
+                                 qle_drift_compare, rotational_invariance_check,
                                  truncated_second_moment_growth)
 from growthlab.profiles import BoundedSmoothProfile, MollifiedProfile, ProductProfile
 from growthlab.quadrature import batched_gauss_panels
@@ -39,27 +38,36 @@ def fixture_G():
 
 
 def test_pure_gravity_solution():
-    sol = pure_gravity_solve()
-    assert abs(sol.gamma ** 2 - 8.0 / 3.0) < 1e-14
-    assert sol.d_gamma == 4.0
-    assert abs(sol.xi - 1 / np.sqrt(6)) < 1e-15
-    assert abs(sol.Q - 5 / np.sqrt(6)) < 1e-15
-    assert abs(sol.Q - (2 * sol.xi + 1 / (2 * sol.xi))) < 1e-14
-    assert abs(sol.Q - 1.25 * sol.gamma) < 1e-14
-    assert max(sol.residuals) < 1e-14
-    assert abs(sol.two_pi_c + sol.xi) < 1e-15
-    assert "gamma^2 >= 4" in sol.rejected_branch or "4" in sol.rejected_branch
+    pg = CouplingParams.pure_gravity()
+    assert abs(pg.gamma ** 2 - 8.0 / 3.0) < 1e-14
+    assert pg.d_gamma == 4.0
+    assert abs(pg.xi - 1 / np.sqrt(6)) < 1e-15
+    assert abs(pg.Q - 5 / np.sqrt(6)) < 1e-15
+    assert abs(pg.Q - (2 * pg.xi + 1 / (2 * pg.xi))) < 1e-14
+    assert abs(pg.Q - 1.25 * pg.gamma) < 1e-14
+    assert max(abs(r) for r in pg.invariance_residuals()) < 1e-14
+    assert abs(2 * np.pi * pg.c + pg.xi) < 1e-15
+    # the dimension bound d >= 2 + gamma^2/2 keeps d = 4 and rejects the
+    # other branch of the first relation, d = gamma^2
+    assert pg.d_gamma >= 2.0 + pg.gamma ** 2 / 2.0 > pg.gamma ** 2
+
+
+def drift(p, h, mu, params):
+    """The drift b(p) at the field h against mu, from the estimators' terms."""
+    return _TraceBatch.at(h, mu).drift(p, params)[0] - params.beta * p.integral()
 
 
 def test_diffusion_examples():
+    def sigma(p, q, mu):
+        return _TraceBatch.at(BoundaryField.zeros(1), mu).diffusion(p, q)[0]
+
     one = BoundaryField.constant(1.0, 1)
     mu1 = CircleMeasure.uniform(1.0, M)
-    assert abs(diffusion(one, one, mu1) - 4 * np.pi ** 2) < 1e-10
+    assert abs(sigma(one, one, mu1) - 4 * np.pi ** 2) < 1e-10
     e1 = BoundaryField.basis(1, 1)
-    mu_norm = CircleMeasure.uniform(2 * np.pi, M)   # arclength measure
     # orthonormal mode against itself under lambda/2pi: (2pi)^2 / (2pi) = 2pi
-    assert abs(diffusion(e1, e1, CircleMeasure.uniform(1.0, M)) - 2 * np.pi) < 1e-10
-    assert diffusion(e1, e1, CircleMeasure(np.zeros(M))) == 0.0
+    assert abs(sigma(e1, e1, CircleMeasure.uniform(1.0, M)) - 2 * np.pi) < 1e-10
+    assert sigma(e1, e1, CircleMeasure(np.zeros(M))) == 0.0
 
 
 def test_drift_zero_measure_reduces_to_beta_term():
@@ -67,7 +75,7 @@ def test_drift_zero_measure_reduces_to_beta_term():
     p = BoundaryField.constant(0.5, 2) + BoundaryField.basis(1, 2)
     mu0 = CircleMeasure(np.zeros(M))
     params = PG.replace(beta=0.7)
-    b = drift_boundary(p, h, mu0, params)
+    b = drift(p, h, mu0, params)
     assert abs(b + 0.7 * p.integral()) < 1e-12
 
 
@@ -77,13 +85,13 @@ def test_drift_flat_configuration_hand_value():
     h = BoundaryField.zeros(N)
     mu = CircleMeasure.uniform(1.0, M)
     p = BoundaryField.constant(0.5, 2) + BoundaryField.basis(1, 2)
-    b = drift_boundary(p, h, mu, PG)
+    b = drift(p, h, mu, PG)
     # int p dmu = mean(p) * mass; d_nH p integrates to zero against uniform
     hand = 2 * np.pi * (PG.chi - PG.alpha) * 0.5 * 1.0
     assert abs(b - hand) < 1e-10
     # cosine-weighted measure picks up the d_nH term
     mu_c = CircleMeasure((1.0 + np.cos(grid_angles(M))) / (2 * np.pi))
-    b2 = drift_boundary(BoundaryField.basis(1, 2), h, mu_c, PG)
+    b2 = drift(BoundaryField.basis(1, 2), h, mu_c, PG)
     hand2 = (-2 * np.pi * PG.chi * (-1.0 / (2 * np.sqrt(np.pi)))
              + 2 * np.pi * (PG.chi - PG.alpha) / (2 * np.sqrt(np.pi)))
     assert abs(b2 - hand2) < 1e-10
@@ -95,37 +103,29 @@ def test_drift_bulk_vs_boundary():
     mu = chaos_measure(h, -1, PG.xi, M)
     p = BoundaryField.constant(1 / (2 * np.pi), 4) + 0.6 * BoundaryField.basis(1, 4)
     f = realize_symbol(p)
-    b1 = drift_boundary(p, h, mu, PG)
+    b1 = drift(p, h, mu, PG)
     b2 = drift_bulk(f, h, mu, PG)
     assert abs(b1 - b2) < 1e-4 * max(abs(b1), 1.0)
 
 
-def test_apply_generator_trivial_cases():
+def test_generator_term_trivial_cases():
     h = BoundaryField(sample_trace_batch(N, 1, make_rng(3))[0])
+    F = fixture_F()
+    x = np.array([[1.5, 1.7]])    # on both bumps' rising edges
+    grad, hess = F.profile.grad(x)[0], F.profile.hess(x)[0]
+
+    def term(mu, grad, hess):
+        tb = _TraceBatch.at(h, mu)
+        b = [tb.drift(p, PG) for p in F.symbols]
+        sig = [[tb.diffusion(p, q) for q in F.symbols] for p in F.symbols]
+        return _generator_term(b, sig, grad, hess)[0]
+
     # constant profile: generator vanishes
-    class FlatProfile(ProductProfile):
-        def __init__(self):
-            super().__init__(ProductProfile.bumps([0.0], [2.0]).factors)
-
-        def grad(self, x):
-            return np.zeros_like(np.asarray(x))
-
-        def hess(self, x):
-            x = np.asarray(x)
-            return np.zeros(x.shape[:-1] + (1, 1))
-
-    p = BoundaryField.constant(1 / (2 * np.pi), 2)
-    F = CylindricalFunctional([p], FlatProfile())
-    assert apply_generator(F, h, 0.1, PG, M=M) == 0.0
-    # linear functional, zero measure, beta = 0: drift and diffusion vanish
-    F2 = fixture_F()
-    val = apply_generator(F2, h, 0.0, PG, mu=CircleMeasure(np.zeros(M)), M=M)
-    assert abs(val) < 1e-12
-    # guard
-    F3 = CylindricalFunctional([BoundaryField.basis(1, 2)],
-                               ProductProfile.bumps([0.0], [2.0]))
-    with pytest.raises(IntegrabilityError):
-        apply_generator(F3, h, 0.0, PG, M=M)
+    chaos = chaos_measure(h, -1, PG.xi, M)
+    assert term(chaos, np.zeros(2), np.zeros((2, 2))) == 0.0
+    assert term(chaos, grad, hess) != 0.0
+    # zero measure, beta = 0: drift and diffusion vanish
+    assert abs(term(CircleMeasure(np.zeros(M)), grad, hess)) < 1e-12
 
 
 def test_invariance_pure_gravity_and_perturbations():
@@ -210,6 +210,23 @@ def test_generator_bulk_vs_localized_integrand():
         v1 = invariance_local_value(F, params, h, 0.2, M=M, psit=psit)
         v2 = invariance_bulk_value(F, params, h, 0.2, M=M, psit=psit)
         assert abs(v1 - v2) < 1e-4 * max(abs(v1), abs(v2), 1e-12)
+
+
+@pytest.mark.parametrize("term", ["vpair_dnh", "diffusion"])
+def test_bulk_route_sees_the_estimators_terms(term, monkeypatch):
+    """The localized integrand runs on the estimators' _TraceBatch, so a 1%
+    error in its V-kernel term or its diffusion parts it from the bulk
+    route, which shares none of their code."""
+    orig = getattr(_TraceBatch, term)
+    monkeypatch.setattr(_TraceBatch, term, lambda self, *a: 1.01 * orig(self, *a))
+    F = fixture_F()
+    psit = MollifiedProfile(F.profile, bulk_covariance_matrix(F.realized()))
+    rng = make_rng(5)
+    for _ in range(3):
+        h = BoundaryField(sample_trace_batch(N, 1, rng)[0])
+        v1 = invariance_local_value(F, PG, h, 0.2, M=M, psit=psit)
+        v2 = invariance_bulk_value(F, PG, h, 0.2, M=M, psit=psit)
+        assert abs(v1 - v2) > 1e-4 * max(abs(v1), abs(v2))
 
 
 def test_dirichlet_form_split_and_exchange():
@@ -306,7 +323,7 @@ def _dirichlet_numbers(res):
 def test_zero_mode_estimators_keep_their_bits():
     F, G = fixture_F(), fixture_G()
     # the batch has rows whose m-interval is empty (they integrate to zero)
-    tb = _TraceBatch(16, 400, make_rng(1, 20), PG.xi, 64)
+    tb = _TraceBatch.draw(16, 400, make_rng(1, 20), PG.xi, 64)
     lo, hi = _m_interval((tb.bases(F.symbols), F.slopes(), F.profile),
                          (tb.bases(G.symbols), G.slopes(), G.profile))
     assert 0 < np.count_nonzero(hi <= lo) < 400

@@ -33,8 +33,8 @@ def test_bench_compare_summary():
             {"name": "samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
             {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
 
-    def run(run_s, rate, rss, failed=0):
-        return {"correct": failed == 0, "attempted": 10, "failed": failed,
+    def run(run_s, rate, rss, failed=0, attempted=10):
+        return {"correct": failed == 0, "attempted": attempted, "failed": failed,
                 "metrics": {"run_s": {"value": run_s, "unit": "s"},
                             "samples_per_s": {"value": rate, "unit": "1/s"},
                             "peak_rss_mb": {"value": rss, "unit": "MB"}}}
@@ -45,9 +45,17 @@ def test_bench_compare_summary():
     out = _script("bench_compare").summarize(spec, parent, change, True)
     assert out["pairs"] == 3 and out["report_bytes_match"]
     assert out["runs"] == {"parent": {"correct": True, "failed_runs": 0, "attempted": 30,
-                                      "failed": 0},
+                                      "failed": 0, "failed_share": 0.0,
+                                      "attempted_per_run": [10, 10, 10]},
                            "change": {"correct": False, "failed_runs": 0, "attempted": 30,
-                                      "failed": 1}}
+                                      "failed": 1, "failed_share": 1 / 30,
+                                      "attempted_per_run": [10, 10, 10]}}
+    # a side that fits a round fewer attempts fewer operations, at the same share
+    short = _script("bench_compare").summarize(
+        spec, parent, [run(8.0, 1500.0, 829.0, attempted=a) for a in (10, 5, 10)], True)
+    assert short["runs"]["change"]["attempted"] == 25
+    assert short["runs"]["change"]["attempted_per_run"] == [10, 5, 10]
+    assert short["runs"]["change"]["failed_share"] == short["runs"]["parent"]["failed_share"]
     run_s = out["metrics"]["run_s"]
     assert run_s["parent"]["runs"] == [8.0, 9.0, 8.5]
     assert (run_s["parent"]["median"], run_s["change"]["median"]) == (8.5, 5.0)
@@ -67,8 +75,11 @@ def test_bench_compare_summary():
     lost = _script("bench_compare").summarize(spec, parent, [None] + change[1:], False)
     assert lost["pairs"] == 2 and lost["metrics"]["run_s"]["parent"]["runs"] == [9.0, 8.5]
     assert lost["runs"]["change"] == {"correct": False, "failed_runs": 1,
-                                      "attempted": 20, "failed": 1}
-    assert _script("bench_compare").summarize(spec, parent, [None] * 3, False)["metrics"] == {}
+                                      "attempted": 20, "failed": 1, "failed_share": 0.05,
+                                      "attempted_per_run": [10, 10]}
+    gone = _script("bench_compare").summarize(spec, parent, [None] * 3, False)
+    assert gone["runs"]["change"]["failed_share"] is None
+    assert gone["metrics"] == {}
     machine = _script("bench_compare").machine()
     assert list(machine) == ["cpus", "usable_cpus", "python", "numpy"]
     assert machine["usable_cpus"] == len(os.sched_getaffinity(0))
