@@ -354,9 +354,9 @@ def _log_shift(F: CylindricalFunctional, params: CouplingParams) -> np.ndarray:
 
 def _configuration(F: CylindricalFunctional, params: CouplingParams,
                    h: BoundaryField, m: float, M: int):
-    """One field h with zero mode m: the _TraceBatch of h against its chaos
-    mu = e^{-xi (h + m)}, mu, and the profile argument <h + m, p_i> plus the
-    log shift, shaped (1, n)."""
+    """(tb, mu, x) at one field h with zero mode m: mu = e^{-xi (h + m)} its
+    chaos, tb the _TraceBatch of h against mu, and x the profile argument,
+    <h + m, p_i> plus the log shift, shaped (1, n)."""
     mu = chaos_measure(h, -1, params.xi, M) * np.exp(-params.xi * m)
     tb = _TraceBatch.at(h, mu)
     return tb, mu, tb.bases(F.symbols) + (h.mean() + m) * F.slopes() + _log_shift(F, params)
@@ -576,7 +576,7 @@ def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
         raise ValueError("exploration drift is stated for probability measures")
     params = CouplingParams.pure_gravity()
     xi, Q = params.xi, params.Q
-    b_ours = float(_TraceBatch.at(h, nu).drift(p, params)[0])    # beta = 0
+    b_ours = float(_TraceBatch.at(h, nu).drift(p, params)[0])    # beta = 0 here
     hterm = bulk_pairings(f, nu, nr, h)["harmonic"]
     b_ms = (hterm + TWO_PI * Q * nu.integrate_field(p.dirichlet_to_neumann())
             + TWO_PI * xi * nu.integrate_field(p - BoundaryField.constant(p.mean(), 1)))
