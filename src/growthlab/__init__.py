@@ -7,8 +7,8 @@ identities verified to quadrature precision or by seeded, gated Monte
 Carlo.
 """
 
-from .fields import CouplingParams, TraceSample
+from .fields import CouplingParams
 from .gmc import CircleMeasure
 from .spectral import BoundaryField
 
-__all__ = ["BoundaryField", "CircleMeasure", "CouplingParams", "TraceSample"]
+__all__ = ["BoundaryField", "CircleMeasure", "CouplingParams"]

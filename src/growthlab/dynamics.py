@@ -311,22 +311,3 @@ def driving_from_state(path: MeasurePath, xi: float) -> DrivingPath:
     return DrivingPath(np.append(path.times[0], path.times[1:][keep]), measures,
                        int(empty.sum()))
 
-
-def path_to_csv(path: MeasurePath, out_file) -> None:
-    """Dump a measure path as CSV: time, cell masses, recovered modes."""
-    M = path.masses.shape[1]
-    n_modes = path.fields[0].coeffs.size if path.fields else 0
-    header = (["t"] + [f"mass_{j}" for j in range(M)]
-              + [f"mode_{k}" for k in range(n_modes)])
-    lines = [",".join(header)]
-    for k, t in enumerate(path.times):
-        row = [f"{t:.17g}"] + [f"{x:.17g}" for x in path.masses[k]]
-        if path.fields:
-            row += [f"{c:.17g}" for c in path.fields[k].coeffs]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(out_file, "write"):
-        out_file.write(text)
-    else:
-        from pathlib import Path as _P
-        _P(out_file).write_text(text, encoding="utf-8")

@@ -1,5 +1,5 @@
-"""Boundary trace field: sampling, covariance calculus, and expectations
-against the sigma-finite field measure.
+"""Boundary trace field: sampling, covariance calculus, and the
+localization of the zero mode under the sigma-finite field measure.
 
 The mean-zero trace field at truncation N is
 
@@ -8,10 +8,10 @@ The mean-zero trace field at truncation N is
 with i.i.d. standard normals X_k, so mode k has variance 2 pi / lam_k and
 the pointwise covariance is the truncation of -2 log |w - z|.  The full
 field h = h0 + m carries Lebesgue weight e^{delta m} dm on the zero mode;
-expectations localize the m-integral through a compactly supported profile
-with at least one nonzero-mean symbol and integrate it by composite
-Gauss-Legendre panels.  Every Monte Carlo estimator draws its samples in
-batches through monte_carlo_rows.
+a compactly supported profile with at least one nonzero-mean symbol
+localizes the m-integral to the interval m_support returns, and
+generator._zero_mode_rows integrates it per sample.  Every Monte Carlo
+estimator draws its samples in batches through monte_carlo_rows.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmc import chaos_density_batch
-from .profiles import IndicatorProfile
-from .quadrature import batched_gauss_panels, green_pair_modes
+from .quadrature import green_pair_modes
 from .spectral import BoundaryField, batch_values, eigenvalues
 
 
@@ -88,29 +86,12 @@ class CouplingParams:
                 self.beta)
 
     @property
-    def satisfies_invariance_conditions(self) -> bool:
-        return max(abs(r) for r in self.invariance_residuals()) < 1e-12
-
-    @property
     def zero_mode_weight(self) -> float:
         """delta with m-density e^{delta m}; equals -2 pi c."""
         return -2.0 * np.pi * self.c
 
 
 # -- trace sampling -----------------------------------------------------------
-
-
-@dataclass
-class TraceSample:
-    """Mean-zero trace field sample plus zero mode."""
-
-    h0: BoundaryField
-    m: float = 0.0
-    seed: int | None = None
-
-    @property
-    def field(self) -> BoundaryField:
-        return self.h0 + BoundaryField.constant(self.m, 1)
 
 
 def mode_std(N: int) -> np.ndarray:
@@ -128,10 +109,6 @@ def sample_trace_batch(N: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sample_trace(N: int, rng: np.random.Generator, seed: int | None = None) -> TraceSample:
-    return TraceSample(BoundaryField(sample_trace_batch(N, 1, rng)[0]), 0.0, seed)
-
-
 def pair_symbol(coeffs: np.ndarray, p: BoundaryField) -> np.ndarray:
     """Batched pairing of h0 rows with a symbol against arclength measure."""
     n = min((coeffs.shape[1] - 1) // 2, p.degree)
@@ -147,11 +124,6 @@ def pair_dnh(coeffs: np.ndarray, k: BoundaryField) -> np.ndarray:
 # -- covariance kernels -------------------------------------------------------
 
 
-def boundary_covariance(w, z):
-    """-2 log |w - z| for boundary points."""
-    return -2.0 * np.log(np.abs(np.asarray(w) - np.asarray(z)))
-
-
 def truncated_boundary_covariance(N: int, dtheta):
     """Covariance of the degree-N trace field at angular separation dtheta."""
     dtheta = np.asarray(dtheta, dtype=float)
@@ -162,16 +134,6 @@ def truncated_boundary_covariance(N: int, dtheta):
 def green_dirichlet(z1, z2):
     z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
     return -np.log(np.abs((z1 - z2) / (1.0 - np.conj(z1) * z2)))
-
-
-def green_neumann(z1, z2):
-    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
-    return -np.log(np.abs((z1 - z2) * (1.0 - np.conj(z1) * z2)))
-
-
-def green_disk(z1, z2):
-    """Inverse-Laplacian kernel G = -G_Dirichlet / 2 pi (nonpositive)."""
-    return -green_dirichlet(z1, z2) / (2.0 * np.pi)
 
 
 def bulk_covariance_matrix(fs: list, nr: int = 40) -> np.ndarray:
@@ -324,66 +286,6 @@ def m_support(blocks):
     lo[bad] = 0.0
     hi[bad] = 0.0
     return lo, hi
-
-
-@dataclass
-class CylindricalObservable:
-    """Profile of boundary pairings, optionally times a chaos total mass.
-
-    Represents psi(<h, p_1>, ..., <h, p_n>) |mu_{sign xi}|^{mass_power}
-    as an integrand for the sigma-finite field measure.
-    """
-
-    symbols: list
-    profile: object
-    xi: float = 0.0
-    mass_sign: int = -1
-    mass_power: int = 0
-
-    def slopes(self) -> np.ndarray:
-        return np.array([p.integral() for p in self.symbols])
-
-
-def rho_expectation(obs: CylindricalObservable, N: int, n_samples: int,
-                    rng: np.random.Generator, delta: float, M: int = 256,
-                    batch: int = 4096):
-    """Expectation against the sigma-finite measure e^{delta m} rho_0 x dm.
-
-    For each sampled mean-zero field the zero-mode integral runs over the
-    finite interval where the profile argument meets its support box, in
-    closed form for an indicator profile and by Gauss-Legendre panels
-    otherwise; the outer average and its standard error are over the field
-    samples.
-    """
-    slopes = obs.slopes()
-    if obs.mass_power and not 0.0 < obs.xi < 1.0:
-        raise ValueError("chaos parameter must lie in (0, 1)")
-    rate = delta + obs.mass_power * obs.mass_sign * obs.xi
-
-    def per_batch(b):
-        coeffs = sample_trace_batch(N, b, rng)
-        base = np.stack([pair_symbol(coeffs, p) for p in obs.symbols], axis=-1)
-        lo, hi = m_support([(base, slopes, obs.profile.box)])
-        if obs.mass_power:
-            vals = batch_values(coeffs, M)
-            dens = chaos_density_batch(vals, obs.mass_sign, obs.xi, N)
-            mass0 = dens.sum(axis=1) * (2.0 * np.pi / M)
-        else:
-            mass0 = np.ones(b)
-        if isinstance(obs.profile, IndicatorProfile):
-            if rate == 0.0:
-                integ = hi - lo
-            else:
-                integ = (np.exp(rate * hi) - np.exp(rate * lo)) / rate
-        else:
-            def fn(m):
-                args = base[:, None, :] + m[:, :, None] * slopes[None, None, :]
-                return np.exp(rate * m) * obs.profile.value(args)
-
-            integ = batched_gauss_panels(fn, lo, hi)
-        return (mass0 ** obs.mass_power * integ)[:, None]
-
-    return mean_stderr(monte_carlo_rows(per_batch, n_samples, batch)[:, 0])
 
 
 # -- Cameron-Martin and conjugate-shift checks -----------------------------------

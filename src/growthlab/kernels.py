@@ -26,14 +26,14 @@ from .spectral import (BoundaryField, batch_coeffs, fourier_coeffs, grid_angles,
 # -- Loewner vector field ------------------------------------------------------
 
 
-def loewner_field(mu: CircleMeasure, z, guard: bool = True):
+def loewner_field(mu: CircleMeasure, z):
     """L_mu(z) = -int z (z+w)/(z-w) mu(dw) by grid quadrature.
 
-    The quadrature aliases like |z|^M near the circle; the guard rejects
-    evaluation points within a few grid lengths of the boundary.
+    The quadrature aliases like |z|^M near the circle, so evaluation points
+    within a few grid lengths of the boundary raise.
     """
     z = np.asarray(z, dtype=complex)
-    if guard and np.any(np.abs(z) >= 1.0 - 8.0 / mu.M):
+    if np.any(np.abs(z) >= 1.0 - 8.0 / mu.M):
         raise ValueError("evaluation point too close to the circle for the grid")
     w = np.exp(1j * mu.angles)
     zz = z[..., None]
@@ -41,10 +41,10 @@ def loewner_field(mu: CircleMeasure, z, guard: bool = True):
     return -(integrand * mu.density).sum(axis=-1) * (2.0 * np.pi / mu.M)
 
 
-def loewner_field_deriv(mu: CircleMeasure, z, guard: bool = True):
+def loewner_field_deriv(mu: CircleMeasure, z):
     """d/dz of the Loewner vector field, by grid quadrature."""
     z = np.asarray(z, dtype=complex)
-    if guard and np.any(np.abs(z) >= 1.0 - 8.0 / mu.M):
+    if np.any(np.abs(z) >= 1.0 - 8.0 / mu.M):
         raise ValueError("evaluation point too close to the circle for the grid")
     w = np.exp(1j * mu.angles)
     zz = z[..., None]

@@ -85,8 +85,7 @@ class FlowResult:
 
 
 def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
-         rtol: float = 1e-10, lifetime_tol: float = 1e-6,
-         record: bool = False) -> FlowResult:
+         rtol: float = 1e-10, lifetime_tol: float = 1e-6) -> FlowResult:
     """Integrate the measure-driven flow of one interior point.
 
     Adaptive RK4 with step doubling; a trajectory terminates when |g|
@@ -142,14 +141,10 @@ def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
                                   lifetime_bracket=(t + lo_t, t + hi_t))
             g = half + (half - full) / 15.0
             t += h
-            if record:
-                ts.append(t)
-                gs.append(g)
             if err < 0.1 * rtol * scale:
                 h *= 2.0
-    if not record:
-        ts.append(t)
-        gs.append(g)
+    ts.append(t)
+    gs.append(g)
     return FlowResult(np.array(ts), np.array(gs))
 
 

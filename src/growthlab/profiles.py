@@ -155,21 +155,6 @@ class ProductProfile:
         return np.stack([np.stack(row, axis=-1) for row in hess], axis=-2)
 
 
-class IndicatorProfile:
-    """Box indicator; used where the zero-mode integral is taken exactly."""
-
-    def __init__(self, box: list[tuple[float, float]]):
-        self.box = box
-        self.dim = len(box)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
-        for k, (lo, hi) in enumerate(self.box):
-            out = out * ((x[..., k] >= lo) & (x[..., k] <= hi))
-        return out
-
-
 class BoundedSmoothProfile:
     """tanh-based bounded cylindrical profile (not compactly supported)."""
 

@@ -198,12 +198,6 @@ class BoundaryField:
         c[2 * m] = -m * self.coeffs[2 * m - 1]
         return BoundaryField(c)
 
-    def sobolev_norm(self, s: float) -> float:
-        """H^s seminorm (zero mode carries weight zero)."""
-        lam = eigenvalues(self.degree)
-        a = self.coeffs[1:]
-        return float(np.sqrt(np.sum(lam[1:] ** (2.0 * s) * a * a)))
-
     def l2_inner(self, other: "BoundaryField") -> float:
         n = min(self.coeffs.size, other.coeffs.size)
         return float(np.sum(self.coeffs[:n] * other.coeffs[:n]))
@@ -242,13 +236,6 @@ class BoundaryField:
 
     def __neg__(self):
         return BoundaryField(-self.coeffs)
-
-    def product(self, other: "BoundaryField") -> "BoundaryField":
-        """Pointwise product, resolved exactly at degree deg+deg."""
-        N = self.degree + other.degree
-        M = 2 * (2 * N + 1)
-        vals = self.values(M) * other.values(M)
-        return BoundaryField.from_grid(vals, degree=N)
 
 
 # -- module-level operator forms -----------------------------------------------

@@ -64,8 +64,11 @@ class ExperimentConfig:
                                         f"xi = {run_xi(self)!r}; got xi = {self.xi!r}")
         if self.N > self.M / 4:
             raise ValueError("truncation degree must satisfy N <= M/4")
-        if self.n_samples < 100:
+        if self.n_samples < 100 or (self.n_samples_main is not None
+                                    and self.n_samples_main < 100):
             raise ValueError("need at least 100 samples")
+        if not (self.dt > 0.0 and self.T > 0.0):
+            raise ValueError("time step dt and horizon T must be positive")
 
     @property
     def heavy_n(self) -> int:

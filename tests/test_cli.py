@@ -31,6 +31,12 @@ def test_config_validation():
         ExperimentConfig(suite="identities", N=64, M=128)
     with pytest.raises(ValueError):
         ExperimentConfig(suite="identities", n_samples=10)
+    # n_samples_main = 0 would silently fall back to n_samples in heavy_n
+    for bad in (dict(n_samples_main=0), dict(n_samples_main=-5), dict(n_samples_main=99),
+                dict(dt=0.0), dict(dt=-1e-3), dict(T=0.0), dict(T=-0.5)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(suite="invariance", **bad)
+    assert ExperimentConfig(suite="invariance", n_samples_main=100).heavy_n == 100
 
 
 def test_config_file_parsing(tmp_path):

@@ -3,10 +3,11 @@ import pytest
 
 from growthlab.disk import realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
-                              bulk_covariance_matrix, sample_trace_batch)
+                              bulk_covariance_matrix, mean_stderr, sample_trace_batch)
 from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
 from growthlab.generator import (CylindricalFunctional, _generator_term,
                                  _integrate_live, _m_interval, _TraceBatch,
+                                 _zero_mode_rows,
                                  derivative_martingale_identity,
                                  dirichlet_form, divergence_form_check,
                                  drift_bulk, ibp_hdmuf_check,
@@ -398,6 +399,65 @@ def test_integrate_live_skips_dead_rows():
                           np.zeros((5, 3)))
     assert np.array_equal(_integrate_live(never, [coef[:5]], zero, zero, 1),
                           np.zeros((5, 1)))
+
+
+# the two integration paths of _zero_mode_rows: Gauss panels on the live
+# rows for a ProductProfile, exact segments between knots for a lone
+# MollifiedProfile
+BUMP = ProductProfile.bumps([0.5], [1.0])
+ZERO_MODE_PROFILES = {
+    "gauss_panels": lambda: BUMP,
+    "spline_exact": lambda: MollifiedProfile(BUMP, np.array([[0.1]]), gh_points=16,
+                                             table_pts=81),
+}
+
+
+def _line_integral(profile, delta):
+    """int e^{delta u} psi(u) du by adaptive quadrature, broken where the
+    profile changes piece: the bump's plateau edges or the spline's knots."""
+    from scipy.integrate import quad
+    if isinstance(profile, MollifiedProfile):
+        table = profile._table
+        knots = table.lows[0] + table.h[0] * np.arange(table.pts)
+    else:
+        f = profile.factors[0]
+        knots = np.array([f.lo, f.lo + f.rise, f.hi - f.rise, f.hi])
+    return sum(quad(lambda u: np.exp(delta * u) * profile.value(np.array([[u]]))[0],
+                    a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(knots[:-1], knots[1:]))
+
+
+def _sigma_finite_rows(p, profile, delta, n_samples, rng):
+    """Per-sample int e^{delta m} psi(<h0, p> + m int p) dm through the
+    suites' zero-mode engine."""
+    def fn(m, psi):
+        return (np.exp(delta * m) * psi[0])[..., None]
+
+    return _zero_mode_rows([([p], profile, 0, 0.0)], lambda tb: [], fn, 1, n_samples,
+                           rng, PG.xi, 8, 32, 4096)[:, 0]
+
+
+@pytest.mark.parametrize("path", sorted(ZERO_MODE_PROFILES))
+def test_zero_mode_engine_matches_the_sigma_finite_closed_form(path):
+    """p = 1/(2 pi) + e_1 pairs h0 + m to X + m with X ~ N(0, 2 pi), so
+    E int e^{delta m} psi(X + m) dm = e^{delta^2 pi} int e^{delta u} psi(u) du."""
+    profile, delta = ZERO_MODE_PROFILES[path](), 0.3
+    p = BoundaryField.constant(1.0 / (2 * np.pi), 4) + BoundaryField.basis(1, 4)
+    assert abs(p.integral() - 1.0) < 1e-12
+    est, se = mean_stderr(_sigma_finite_rows(p, profile, delta, 20000, make_rng(5)))
+    exact = np.exp(delta ** 2 * np.pi) * _line_integral(profile, delta)
+    assert abs(est - exact) < 3 * se, (est, exact, se)
+
+
+@pytest.mark.parametrize("path", sorted(ZERO_MODE_PROFILES))
+def test_zero_mode_engine_constant_symbol_is_the_line_integral(path):
+    # a constant symbol pairs every sample to m itself, so each sample's
+    # zero-mode integral is the same one-dimensional integral
+    profile, delta = ZERO_MODE_PROFILES[path](), 0.3
+    rows = _sigma_finite_rows(BoundaryField.constant(1.0 / (2 * np.pi), 2), profile,
+                              delta, 50, make_rng(7))
+    ref = _line_integral(profile, delta)
+    assert np.abs(rows - ref).max() < 1e-8 * ref
 
 
 def test_rotational_invariance():

@@ -1,0 +1,57 @@
+"""No function, class or method in src/ that nothing in the program calls.
+
+A name counts as used when code in src/ or scripts/ (the lab's own
+experiment programs) loads it, as a bare name or as an attribute; a
+mention in a docstring or a comment does not count.  The only exceptions
+are the reference routes below: second computations that the tests hold
+the suites' routes against.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "growthlab"
+
+# brute-force or closed-form routes that only the tests call, each the
+# independent side of a test of a faster route in src/
+REFERENCE_ROUTES = {
+    "harmonic_extend_quadrature",    # spectral: harmonic extension by quadrature
+    "integrate_polar",               # quadrature: plain polar product rule
+    "green_dirichlet",               # fields: the Dirichlet Green kernel itself
+    "eval_z",                        # disk: test function at complex points
+    "second_moment_truncated",       # gmc: chaos second moment by quadrature
+    "drift_bulk",                    # generator: the drift in bulk form
+    "rotate",                        # gmc: CircleMeasure.rotate
+}
+
+
+def _defined_and_used():
+    defined = {}
+    used = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path.parent == SRC and not (node.name.startswith("__")
+                                               and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return defined, used
+
+
+def test_every_definition_in_src_is_used():
+    defined, used = _defined_and_used()
+    dead = sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in used and name not in REFERENCE_ROUTES)
+    assert not dead, f"defined in src/ but never called: {dead}"
+
+
+def test_reference_routes_are_defined_and_unused():
+    defined, used = _defined_and_used()
+    stale = sorted(name for name in REFERENCE_ROUTES
+                   if name not in defined or name in used)
+    assert not stale, f"stale reference-route entries: {stale}"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from growthlab import generator
 from growthlab.generator import _integrate_spline_exact
-from growthlab.profiles import (_GROUP_CHUNK, BoundedSmoothProfile, IndicatorProfile,
+from growthlab.profiles import (_GROUP_CHUNK, BoundedSmoothProfile,
                                 MollifiedProfile, PlateauBump1D, ProductProfile,
                                 _bspline3_taps, _step)
 from growthlab.quadrature import gauss_legendre
@@ -338,10 +338,7 @@ def test_mollified_group_spanning_two_cells_raises():
         mp.along(pts[:2], np.array([0.7, -1.3]), np.zeros((2, 3)))
 
 
-def test_indicator_and_bounded_profiles():
-    ind = IndicatorProfile([(0.0, 1.0), (-1.0, 1.0)])
-    x = np.array([[0.5, 0.0], [1.5, 0.0], [0.5, 2.0]])
-    assert list(ind.value(x)) == [1.0, 0.0, 0.0]
+def test_bounded_smooth_profile_gradient():
     b = BoundedSmoothProfile(2, scale=0.5)
     xs = np.random.default_rng(4).normal(size=(10, 2))
     eps = 1e-6

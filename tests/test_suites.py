@@ -7,9 +7,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from growthlab.dynamics import path_to_csv, simulate_symmetric
-from growthlab.gmc import CircleMeasure
-from growthlab.rng import make_rng
 from growthlab import suites
 from growthlab.suites import (CHECKS, CheckResult, CheckTableError, ExperimentConfig,
                               describe, not_decaying, run_suite)
@@ -159,16 +156,3 @@ def test_run_suite_gates_in_table_order_and_raises_on_a_stray_name(monkeypatch):
     del measured["dirichlet-undeclared"], measured["divergence-form"]
     with pytest.raises(CheckTableError, match="divergence-form"):
         run_suite(cfg)
-
-
-def test_measure_path_csv_roundtrip(tmp_path):
-    path = simulate_symmetric(CircleMeasure.uniform(40 * np.pi, 16),
-                              1 / np.sqrt(6), 1e-3, 0.01, 4, make_rng(1))
-    out = tmp_path / "path.csv"
-    path_to_csv(path, out)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("t,mass_0")
-    assert "mode_0" in lines[0]
-    assert len(lines) == path.masses.shape[0] + 1
-    row = lines[1].split(",")
-    assert len(row) == 1 + 16 + path.fields[0].coeffs.size
