@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from growthlab.dynamics import simulate_mass_ensemble, total_mass_stats
+from growthlab.dynamics import bracket_stats, simulate_mass_ensemble, total_mass_stats
 from growthlab.rng import make_rng
 
 
@@ -29,9 +29,7 @@ def main():
                                        make_rng(args.seed), M=M, N=min(4, max(M // 4, 0)))
         times = np.arange(paths.shape[1]) * dt
         st = total_mass_stats(paths, times, xi)
-        dX = np.diff(paths, axis=1)
-        qv = ((dX - st.slope_target * dt) ** 2).mean(axis=0).sum()
-        pred = ((2 * np.pi * xi) ** 2 * paths[:, :-1].mean(axis=0) * dt).sum()
+        qv, pred, _ = bracket_stats(paths, xi, dt)
         lines.append(f"{dt:.17g},{M},{mass0:.17g},{st.slope:.17g},"
                      f"{st.slope_target:.17g},{st.slope_rel_err:.17g},"
                      f"{st.scaled_drift:.17g},{qv / pred:.17g}")

@@ -8,8 +8,6 @@ perturbations, all under common random numbers.
 
 import argparse
 
-import numpy as np
-
 from growthlab.fields import CouplingParams
 from growthlab.generator import invariance_check
 from growthlab.rng import make_rng

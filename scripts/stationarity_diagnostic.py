@@ -4,10 +4,9 @@ started from field-measure samples: a diagnostic, never gated.
 
 Whether the field measure is invariant for the simulated dynamics at finite
 truncation is not claimed.  Each path starts from the chaos measure of a
-fresh degree-N trace sample and follows the mass ensemble's dynamics (the
-drift of `growthlab.dynamics.recovered_drift`, exact square-root steps); the
-mean change of int p dmu over the run, with its standard error, is printed
-for each symbol p.
+fresh degree-N trace sample and follows the symmetric dynamics
+(`growthlab.dynamics.evolve`); the mean change of int p dmu over the run,
+with its standard error, is printed for each symbol p.
 
     python3 scripts/stationarity_diagnostic.py --paths 300 --N 8 --M 32 --T 0.02
 """
@@ -16,7 +15,7 @@ import argparse
 
 import numpy as np
 
-from growthlab.dynamics import cir_exact_step, recovered_drift
+from growthlab.dynamics import evolve
 from growthlab.fields import batch_values, sample_trace_batch
 from growthlab.gmc import chaos_density_batch
 from growthlab.rng import make_rng
@@ -34,13 +33,10 @@ def stationarity_diagnostic(xi: float, dt: float, T: float, n_paths: int,
     dens = chaos_density_batch(batch_values(coeffs, M), 1, xi, N)
     dtheta = TWO_PI / M
     x = dens * dtheta
-    steps = int(round(T / dt))
-    sigma = TWO_PI * xi
     grids = [p.values(M) for p in symbols]
     start = [(x / dtheta) @ g * dtheta for g in grids]
-    for _ in range(steps):
-        a, _ = recovered_drift(x, xi, min(N, (M - 1) // 2), floor=1e-12)
-        x, _ = cir_exact_step(x, a, sigma, dt, rng)
+    for x, _ in evolve(x, xi, dt, int(round(T / dt)), N, rng):
+        pass
     end = [(x / dtheta) @ g * dtheta for g in grids]
     report = {}
     for k in range(len(symbols)):

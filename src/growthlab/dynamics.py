@@ -2,13 +2,13 @@
 the squared-Bessel total-mass law.
 
 The simulated state is the positive measure mu_t on the angular grid,
-held as cell masses; cell k is centred on its grid angle.  Per step the
-field is recovered from log masses of balls centred on the grid angles
-(`gmc.log_ball_field`), the drift density pi xi (d_nH h_t + xi) is applied
-against arclength (`recovered_drift`), and every cell mass takes an exact
-square-root-diffusion transition (noncentral chi-square sampling via the
-Poisson-Gamma mixture), so masses stay nonnegative by construction and the
-bracket of int p dmu is (2 pi xi)^2 int p^2 dmu.
+held as cell masses; cell k is centred on its grid angle.  Per step
+(`evolve`) the field is recovered from log masses of balls centred on the
+grid angles (`gmc.log_ball_field`), the drift density pi xi (d_nH h_t + xi)
+is applied against arclength (`recovered_drift`), and every cell mass takes
+an exact square-root-diffusion transition (noncentral chi-square sampling
+via the Poisson-Gamma mixture), so masses stay nonnegative by construction
+and the bracket of int p dmu is (2 pi xi)^2 int p^2 dmu.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass
 class MeasurePath:
-    """Time grid, measure states, recovered fields, and diagnostics."""
+    """Time grid, measure states and diagnostics."""
 
     times: np.ndarray
     masses: np.ndarray            # (steps+1, M) cell masses
-    fields: list                  # recovered mean-zero BoundaryField per step
     absorbed_events: int = 0
-    drift_integral: np.ndarray | None = None   # accumulated drift of cell masses
-    empty_windows: int = 0        # states with an empty ball: zero field
+    empty_windows: int = 0        # states with an empty ball window
 
     @property
     def total_mass(self) -> np.ndarray:
@@ -79,75 +77,68 @@ def cir_exact_step(x: np.ndarray, a: np.ndarray, sigma: float, dt: float,
     return out, absorbed
 
 
-def simulate_symmetric(mu0: CircleMeasure, xi: float, dt: float, T: float,
-                       N: int, rng: np.random.Generator, noise: bool = True) -> MeasurePath:
-    """Simulate the symmetric measure-valued dynamics from mu0.
+def evolve(cells: np.ndarray, xi: float, dt: float, steps: int, N: int,
+           rng: np.random.Generator):
+    """Step rows of cell masses (..., M) of the symmetric dynamics.
 
-    Per step: take the drift of the mean-zero field recovered from log
-    ball masses at a one-cell window (`recovered_drift`), and update each
-    cell with an exact square-root-diffusion substep.  A state with a
-    window that holds no mass drifts under the zero field and is counted
-    in `empty_windows`.
+    Per step every row takes the drift of its recovered field
+    (`recovered_drift` at degree min(N, (M-1)//2)), and every cell an exact
+    square-root-diffusion transition with sigma = 2 pi xi (`cir_exact_step`).
+    Yields the cell masses and the number of absorbed cells after each step.
+    """
+    sigma = TWO_PI * xi
+    degree = min(N, (cells.shape[-1] - 1) // 2)
+    for _ in range(steps):
+        cells, absorbed = cir_exact_step(cells, recovered_drift(cells, xi, degree),
+                                         sigma, dt, rng)
+        yield cells, absorbed
+
+
+def recovered_drift(cells: np.ndarray, xi: float, N: int) -> np.ndarray:
+    """Drift pi xi (d_nH h + xi) dtheta of rows of cell masses (..., M).
+
+    h is each row's log-ball-mass field at a one-cell window
+    (`gmc.log_ball_field`) projected to degree N, which keeps the drift of a
+    noisy state perturbative.  A row whose window holds no mass drifts under
+    the zero field, pi xi^2 dtheta per cell, as every row does at N = 0.
+    """
+    dtheta = TWO_PI / cells.shape[-1]
+    zero_field = np.pi * xi * xi * dtheta
+    if N == 0:
+        return zero_field
+    h, empty = log_ball_field(cells, dtheta, xi)
+    drift = np.pi * xi * (grid_dirichlet_to_neumann(h, N) + xi) * dtheta
+    if empty.any():
+        drift = np.where(empty[..., None], zero_field, drift)
+    return drift
+
+
+def simulate_symmetric(mu0: CircleMeasure, xi: float, dt: float, T: float,
+                       N: int, rng: np.random.Generator) -> MeasurePath:
+    """Simulate the symmetric measure-valued dynamics from mu0 (`evolve`).
+
+    States with a window that holds no mass are counted in `empty_windows`.
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("noise parameter must lie in (0, 1)")
     if np.any(mu0.density <= 0.0):
         raise ValueError("initial measure must be strictly positive")
-    M = mu0.M
-    dtheta = TWO_PI / M
-    degree = min(N, (M - 1) // 2)
     steps = int(round(T / dt))
-    sigma = TWO_PI * xi
-    masses = np.empty((steps + 1, M))
+    masses = np.empty((steps + 1, mu0.M))
     masses[0] = mu0.cell_masses
-    drift_hist = np.zeros((steps + 1, M))
     absorbed = 0
-    x = masses[0].copy()
-    for k in range(steps):
-        a, empty = recovered_drift(x, xi, degree)
-        if empty:   # the zero field's drift
-            a = recovered_drift(x, xi, 0)[0]
-        if noise:
-            x, nab = cir_exact_step(x, a, sigma, dt, rng)
-            absorbed += nab
-        else:
-            x = np.clip(x + a * dt, 0.0, None)
-        masses[k + 1] = x
-        drift_hist[k + 1] = drift_hist[k] + a * dt
-    h, empty = log_ball_field(masses, dtheta, xi)
-    fields = [BoundaryField.zeros(degree) if e else
-              BoundaryField.from_grid(row - row.mean(), degree=degree)
-              for row, e in zip(h, empty)]
-    return MeasurePath(np.arange(steps + 1) * dt, masses, fields, absorbed,
-                       drift_hist, int(empty.sum()))
-
-
-def recovered_drift(cells: np.ndarray, xi: float, N: int,
-                    floor: float = np.finfo(float).tiny):
-    """Drift pi xi (d_nH h + xi) dtheta of rows of cell masses (..., M), and
-    the rows' empty-window flags.
-
-    h is the log-ball-mass field of each row at a one-cell window
-    (`gmc.log_ball_field`, with its `floor`), projected to degree N; the
-    projection is what keeps the drift of a noisy state perturbative.  A
-    degree-0 projection has no normal derivative: nothing is recovered.
-    """
-    dtheta = TWO_PI / cells.shape[-1]
-    if N == 0:
-        return np.pi * xi * xi * dtheta, np.zeros(cells.shape[:-1], dtype=bool)
-    h, empty = log_ball_field(cells, dtheta, xi, floor)
-    return np.pi * xi * (grid_dirichlet_to_neumann(h, N) + xi) * dtheta, empty
+    for k, (x, nab) in enumerate(evolve(masses[0], xi, dt, steps, N, rng), 1):
+        masses[k] = x
+        absorbed += nab
+    _, empty = log_ball_field(masses, TWO_PI / mu0.M, xi)
+    return MeasurePath(np.arange(steps + 1) * dt, masses, absorbed, int(empty.sum()))
 
 
 def simulate_mass_ensemble(mass0: float, xi: float, dt: float, T: float,
                            n_paths: int, rng: np.random.Generator,
                            M: int = 16, N: int = 4) -> np.ndarray:
-    """Total-mass paths of the symmetric dynamics, vectorized over paths.
-
-    Cell masses evolve as independent square-root diffusions around the
-    recovered-field drift; the paths' total masses are returned as an
-    (n_paths, steps+1) array.
-    """
+    """Total-mass paths (n_paths, steps+1) of the symmetric dynamics (`evolve`)
+    from the uniform state on M cells, vectorized over paths."""
     steps = int(round(T / dt))
     out = np.empty((n_paths, steps + 1))
     for k, total in enumerate(_total_mass_steps(mass0, xi, dt, steps, n_paths,
@@ -158,18 +149,25 @@ def simulate_mass_ensemble(mass0: float, xi: float, dt: float, T: float,
 
 def _total_mass_steps(mass0: float, xi: float, dt: float, steps: int,
                       n_paths: int, rng: np.random.Generator, M: int, N: int):
-    """Yield the paths' total masses at t = 0, dt, ..., steps * dt.
-
-    Empty windows are floored, which only matters for flagged
-    near-absorbed states.
-    """
-    sigma = TWO_PI * xi
+    """Yield the paths' total masses at t = 0, dt, ..., steps * dt."""
     x = np.full((n_paths, M), mass0 / M)
     yield x.sum(axis=1)
-    for _ in range(steps):
-        a, _ = recovered_drift(x, xi, N, floor=1e-12)
-        x, _ = cir_exact_step(x, a, sigma, dt, rng)
+    for x, _ in evolve(x, xi, dt, steps, N, rng):
         yield x.sum(axis=1)
+
+
+def bracket_stats(paths: np.ndarray, xi: float, dt: float):
+    """(quadratic variation, predicted bracket (2 pi xi)^2 int X dt, stderr
+    of their difference) of total-mass paths (n_paths, steps+1).
+
+    qv - pred is the mean over paths of q_i - p_i, each path's sums of
+    (dX - c)^2 about the drift c = 2 pi^2 xi^2 dt and of sigma^2 X dt, so
+    its stderr is their sd / sqrt(n)."""
+    sq = (np.diff(paths, axis=1) - 2.0 * np.pi ** 2 * xi ** 2 * dt) ** 2
+    qv = sq.mean(axis=0).sum()
+    pred = ((TWO_PI * xi) ** 2 * paths[:, :-1].mean(axis=0) * dt).sum()
+    excess = sq.sum(axis=1) - (TWO_PI * xi) ** 2 * dt * paths[:, :-1].sum(axis=1)
+    return qv, pred, excess.std(ddof=1) / np.sqrt(paths.shape[0])
 
 
 @dataclass

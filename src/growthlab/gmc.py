@@ -179,37 +179,30 @@ def ball_masses(cells: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def log_ball_field(cells: np.ndarray, eps: float, xi: float,
-                   floor: float = np.finfo(float).tiny) -> tuple[np.ndarray, np.ndarray]:
+def log_ball_field(cells: np.ndarray, eps: float,
+                   xi: float) -> tuple[np.ndarray, np.ndarray]:
     """h_eps(x) = (1/xi) log mu(B_eps(x)) for rows of cell masses, and a flag
     per row whose window somewhere holds no mass; each caller decides what
-    a flagged row means.  Ball masses are raised to `floor` before the log,
-    so h stays finite."""
+    a flagged row means.  Ball masses are raised to the smallest normal
+    float before the log, so h stays finite."""
     if not 0.0 < xi < 1.0:
         raise ValueError("chaos parameter must lie in (0, 1)")
     masses = ball_masses(cells, eps)
-    return np.log(np.clip(masses, floor, None)) / xi, np.any(masses <= 0.0, axis=-1)
+    return (np.log(np.clip(masses, np.finfo(float).tiny, None)) / xi,
+            np.any(masses <= 0.0, axis=-1))
 
 
-def inverse_map(mu: CircleMeasure, eps: float, xi: float, degree: int,
-                recenter: str = "mean") -> BoundaryField:
+def inverse_map(mu: CircleMeasure, eps: float, xi: float, degree: int) -> BoundaryField:
     """Recover the field from its chaos measure via log ball masses.
 
-    h_eps(x) = (1/xi) log mu(B_eps(x)), recentred and projected to the
-    requested degree.  recenter: 'mean' subtracts the grid mean (the
-    centred functional is all downstream checks use), 'calibrated'
-    subtracts log(2 eps)/xi instead.
+    h_eps(x) = (1/xi) log mu(B_eps(x)), centred on its grid mean (the
+    centred functional is all downstream checks use) and projected to the
+    requested degree.
     """
     h, empty = log_ball_field(mu.cell_masses, eps, xi)
     if empty:
         raise ValueError("ball mass vanished; field cannot be recovered")
-    if recenter == "mean":
-        h = h - h.mean()
-    elif recenter == "calibrated":
-        h = h - np.log(2.0 * eps) / xi
-    elif recenter != "none":
-        raise ValueError(f"unknown recentring mode {recenter!r}")
-    return BoundaryField.from_grid(h, degree=min(degree, (mu.M - 1) // 2))
+    return BoundaryField.from_grid(h - h.mean(), degree=min(degree, (mu.M - 1) // 2))
 
 
 def second_moment_truncated(xi: float, N: int, n_grid: int = 200001) -> float:

@@ -320,25 +320,12 @@ class MollifiedProfile:
             self.gh_w = self.gh_w * m.ravel()
 
         axes = [np.linspace(lo, hi, table_pts) for lo, hi in self.box]
-        # factor values at (axis point + node shift) once per factor, then a
-        # tensor contraction against the quadrature weights
+        # factor values at (axis point + node shift) once per factor, then one
+        # tensor contraction against the quadrature weights ("iq,jq,q->ij" at n = 2)
         fac = [profile.factors[k].pieces(axes[k][:, None] + self.gh_z[None, :, k])[0]
                for k in range(n)]
-        if n == 1:
-            val = fac[0] @ self.gh_w
-        elif n == 2:
-            val = np.einsum("iq,jq,q->ij", fac[0], fac[1], self.gh_w)
-        elif n == 3:
-            val = np.einsum("iq,jq,kq,q->ijk", fac[0], fac[1], fac[2], self.gh_w)
-        else:
-            grids = np.meshgrid(*axes, indexing="ij")
-            X = np.stack(grids, axis=-1)
-            val = np.zeros(X.shape[:-1])
-            for zz, ww in zip(self.gh_z, self.gh_w):
-                prod = np.ones(X.shape[:-1])
-                for k in range(n):
-                    prod = prod * profile.factors[k].pieces(X[..., k] + zz[k])[0]
-                val += ww * prod
+        out = "ijklmnop"[:n]
+        val = np.einsum(",".join(c + "q" for c in out) + ",q->" + out, *fac, self.gh_w)
         # derivative queries differentiate this one interpolant, so the
         # evaluated family is exactly (a smooth function, its gradient,
         # its Hessian): the identities under test hold for it exactly

@@ -545,19 +545,10 @@ def run_dynamics(cfg: ExperimentConfig) -> dict:
         return dyn.mass_law_stats(0.1, xi, cfg.dt, cfg.T, n_mass, make_rng(cfg.seed, 30))
 
     def bracket(dt, stream):
-        """(quadratic variation, predicted bracket, stderr of their difference,
-        mean drift) of one ensemble.
-
-        qv - pred is the mean over paths of q_i - p_i, each path's sums of
-        (dX - c)^2 and sigma^2 X dt, so its stderr is their sd / sqrt(n).
-        """
+        """`dyn.bracket_stats` and the mean drift of one ensemble."""
         paths = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, dt, cfg.T, n_paths,
                                            make_rng(cfg.seed, stream), M=16, N=4)
-        sq = (np.diff(paths, axis=1) - 2.0 * np.pi ** 2 * xi ** 2 * dt) ** 2
-        qv = sq.mean(axis=0).sum()
-        pred = ((TWO_PI * xi) ** 2 * paths[:, :-1].mean(axis=0) * dt).sum()
-        excess = sq.sum(axis=1) - (TWO_PI * xi) ** 2 * dt * paths[:, :-1].sum(axis=1)
-        return (qv, pred, excess.std(ddof=1) / np.sqrt(n_paths),
+        return (*dyn.bracket_stats(paths, xi, dt),
                 (paths[:, -1].mean() - paths[:, 0].mean()) / cfg.T)
 
     def martingale():
@@ -635,8 +626,7 @@ def run_dynamics(cfg: ExperimentConfig) -> dict:
 
     # growth driving from a constant-field path
     flat = dyn.MeasurePath(np.array([0.0, cfg.dt, 2 * cfg.dt]),
-                           np.tile(np.full(16, TWO_PI / 16), (3, 1)),
-                           [BoundaryField.zeros(2)] * 3)
+                           np.tile(np.full(16, TWO_PI / 16), (3, 1)))
     driving = dyn.driving_from_state(flat, xi)
     g = loewner.flow(driving, 0.5 + 0j).at_end()
     out["driving-from-state-radial"] = (abs(g), 0.5 * np.exp(driving.mass_integral()))

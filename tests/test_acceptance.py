@@ -8,14 +8,13 @@ to see the summary lines.
 import time
 
 import numpy as np
-import pytest
 
 from growthlab import dynamics as dyn
 from growthlab import fields, generator, gmc, kernels, loewner
 from growthlab.disk import DiskTestFunction, bump, realize_symbol
 from growthlab.profiles import ProductProfile
 from growthlab.rng import make_rng
-from growthlab.spectral import BoundaryField, conjugate_pv, grid_angles
+from growthlab.spectral import BoundaryField, grid_angles
 from growthlab.suites import _fixture_functional, _fixture_g
 
 N, M = 64, 256

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 
 from growthlab.disk import DiskTestFunction, bump, realize_symbol
 from growthlab.quadrature import (annulus_grid, batched_gauss_panels,
-                                  gauss_legendre, green_pair_modes,
-                                  integrate_polar)
+                                  green_pair_modes, integrate_polar)
 from growthlab.spectral import BoundaryField
 
 

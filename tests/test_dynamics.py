@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from growthlab.dynamics import (MeasurePath, cir_exact_step, driving_from_state,
-                                mass_law_paths, mass_law_slope_sd,
-                                mass_law_stats, ou_baseline, recovered_drift,
-                                simulate_mass_ensemble, simulate_symmetric,
-                                total_mass_stats)
+from growthlab.dynamics import (MeasurePath, bracket_stats, cir_exact_step,
+                                driving_from_state, evolve, mass_law_paths,
+                                mass_law_slope_sd, mass_law_stats, ou_baseline,
+                                recovered_drift, simulate_mass_ensemble,
+                                simulate_symmetric, total_mass_stats)
 from growthlab.gmc import CircleMeasure
 from growthlab.loewner import flow
 from growthlab.rng import make_rng
@@ -34,15 +34,18 @@ def test_cir_exact_moments():
 
 
 def test_drift_only_slope_exact():
-    path = simulate_symmetric(CircleMeasure.uniform(2 * np.pi, 16), XI, 1e-3,
-                              0.1, 4, make_rng(2), noise=False)
-    slope = (path.total_mass[-1] - path.total_mass[0]) / 0.1
-    assert abs(slope - 2 * np.pi ** 2 * XI ** 2) < 1e-10
+    # a uniform state recovers a constant field: the drift sums to the
+    # mass law's slope 2 pi^2 xi^2, at every degree and in a batch
+    cells = np.outer([1.0, 0.5, 3.0], CircleMeasure.uniform(2 * np.pi, 16).cell_masses)
+    for N in (0, 4):
+        drift = np.broadcast_to(recovered_drift(cells, XI, N), cells.shape)
+        assert np.abs(drift.sum(axis=1) - 2 * np.pi ** 2 * XI ** 2).max() < 1e-12
 
 
 def _one_cell_drift(x, xi, N):
-    """The mass ensemble's drift written out: centred one-cell window
-    (the cell plus half of each neighbour), floored log, degree-N d_nH."""
+    """`recovered_drift` written out for rows with mass in every window:
+    centred one-cell window (the cell plus half of each neighbour), floored
+    log, degree-N d_nH."""
     m = x + 0.5 * (np.roll(x, 1, axis=-1) + np.roll(x, -1, axis=-1))
     spec = np.fft.rfft(np.log(np.clip(m, 1e-12, None)) / xi, axis=-1)
     k = np.arange(spec.shape[-1])
@@ -50,17 +53,34 @@ def _one_cell_drift(x, xi, N):
     return np.pi * xi * (dnh + xi) * (2 * np.pi / x.shape[-1])
 
 
-def test_symmetric_and_ensemble_drifts_agree():
-    M, N, dt = 16, 4, 1e-3
+def _smooth_state(M):
     h = 0.8 * BoundaryField.basis(1, 4) + 0.5 * BoundaryField.basis(4, 4)
-    mu0 = CircleMeasure(40.0 * np.exp(XI * h.values(M)))
-    path = simulate_symmetric(mu0, XI, dt, 0.02, N, make_rng(18))
+    return CircleMeasure(40.0 * np.exp(XI * h.values(M)))
+
+
+def test_symmetric_and_ensemble_drifts_agree():
+    M, N = 16, 4
+    path = simulate_symmetric(_smooth_state(M), XI, 1e-3, 0.02, N, make_rng(18))
     states = path.masses[:-1]
-    per_step = np.diff(path.drift_integral, axis=0) / dt
+    # the one drift keeps the written-out arithmetic bit for bit, on a batch
+    # of states (the ensemble) and on each state alone (simulate_symmetric)
     want = _one_cell_drift(states, XI, N)
-    assert np.abs(per_step - want).max() <= 1e-13 * np.abs(want).max()
-    # the ensemble's drift keeps the written-out arithmetic bit for bit
-    assert np.array_equal(recovered_drift(states, XI, N, floor=1e-12)[0], want)
+    assert np.array_equal(recovered_drift(states, XI, N), want)
+    assert all(np.array_equal(recovered_drift(x, XI, N), w) for x, w in zip(states, want))
+
+
+def test_empty_window_row_steps_under_the_zero_field():
+    M, N, dt = 16, 4, 1e-3
+    empty = np.full(M, 2.0)
+    empty[5:8] = 0.0                # cell 6 and both its neighbours hold nothing
+    cells = np.stack([empty, _smooth_state(M).cell_masses])
+    (got, _), = evolve(cells, XI, dt, 1, N, make_rng(19))
+    zero_field = np.pi * XI ** 2 * (2 * np.pi / M)
+    drift = np.stack([np.full(M, zero_field), _one_cell_drift(cells, XI, N)[1]])
+    want, _ = cir_exact_step(cells, drift, 2 * np.pi * XI, dt, make_rng(19))
+    assert np.array_equal(got, want)
+    # the floored log of the empty window would have pulled mass out hard
+    assert _one_cell_drift(empty, XI, N).min() < -1.0
 
 
 def test_one_cell_besq_reduction():
@@ -117,10 +137,8 @@ def test_total_mass_stats_requires_paths():
 def test_bracket_structure():
     paths = simulate_mass_ensemble(40 * np.pi, XI, 1e-3, 0.2, 1500, make_rng(4),
                                    M=16, N=4)
-    dX = np.diff(paths, axis=1)
-    qv = ((dX - 2 * np.pi ** 2 * XI ** 2 * 1e-3) ** 2).mean(axis=0).sum()
-    pred = ((2 * np.pi * XI) ** 2 * paths[:, :-1].mean(axis=0) * 1e-3).sum()
-    assert abs(qv / pred - 1.0) < 0.05
+    qv, pred, se = bracket_stats(paths, XI, 1e-3)
+    assert abs(qv / pred - 1.0) < 0.05 and abs(qv - pred) < 3 * se
 
 
 def test_martingale_residual():
@@ -139,7 +157,6 @@ def test_simulate_symmetric_positivity_and_errors():
     path = simulate_symmetric(CircleMeasure.uniform(40 * np.pi, 32), XI, 1e-3,
                               0.05, 8, make_rng(6))
     assert path.masses.min() >= 0.0
-    assert len(path.fields) == path.masses.shape[0]
     with pytest.raises(ValueError):
         simulate_symmetric(CircleMeasure.uniform(1.0, 8), 1.2, 1e-3, 0.01, 2, make_rng(7))
     with pytest.raises(ValueError):
@@ -188,13 +205,13 @@ def test_ou_stationarity_against_fresh_samples():
 def test_driving_from_state_constant_field():
     M = 16
     flat = MeasurePath(np.array([0.0, 1e-3, 2e-3]),
-                       np.tile(np.full(M, 2 * np.pi / M), (3, 1)),
-                       [BoundaryField.zeros(2)] * 3)
+                       np.tile(np.full(M, 2 * np.pi / M), (3, 1)))
     driving = driving_from_state(flat, XI)
     assert driving.dropped == 0
-    # constant field: uniform driving, radial flow scaling
+    # the calibrated shift recovers the zero field of the flat measure of
+    # mass 2 pi: driving density one, radial flow scaling
     dens = driving.measures[0].density
-    assert np.abs(dens - dens[0]).max() < 1e-12
+    assert np.abs(dens - 1.0).max() < 1e-12
     g = flow(driving, 0.5 + 0j).at_end()
     assert abs(abs(g) - 0.5 * np.exp(driving.mass_integral())) < 1e-8
     assert abs(np.angle(g)) < 1e-10
@@ -210,12 +227,11 @@ def test_absorbed_states_flagged():
     assert path.absorbed_events >= 0
     assert path.masses.min() >= 0.0
     # a one-cell window is empty when a cell and both neighbours are; such
-    # states are counted and recover the zero field
+    # states are counted
     m = path.masses
     empty = ((m == 0.0) & (np.roll(m, 1, axis=1) == 0.0)
              & (np.roll(m, -1, axis=1) == 0.0)).any(axis=1)
     assert path.empty_windows == empty.sum() > 0
-    assert all(not path.fields[k].coeffs.any() for k in np.flatnonzero(empty))
     # the driving path leaves those states out and counts them
     driving = driving_from_state(path, XI)
     assert path.empty_windows == driving.dropped == 1

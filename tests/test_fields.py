@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from growthlab.disk import DiskTestFunction, bump, realize_symbol
+from growthlab.disk import DiskTestFunction, bump
 from growthlab.fields import (CouplingParams, batch_values, bulk_covariance_matrix,
                               cameron_martin_check, gaussian_identity_check,
                               green_dirichlet, m_support, sample_trace_batch,

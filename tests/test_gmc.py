@@ -8,7 +8,7 @@ from growthlab.gmc import (CircleMeasure, ball_masses, chaos_density_batch,
                            truncated_pointwise_variance, weighted_field_check)
 from growthlab.profiles import BoundedSmoothProfile
 from growthlab.rng import make_rng
-from growthlab.spectral import BoundaryField, grid_angles
+from growthlab.spectral import BoundaryField
 
 XI = 1.0 / np.sqrt(6.0)
 
@@ -190,10 +190,6 @@ def test_inverse_map_smooth_recovery():
         errs.append(np.abs(rec.values(M) - (h.values(M) - h.mean())).max())
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.05 * errs[0] / 0.05  # sane magnitude
-    # calibrated mode recovers the constant for flat measures
-    flat = CircleMeasure.uniform(2 * np.pi, M)
-    rec = inverse_map(flat, 0.1, XI, 4, recenter="calibrated")
-    assert np.abs(rec.values(M)).max() < 1e-10
 
 
 def test_inverse_map_errors():

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab.disk import DiskTestFunction, bump, realize_symbol
+from growthlab.disk import DiskTestFunction, bump
 from growthlab.fields import sample_trace_batch
 from growthlab.gmc import CircleMeasure, chaos_measure
 from growthlab.kernels import (boundary_localization_suite, contract_left,
-                               contraction_suite, dmu, dmu_polar,
+                               contraction_suite, dmu,
                                finite_rank_truncation, kernel_u_check, kernel_v,
                                loewner_field, loewner_field_deriv,
                                loewner_field_polar, operator_a,

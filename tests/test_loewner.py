@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from growthlab.gmc import CircleMeasure
-from growthlab.loewner import (DrivingPath, MapperError, NearlyCircularMap,
-                               StarDomain, conformal_radius,
+from growthlab.loewner import (DrivingPath, StarDomain, conformal_radius,
                                fit_driving_measure, flow, hadamard_check,
                                nearly_circular_map, smooth_metric_driving)
 from growthlab.spectral import BoundaryField, grid_angles

@@ -1,4 +1,5 @@
-"""No function, class or method in src/ that nothing in the program calls.
+"""No function, class or method in src/ that nothing in the program calls,
+and no import that nothing uses.
 
 A name counts as used when code in src/ or scripts/ (the lab's own
 experiment programs) loads it, as a bare name or as an attribute; a
@@ -55,3 +56,35 @@ def test_reference_routes_are_defined_and_unused():
     stale = sorted(name for name in REFERENCE_ROUTES
                    if name not in defined or name in used)
     assert not stale, f"stale reference-route entries: {stale}"
+
+
+def test_every_import_is_used():
+    """An imported name in src/, scripts/ or tests/ is loaded in its module,
+    listed in its `__all__`, or imported from it by another module (a
+    re-export, such as `fields.batch_values`)."""
+    imported, loaded, reexported = {}, {}, set()
+    for path in (sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+                 + sorted((ROOT / "tests").glob("*.py"))):
+        module = (f"growthlab.{path.stem}" if path.parent == SRC
+                  else str(path.relative_to(ROOT)))
+        names = imported[module] = {}
+        used = loaded[module] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    names[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                source = (".".join(filter(None, ("growthlab", node.module)))
+                          if node.level else node.module)
+                for alias in node.names:
+                    names[alias.asname or alias.name] = node.lineno
+                    reexported.add((source, alias.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+    unused = sorted(f"{module}:{line} {name}" for module, names in imported.items()
+                    for name, line in names.items()
+                    if name not in loaded[module] and (module, name) not in reexported)
+    assert not unused, f"imported but never used: {unused}"
