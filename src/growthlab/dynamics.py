@@ -271,8 +271,7 @@ def mass_law_paths(mass0: float, xi: float, dt: float, T: float,
 
 
 def ou_baseline(h0: BoundaryField, dt: float, T: float,
-                rng: np.random.Generator, n_paths: int = 1,
-                noise: bool = True) -> np.ndarray:
+                rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """Per-mode exact transitions of the flat-noise field evolution.
 
     Mode k relaxes at rate pi lam_k toward stationary variance
@@ -286,8 +285,6 @@ def ou_baseline(h0: BoundaryField, dt: float, T: float,
     out[:, 0, :] = h0.coeffs
     decay = np.exp(-np.pi * lam[1:] * dt)
     noise_sd = np.sqrt((TWO_PI / lam[1:]) * (1.0 - decay ** 2))
-    if not noise:
-        noise_sd = 0.0 * noise_sd
     for k in range(steps):
         z = rng.standard_normal((n_paths, 2 * N))
         out[:, k + 1, 1:] = out[:, k, 1:] * decay + noise_sd * z

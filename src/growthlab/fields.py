@@ -166,11 +166,11 @@ GAUSSIAN_IDENTITIES = ("IBP1", "IBP2", "CM1", "CM2", "CM3")
 
 
 def gaussian_identity_check(which: str, cov: np.ndarray, n_samples: int,
-                            rng: np.random.Generator, scale: float = 1.0):
+                            rng: np.random.Generator):
     """Monte-Carlo check of a Gaussian integration-by-parts or shift identity.
 
     Variables are the rows of a centered Gaussian vector with the given
-    covariance; the smooth test function is tanh(scale x).  Returns
+    covariance; the smooth test function is tanh.  Returns
     (mc_lhs, rhs, stderr) where stderr gates the paired difference.
     """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -180,11 +180,10 @@ def gaussian_identity_check(which: str, cov: np.ndarray, n_samples: int,
     L = np.linalg.cholesky(cov + 1e-14 * np.eye(cov.shape[0]))
     Z = rng.standard_normal((n_samples, cov.shape[0])) @ L.T
 
-    def psi(x):
-        return np.tanh(scale * x)
+    psi = np.tanh
 
     def dpsi(x):
-        return scale * (1.0 - np.tanh(scale * x) ** 2)
+        return 1.0 - np.tanh(x) ** 2
 
     if which == "IBP1":
         X, Y = Z[:, 0], Z[:, min(1, Z.shape[1] - 1)]

@@ -536,8 +536,10 @@ def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
         E[(-int k DV dl int ell dmu - xi int ell k dmu) phi
            + sum_i (int p_i k dl)(int ell dmu) phi_i] = 0
 
-    with DV = -(1/2pi) d_nH h + c.  The measure stays at pure gravity; a
-    mismatched c makes the residual linear in (c - c_pure).
+    with DV = -(1/2pi) d_nH h + c.  The measure stays at pure gravity.  The
+    c term is c (int k dl)(int ell dmu) phi, so a mismatched c makes the
+    residual linear in (c - c_pure) only when k has a nonzero integral; for
+    a k of zero integral the residual does not depend on c.
     """
     params = CouplingParams.pure_gravity()
     if c is None:

@@ -165,8 +165,8 @@ def test_simulate_symmetric_positivity_and_errors():
 
 def test_ou_stationary_variances():
     h0 = BoundaryField.zeros(6)
-    out = ou_baseline(h0, 0.02, 5.0 / np.pi, make_rng(9), n_paths=6000)
-    for k in (1, 2, 3, 4):
+    out = ou_baseline(h0, 0.02, 5.0 / np.pi, make_rng(9), n_paths=10000)
+    for k in (1, 2, 3, 4, 8):
         lam = np.ceil(k / 2)
         v = out[:, -1, k].var(ddof=1)
         target = 2 * np.pi / lam
@@ -176,17 +176,13 @@ def test_ou_stationary_variances():
 
 
 def test_ou_pure_decay_and_spectral_gap():
-    h0 = 10.0 * BoundaryField.basis(1, 2)
-    out = ou_baseline(h0, 0.01, 1.0, make_rng(10), n_paths=1, noise=False)
-    assert abs(out[0, -1, 1] - 10.0 * np.exp(-np.pi)) < 1e-10
-    # mode 3 decays at rate 2 pi
-    h3 = 10.0 * BoundaryField.basis(3, 2)
-    out3 = ou_baseline(h3, 0.01, 1.0, make_rng(11), n_paths=1, noise=False)
-    assert abs(out3[0, -1, 3] - 10.0 * np.exp(-2 * np.pi)) < 1e-9
-    # ensemble decay of the mean within two percent
+    # ensemble decay of the mean within two percent: mode 1 at rate pi and
+    # mode 3 at rate 2 pi (there two percent is about 6.7 standard errors)
+    h0 = 10.0 * (BoundaryField.basis(1, 2) + BoundaryField.basis(3, 2))
     big = ou_baseline(h0, 0.01, 0.2, make_rng(12), n_paths=40000)
-    est = big[:, -1, 1].mean() / 10.0
-    assert abs(est / np.exp(-np.pi * 0.2) - 1.0) < 0.02
+    for k, rate in ((1, np.pi), (3, 2 * np.pi)):
+        est = big[:, -1, k].mean() / 10.0
+        assert abs(est / np.exp(-rate * 0.2) - 1.0) < 0.02
 
 
 def test_ou_stationarity_against_fresh_samples():

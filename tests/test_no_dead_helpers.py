@@ -88,3 +88,21 @@ def test_every_import_is_used():
                     for name, line in names.items()
                     if name not in loaded[module] and (module, name) not in reexported)
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_acceptance_reads_only_the_suites():
+    """The acceptance criteria take their numbers from `run_suite`: the
+    module imports from growthlab only `suites` and `cli`, so no criterion
+    can wire an estimator by hand."""
+    allowed = {"growthlab.suites", "growthlab.cli"}
+    path = ROOT / "tests" / "test_acceptance.py"
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "growthlab":
+            modules += [f"growthlab.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    stray = sorted(m for m in modules if m.split(".")[0] == "growthlab" and m not in allowed)
+    assert not stray, f"tests/test_acceptance.py imports {stray}"
