@@ -150,20 +150,44 @@ def _nested(f, rows):
     return [_nested(f, r) for r in rows] if isinstance(rows, list) else f(rows)
 
 
+# nodes per block of rows that an integrand sees at once: whole batches make
+# temporaries of many megabytes, and the elementwise arithmetic then runs at
+# memory speed; blocks of this size stay in cache
+_BLOCK_NODES = 2 ** 16
+
+
+def _in_blocks(fn, m, rows):
+    """fn(m, *rows) evaluated on blocks of consecutive rows, each holding at
+    most _BLOCK_NODES nodes of m (at least one row), written into one array
+    allocated at the first block.  Every value is elementwise per row, so
+    the result has the bits of a single call."""
+    B = m.shape[0]
+    step = max(1, _BLOCK_NODES // (m.size // B))
+    out = None
+    for start in range(0, B, step):
+        block = slice(start, start + step)
+        vals = fn(m[block], *_nested(lambda r: r[block], rows))
+        if out is None:
+            out = np.empty((B,) + vals.shape[1:])
+        out[block] = vals
+    return out
+
+
 def _integrate_live(fn, rows, lo, hi, n_out: int):
     """Per-sample integrals over [lo, hi] of fn(m, *rows), live rows only.
 
     rows are nested lists of per-sample arrays (leading axis B).  Rows with
     hi > lo go to batched_gauss_panels together, and fn sees exactly those
-    rows of every array; a row with an empty interval is an exact zero in
-    the output and never reaches fn.  fn returns (B, K, n_out), and the
-    output has shape (B, n_out).
+    rows of every array, a block of rows at a time (_in_blocks); a row with
+    an empty interval is an exact zero in the output and never reaches fn.
+    fn returns (B, K, n_out), and the output has shape (B, n_out).
     """
     live = hi > lo
     out = np.zeros(lo.shape + (n_out,))
     if live.any():
         sub = _nested(lambda r: r[live], rows)
-        out[live] = batched_gauss_panels(lambda m: fn(m, *sub), lo[live], hi[live])
+        out[live] = batched_gauss_panels(lambda m: _in_blocks(fn, m, sub),
+                                         lo[live], hi[live])
     return out
 
 
@@ -180,7 +204,8 @@ def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
     roundoff only when k = 1, as in the suites' fixtures; two slopes leave
     a few 1e-12 relative against eight nodes at rate 2.  fn sees m of
     shape (B, S, 4), the nodes of each of S segments, each segment inside
-    one table cell, and returns (B, S, 4, n_out); the output is (B, n_out).
+    one table cell, and returns (B, S, 4, n_out), a block of rows at a time
+    (_in_blocks); the output is (B, n_out).
     """
     lo, hi = _m_interval((base, slopes, profile))
     B = lo.size
@@ -198,7 +223,7 @@ def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
     x, wq = _SPLINE_GAUSS
     nodes = a[:, :, None] + w[:, :, None] * x[None, None, :]
     weights = (w[:, :, None] * wq[None, None, :]).reshape(B, -1)
-    vals = fn(nodes, *rows)
+    vals = _in_blocks(fn, nodes, rows)
     return np.einsum("bkc,bk->bc", vals.reshape(B, -1, vals.shape[-1]), weights)
 
 

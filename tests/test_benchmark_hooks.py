@@ -23,6 +23,13 @@ HOOKS = {
     "dirichlet": (5_100, "generator.dirichlet_form_s", "quadrature.gauss_calls"),
 }
 
+# exact quadrature counts of a traced round: the wrapper counts one integrand
+# call per level of the Gauss ladder, so an integrand it saw once per row
+# block would inflate them
+QUADRATURE = {
+    "dirichlet": {"quadrature.gauss_calls": 4, "quadrature.nodes_per_sample": 2016},
+}
+
 
 @pytest.mark.parametrize("workload", sorted(HOOKS))
 def test_traced_worker_round_sees_the_hooks(workload, tmp_path):
@@ -38,4 +45,6 @@ def test_traced_worker_round_sees_the_hooks(workload, tmp_path):
     assert line["samples"] == samples
     assert line["layers"][span] > 0.0
     assert line["layers"][counter] > 0
+    for name, value in QUADRATURE.get(workload, {}).items():
+        assert line["layers"][name] == value
     assert (tmp_path / workload / "report.json").exists()

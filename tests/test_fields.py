@@ -114,6 +114,15 @@ def test_gaussian_identities(which, cov):
     assert abs(lhs - rhs) < 3 * se
 
 
+def test_gaussian_ibp2_is_not_vacuous():
+    """At the appendix suite's covariance and 20,000 draws, the rhs of IBP2
+    is far from 0 (Gauss-Hermite gives 0.05415 on both sides), so the gate
+    can see a wrong rhs."""
+    lhs, rhs, se = gaussian_identity_check("IBP2", np.eye(3) + 0.2, 20000, make_rng(1, 41))
+    assert abs(rhs) >= 1e-2 and abs(rhs) >= 4 * se
+    assert abs(lhs - rhs) < 3 * se
+
+
 def test_gaussian_identity_degenerate_and_errors():
     # degenerate second variable: both sides vanish in expectation
     cov = np.zeros((2, 2))

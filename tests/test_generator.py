@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from growthlab import generator
 from growthlab.disk import realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
                               bulk_covariance_matrix, mean_stderr, sample_trace_batch)
 from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
 from growthlab.generator import (CylindricalFunctional, _generator_term,
-                                 _integrate_live, _m_interval, _TraceBatch,
+                                 _integrate_live, _integrate_spline_exact,
+                                 _m_interval, _TraceBatch,
                                  _zero_mode_rows,
                                  derivative_martingale_identity,
                                  dirichlet_form, divergence_form_check,
@@ -399,6 +401,65 @@ def test_integrate_live_skips_dead_rows():
                           np.zeros((5, 3)))
     assert np.array_equal(_integrate_live(never, [coef[:5]], zero, zero, 1),
                           np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("n_out", [1, 4])
+def test_zero_mode_blocks_keep_their_bits(monkeypatch, n_out):
+    """Row blocks of one row, of three rows with a remainder, and of every
+    row give the bits of one block on both integration paths; fn never
+    sees more rows than _BLOCK_NODES allows, nor a dead row."""
+    rng = np.random.default_rng(8)
+    powers = np.arange(n_out)
+    seen = []          # (rows, nodes per row) of every call of fn
+
+    def fits(m):
+        assert m.shape[0] <= max(1, generator._BLOCK_NODES // m[0].size)
+        seen.append((m.shape[0], m[0].size))
+
+    # Gauss panels: 8 live rows of 11; the dead rows carry NaN
+    lo = rng.uniform(-1.0, 0.0, 11)
+    hi = lo + rng.uniform(0.5, 2.0, 11)
+    dead = [2, 7, 9]
+    hi[dead] = lo[dead]
+    coef = rng.standard_normal(11)
+    coef[dead] = np.nan
+
+    def gauss_fn(m, coef):
+        fits(m)
+        assert not np.isnan(coef).any()
+        return (coef[:, None] * np.exp(-m * m))[..., None] * m[..., None] ** powers
+
+    # knot segments of a spline profile: 10 rows
+    mp = MollifiedProfile(ProductProfile.bumps([0.0, 1.0], [1.0, 0.8]),
+                          np.array([[0.04, 0.01], [0.01, 0.09]]), table_pts=81)
+    (lo0, hi0), (lo1, hi1) = mp.box
+    base = np.column_stack([rng.uniform(lo0, hi0, 10), rng.uniform(lo1, hi1, 10)])
+    slopes = np.array([0.7, -1.3])
+    scale = rng.standard_normal(10)
+
+    def spline_fn(m, base, scale):
+        fits(m)
+        v, g, _ = mp.along(base, slopes, m, 1)
+        return (np.stack([v, g[0], g[1], v * m][:n_out], axis=-1)
+                * (scale[:, None, None] * np.exp(m))[..., None])
+
+    routes = [
+        (lambda: _integrate_live(gauss_fn, [coef], lo, hi, n_out), 8),
+        (lambda: _integrate_spline_exact(spline_fn, [base, scale], base, slopes, mp), 10),
+    ]
+    for run, rows in routes:
+        monkeypatch.setattr(generator, "_BLOCK_NODES", 2 ** 62)
+        seen.clear()
+        one = run()
+        assert one.shape[1] == n_out and np.all(np.isfinite(one))
+        assert {r for r, _ in seen} == {rows}
+        first = seen[0][1]
+        for per_block, blocks in [(1, [1] * rows), (3, [3] * (rows // 3) + [rows % 3]),
+                                  (rows, [rows])]:
+            monkeypatch.setattr(generator, "_BLOCK_NODES", per_block * first)
+            seen.clear()
+            assert np.array_equal(run(), one)
+            assert [r for r, n in seen if n == first] == blocks
 
 
 # the two integration paths of _zero_mode_rows: Gauss panels on the live
