@@ -15,6 +15,7 @@ placed at three standard errors of the paired difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,9 @@ class CylindricalFunctional:
 
     symbols are band-limited boundary fields p_i; each is realizable as
     the Poisson adjoint of a disk test function (built on demand) when
-    bulk pairings are needed.
+    bulk pairings are needed.  The realized functions, their covariance,
+    their log pairings and the invariance estimator's mollified profile
+    are built once per functional, on first use.
     """
 
     symbols: list
@@ -60,6 +63,20 @@ class CylindricalFunctional:
         if self._realized is None:
             self._realized = [realize_symbol(p, self.annulus) for p in self.symbols]
         return self._realized
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Covariance of the bulk Gaussian pairings with the realized functions."""
+        return bulk_covariance_matrix(self.realized(), nr=40)
+
+    @cached_property
+    def log_pairings(self) -> np.ndarray:
+        return np.array([f.log_pairing() for f in self.realized()])
+
+    @cached_property
+    def mollified(self) -> MollifiedProfile:
+        """The profile averaged over the bulk Gaussian, on an 81-point table."""
+        return MollifiedProfile(self.profile, self.covariance, gh_points=16, table_pts=81)
 
 
 # -- the generator -------------------------------------------------------------
@@ -205,7 +222,10 @@ def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
     a few 1e-12 relative against eight nodes at rate 2.  fn sees m of
     shape (B, S, 4), the nodes of each of S segments, each segment inside
     one table cell, and returns (B, S, 4, n_out), a block of rows at a time
-    (_in_blocks); the output is (B, n_out).
+    (_in_blocks); the output is (B, n_out).  Each row is one sample's line
+    base + m slopes, so with k = 1 in the first slope the profile's other
+    axes stay fixed along it and MollifiedProfile.along contracts them once
+    per row.
     """
     lo, hi = _m_interval((base, slopes, profile))
     B = lo.size
@@ -336,8 +356,7 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     """
     xi = params.xi
     delta = params.zero_mode_weight
-    psit = MollifiedProfile(F.profile, bulk_covariance_matrix(F.realized(), nr=40),
-                            gh_points=16, table_pts=81)
+    psit = F.mollified
     n = F.dim
 
     coef_rhs_a = TWO_PI * (params.chi - params.alpha + TWO_PI * params.c)
@@ -374,7 +393,7 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
 
 def _log_shift(F: CylindricalFunctional, params: CouplingParams) -> np.ndarray:
     """alpha times the log pairings of the realized test functions."""
-    return params.alpha * np.array([f.log_pairing() for f in F.realized()])
+    return params.alpha * F.log_pairings
 
 
 def _configuration(F: CylindricalFunctional, params: CouplingParams,

@@ -182,6 +182,35 @@ class BoundedSmoothProfile:
 
 _GROUP_CHUNK = 2048    # groups per pass: their partial contractions stay in cache
 _CELL_SLACK = 1e-12    # cells a group may overhang its own: roundoff at a knot
+_POLE = np.sqrt(3.0) - 2.0    # the pole of the cubic B-spline prefilter
+
+
+def _prefilter(data: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients that interpolate data at the knots.
+
+    The recursive filter of Unser, Aldroubi and Eden ("B-spline signal
+    processing, Part II", IEEE TSP 41, 1993) runs along each axis in turn,
+    a causal and an anticausal pass with mirror-symmetric boundaries.
+    """
+    c = np.array(data, dtype=float)
+    z = _POLE
+    for axis in range(c.ndim):
+        line = np.moveaxis(c, axis, 0)
+        n = line.shape[0]
+        line *= (1.0 - z) * (1.0 - 1.0 / z)
+        zn = z ** (n - 1)
+        c0 = line[0] + zn * line[n - 1]
+        zi = z
+        for i in range(1, n - 1):
+            c0 += zi * (line[i] + zn * line[n - 1 - i])
+            zi *= z
+        line[0] = c0 / (1.0 - zn * zn)
+        for i in range(1, n):
+            line[i] += z * line[i - 1]
+        line[n - 1] = (z * line[n - 2] + line[n - 1]) * z / (z * z - 1.0)
+        for i in range(n - 2, -1, -1):
+            line[i] = z * (line[i + 1] - line[i])
+    return c
 
 
 def _bspline3_taps(t: np.ndarray, order: int) -> tuple:
@@ -204,6 +233,13 @@ def _bspline3_taps(t: np.ndarray, order: int) -> tuple:
     return s, (-12.0 + 18.0 * t) / 6.0, (-12.0 + 18.0 * s) / 6.0, t
 
 
+def _tap_offsets(strides):
+    """Flat offsets of a 4^k coefficient neighborhood on axes with the given
+    strides, the last axis slowest, so each axis's four taps are contiguous
+    blocks when that axis is contracted."""
+    return np.array([np.dot(o[::-1], strides) for o in np.ndindex(*(4,) * len(strides))])
+
+
 class _SplineTable:
     """Cubic B-spline table with derivative-consistent evaluation.
 
@@ -219,68 +255,120 @@ class _SplineTable:
         self.n = self.lows.size
         pts = data.shape[0]
         self.h = (self.highs - self.lows) / (pts - 1)
-        from scipy import ndimage      # imported here: slow, and only needed here
-
-        coef = ndimage.spline_filter(data, order=3, mode="constant")
-        self.coef = np.pad(coef, 2, mode="constant")
+        self.coef = np.pad(_prefilter(data), 2, mode="constant")
         self.pts = pts
-        self._strides = np.array(self.coef.strides) // self.coef.itemsize
-        # neighborhood offsets with the last axis slowest, so each axis's four
-        # taps are contiguous blocks when that axis is contracted
-        self._offsets = np.array([np.dot(o[::-1], self._strides)
-                                  for o in np.ndindex(*(4,) * self.n)])
 
-    def evaluate_many(self, x, orders_list):
+    def _cells(self, x, axes):
+        """Scaled positions of x, axis-major on the given axes, clipped into
+        the table, and the mask of points off it (more than a cell outside)."""
+        col = (-1,) + (1,) * (x.ndim - 1)
+        u = (x - self.lows[axes].reshape(col)) / self.h[axes].reshape(col)
+        outside = ~np.all((u > -1.0) & (u < self.pts), axis=0)
+        return np.clip(u, 0.0, self.pts - 1.0 - 1e-12), outside
+
+    def _contract(self, partial, orders_list, frac, first, stop):
+        """Contract partial sums over axes stop-1, ..., first, last axis first.
+
+        orders_list holds per-axis orders of axes first..n-1, and partial maps
+        the orders of axes stop..n-1 to arrays whose leading dimension runs
+        over the 4^(stop-first) taps, the last axis slowest; frac[k - first]
+        is axis k's fractional position, shaped to broadcast against them.
+        Each axis sums its taps in a fixed order by elementwise multiply-adds,
+        and order tuples that end alike share their partial sums and weights.
+        """
+        taps = {}
+        for orders in orders_list:
+            for k in range(stop - 1, first - 1, -1):
+                key = orders[k - first:]
+                if key in partial:
+                    continue
+                if (k, key[0]) not in taps:
+                    taps[(k, key[0])] = [w / self.h[k] ** key[0]
+                                         for w in _bspline3_taps(frac[k - first], key[0])]
+                w = taps[(k, key[0])]
+                prev = partial[key[1:]]
+                p = prev.reshape((4, -1) + prev.shape[1:])
+                acc = p[0] * w[0]
+                for tap in range(1, 4):
+                    acc += p[tap] * w[tap]
+                partial[key] = acc
+        return partial
+
+    def _row_planes(self, fixed, tails):
+        """First stage: contract the trailing axes at each row's coordinates.
+
+        fixed (R, f) holds the coordinates of the last f axes per row, and
+        tails the order tuples of those axes.  Returns, per tail, the rows'
+        coefficient planes over the other axes, flat (R * P,) with P entries
+        a row, and the (R,) mask of rows off the table.
+        """
+        f = fixed.shape[1]
+        lead = self.n - f
+        u, outside = self._cells(np.ascontiguousarray(fixed.T), slice(lead, None))
+        base = np.floor(u)
+        L = self.coef.shape[0]
+        strides = L ** np.arange(f - 1, -1, -1)
+        rows = strides @ (base.astype(np.int64) + 1)
+        idx = (_tap_offsets(strides)[:, None, None] + rows[None, :, None]
+               + L ** f * np.arange(L ** lead))
+        partial = self._contract({(): self.coef.ravel()[idx]}, tails,
+                                 (u - base)[:, :, None], lead, self.n)
+        return {t: partial[t][0].ravel() for t in tails}, outside
+
+    def evaluate_many(self, x, orders_list, fixed=None):
         """Interpolant derivatives for several per-axis order tuples at x.
 
         x has shape (..., Q, n), groups of Q points that share one table
         cell: the cell of the midpoint of the group's first and last
         points.  Its 4^n coefficient neighborhood is gathered once and
         contracted one axis at a time, last axis first, against each
-        point's basis weights on that axis; order tuples that end alike
-        share their partial contractions.  Each axis sums its four taps in
-        a fixed order by elementwise multiply-adds, so a point's result has
-        the same bits whatever the group size Q.  Single points are groups
-        of one, x[..., None, :].  A group whose points leave the cell by
-        more than _CELL_SLACK raises ValueError; a point within it that
-        overhangs by d is read on the neighbouring cubic, off by O(d) in the
-        Hessian.  Groups run in chunks of _GROUP_CHUNK.  Returns one array
-        of shape x.shape[:-1] per order tuple.
+        point's basis weights on that axis (_contract).  Each axis sums its
+        four taps in a fixed order by elementwise multiply-adds, so a
+        point's result has the same bits whatever the group size Q.  Single
+        points are groups of one, x[..., None, :].  A group whose points
+        leave the cell by more than _CELL_SLACK raises ValueError; a point
+        within it that overhangs by d is read on the neighbouring cubic, off
+        by O(d) in the Hessian.  Groups run in chunks of _GROUP_CHUNK.
+
+        With fixed (R, f), rows of points share their last f coordinates:
+        x has shape (R, ..., Q, n - f) and fixed[r] holds the last f
+        coordinates of every point of x[r].  The first stage contracts
+        those axes once per row (_row_planes), with the weights every point
+        of the row would take, and each group gathers its neighborhood on
+        the other axes from its row's plane, so every entry keeps the bits
+        of evaluating the full points.  Without fixed the whole table is
+        one row's plane.  Returns one array of shape x.shape[:-1] per order
+        tuple.
         """
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1]
-        x = x.reshape(-1, shape[-1], self.n)
+        L = self.coef.shape[0]
+        if fixed is None:
+            rows, lead = 1, self.n
+            planes, row_out = {(): self.coef.ravel()}, np.zeros(1, dtype=bool)
+        else:
+            rows, lead = fixed.shape[0], self.n - fixed.shape[1]
+            planes, row_out = self._row_planes(fixed, {o[lead:] for o in orders_list})
+        x = x.reshape(-1, shape[-1], lead)
+        per_row = x.shape[0] // rows
+        strides = L ** np.arange(lead - 1, -1, -1)
+        offsets = _tap_offsets(strides)
         outs = [np.empty(x.shape[:-1]) for _ in orders_list]
-        cfl = self.coef.ravel()
-        lows, h = self.lows[:, None, None], self.h[:, None, None]
         for start in range(0, x.shape[0], _GROUP_CHUNK):
             sl = slice(start, start + _GROUP_CHUNK)
-            # axis-major (n, Q, G): every elementwise pass runs along the groups
-            u = (np.ascontiguousarray(x[sl].transpose(2, 1, 0)) - lows) / h
-            outside = ~np.all((u > -1.0) & (u < self.pts), axis=0)
-            u = np.clip(u, 0.0, self.pts - 1.0 - 1e-12)
+            row = np.arange(sl.start, min(sl.stop, x.shape[0])) // per_row
+            # axis-major (lead, Q, G): every elementwise pass runs along the groups
+            u, outside = self._cells(np.ascontiguousarray(x[sl].transpose(2, 1, 0)),
+                                     slice(0, lead))
+            outside |= row_out[row]
             base = np.floor(0.5 * (u[:, 0] + u[:, -1]))
             frac = u - base[:, None, :]
             if np.any((frac < -_CELL_SLACK) | (frac > 1.0 + _CELL_SLACK)):
                 raise ValueError("a group of points spans more than one table cell")
-            neigh = cfl[self._offsets[:, None] + self._strides @ (base.astype(np.int64) + 1)]
-            taps = {}
-            partial = {(): neigh[:, None, :]}
+            idx = offsets[:, None] + (row * L ** lead + strides @ (base.astype(np.int64) + 1))
+            partial = self._contract({t: p[idx][:, None, :] for t, p in planes.items()},
+                                     orders_list, frac, 0, lead)
             for out, orders in zip(outs, orders_list):
-                for k in range(self.n - 1, -1, -1):
-                    key = orders[k:]
-                    if key in partial:
-                        continue
-                    if (k, orders[k]) not in taps:
-                        taps[(k, orders[k])] = [w / self.h[k] ** orders[k]
-                                                for w in _bspline3_taps(frac[k], orders[k])]
-                    w = taps[(k, orders[k])]
-                    prev = partial[key[1:]]
-                    p = prev.reshape((4, -1) + prev.shape[1:])
-                    acc = p[0] * w[0]
-                    for tap in range(1, 4):
-                        acc += p[tap] * w[tap]
-                    partial[key] = acc
                 acc = partial[orders][0]
                 acc[outside] = 0.0
                 out[sl] = acc.T
@@ -341,14 +429,15 @@ class MollifiedProfile:
             orders[key[2]] += 1
         return tuple(orders)
 
-    def eval_many(self, x, keys):
+    def eval_many(self, x, keys, fixed=None):
         """Evaluate several derivative entries in one neighborhood pass.
 
         x is grouped as in _SplineTable.evaluate_many, (..., Q, n) with
-        each group of Q points inside one table cell; keys are tuples
-        ('v',), ('g', i) or ('h', i, j).
+        each group of Q points inside one table cell, or (R, ..., Q, n - f)
+        with rows that share the last f coordinates fixed (R, f); keys are
+        tuples ('v',), ('g', i) or ('h', i, j).
         """
-        vals = self._table.evaluate_many(x, [self._orders(k) for k in keys])
+        vals = self._table.evaluate_many(x, [self._orders(k) for k in keys], fixed)
         return dict(zip(keys, vals))
 
     def along(self, base, slopes, m, order: int = 2):
@@ -357,7 +446,12 @@ class MollifiedProfile:
         Unlike ProductProfile.along's (B, K), m has shape (B, S, Q), and the
         Q points of each segment must lie in one table cell (as between knot
         crossings): one gather per segment serves every point and entry.
-        Outputs have m's shape; hess[i][j] is evaluated once for i <= j.
+        When only the first slope is nonzero, as in the suites' fixtures,
+        the other axes stay fixed along each row: they are contracted once
+        per row into a line of coefficients along the first axis (the fixed
+        argument of _SplineTable.evaluate_many).  Every entry keeps the bits
+        of value, grad_entry and hess_entry at base + m * slopes.  Outputs
+        have m's shape; hess[i][j] is evaluated once for i <= j.
         """
         if np.ndim(m) != 3:
             raise ValueError("m must have shape (B, S, Q): Q points per knot segment")
@@ -367,8 +461,10 @@ class MollifiedProfile:
             keys += [("g", i) for i in range(n)]
         if order >= 2:
             keys += [("h", i, j) for i in range(n) for j in range(i, n)]
-        args = base[:, None, None, :] + m[..., None] * np.asarray(slopes)
-        vals = self.eval_many(args, keys)
+        slopes = np.asarray(slopes, dtype=float)
+        lead = n if slopes[1:].any() else 1
+        args = base[:, None, None, :lead] + m[..., None] * slopes[:lead]
+        vals = self.eval_many(args, keys, base[:, lead:] if lead < n else None)
         grad = [vals[("g", i)] for i in range(n)] if order >= 1 else None
         hess = None
         if order >= 2:

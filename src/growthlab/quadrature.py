@@ -9,14 +9,26 @@ the diagonal r1 = r2, handled by splitting the square there.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 
+@lru_cache(maxsize=None)
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per n and shared read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [a, b]."""
-    x, w = leggauss(n)
+    x, w = legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -42,7 +54,7 @@ def batched_gauss_panels(fn, a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8
     b = np.asarray(b, dtype=float)
     width = np.maximum(b - a, 0.0)
     live = width > 0
-    x, w = leggauss(order)
+    x, w = legendre_rule(order)
 
     def composite(k):
         edges = np.linspace(0.0, 1.0, k + 1)
@@ -105,7 +117,7 @@ def green_pair_modes(u_modes, sup_u, v_modes, sup_v, K: int, nr: int = 40) -> fl
     """
     au, bu = sup_u
     av, bv = sup_v
-    x, wleg = leggauss(nr)
+    x, wleg = legendre_rule(nr)
     r2, w2 = gauss_legendre(av, bv, nr)
     V_out = v_modes(r2)
 

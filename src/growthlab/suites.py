@@ -489,7 +489,7 @@ def run_invariance(cfg: ExperimentConfig) -> dict:
 
     # generator forms agree configuration by configuration
     rng = make_rng(cfg.seed, 11)
-    psit = MollifiedProfile(F.profile, fields.bulk_covariance_matrix(F.realized()))
+    psit = MollifiedProfile(F.profile, F.covariance)
     worst = 0.0
     for _ in range(5):
         h = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rng)[0])
@@ -706,10 +706,11 @@ def run_appendix(cfg: ExperimentConfig) -> dict:
                                           F, G, n, make_rng(cfg.seed, 52),
                                           N=cfg.N, M=cfg.M)
     out["field-transport-ibp"] = (est2, 0.0, se2)
+    # k has a nonzero integral, so the c (int k dl) term of the residual is live
     est3, se3 = generator.ibp_potential_check(
         BoundaryField.constant(0.3, 2) + 0.5 * BoundaryField.basis(2, 2),
-        BoundaryField.basis(1, 2), F, n, make_rng(cfg.seed, 53),
-        N=cfg.N, M=cfg.M)
+        BoundaryField.basis(1, 2) + BoundaryField.constant(0.5, 2), F, n,
+        make_rng(cfg.seed, 53), N=cfg.N, M=cfg.M)
     out["potential-gradient-ibp"] = (est3, 0.0, se3)
     return out
 

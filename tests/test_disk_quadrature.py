@@ -1,9 +1,23 @@
 import numpy as np
+import pytest
+from numpy.polynomial.legendre import leggauss
 
 from growthlab.disk import DiskTestFunction, bump, realize_symbol
 from growthlab.quadrature import (annulus_grid, batched_gauss_panels,
-                                  green_pair_modes, integrate_polar)
+                                  green_pair_modes, integrate_polar, legendre_rule)
 from growthlab.spectral import BoundaryField
+
+
+def test_legendre_rule_is_cached_read_only_and_exact():
+    for n in (4, 16, 40):
+        x, w = legendre_rule(n)
+        ref_x, ref_w = leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert legendre_rule(n)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
 def test_batched_gauss_panels_matches_antiderivative():

@@ -7,7 +7,7 @@ from growthlab import generator
 from growthlab.generator import _integrate_spline_exact
 from growthlab.profiles import (_GROUP_CHUNK, BoundedSmoothProfile,
                                 MollifiedProfile, PlateauBump1D, ProductProfile,
-                                _bspline3_taps, _step)
+                                _bspline3_taps, _prefilter, _SplineTable, _step)
 from growthlab.quadrature import gauss_legendre
 
 
@@ -247,6 +247,85 @@ def test_mollified_along_on_knot_segments_matches_pointwise():
     _integrate_spline_exact(fn, [base], base, slopes, mp)
     B, S, Q = seen[0]
     assert Q == 4 and B * S > 2 * _GROUP_CHUNK
+
+
+def _mollified(n):
+    """The 2-D profile on the invariance suite's 81-point table, or a 3-D
+    one on a 21-point table."""
+    if n == 2:
+        return _mollified_2d()
+    prof = ProductProfile.bumps([0.0, 1.0, -0.5], [1.0, 0.8, 1.3])
+    sigma = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, -0.02], [0.0, -0.02, 0.06]])
+    return MollifiedProfile(prof, sigma, table_pts=21)
+
+
+@pytest.mark.parametrize("slopes", [(1.0, 0.0), (0.0, 1.0), (0.7, -1.3), (1.0, 0.0, 0.0),
+                                    (0.0, 1.0, 0.0), (0.5, 0.0, -0.2)])
+def test_mollified_along_matches_pointwise_bit_for_bit(slopes):
+    """On the knot segments of the exact zero-mode integral, along (which
+    contracts the fixed axes once per row when only the first axis moves)
+    and eval_many with the trailing run of zero-slope axes fixed per row
+    equal value, grad_entry and hess_entry at the same points bit for bit.
+    Row 0 has every coordinate on a knot; row 1 has its fixed coordinates
+    three cells off the table, so it reads exact zeros."""
+    n = len(slopes)
+    mp = _mollified(n)
+    t = mp._table
+    slopes = np.array(slopes)
+    lead = np.flatnonzero(slopes)[-1] + 1
+    keys = _entry_keys(n)
+    rng = np.random.default_rng(12)
+    base = t.lows + (t.highs - t.lows) * rng.uniform(0.0, 1.0, (30, n))
+    base[0] = t.lows + t.h * np.arange(t.pts // 3, t.pts // 3 + n)
+    base[1] = np.where(slopes == 0.0, t.highs + 3.0 * t.h, base[1])
+    seen = []
+
+    def fn(m, base):
+        val, grad, hess = mp.along(base, slopes, m)
+        x = (base[:, None, None, :] + m[..., None] * slopes).reshape(-1, n)
+        assert np.array_equal(val.ravel(), mp.value(x))
+        for i in range(n):
+            assert np.array_equal(grad[i].ravel(), mp.grad_entry(i, x))
+            for j in range(n):
+                assert np.array_equal(hess[i][j].ravel(), mp.hess_entry(i, j, x))
+        if lead < n:
+            rows = mp.eval_many(base[:, None, None, :lead] + m[..., None] * slopes[:lead],
+                                keys, base[:, lead:])
+            for key in keys:
+                assert np.array_equal(rows[key].ravel(), mp._entry(key, x))
+        seen.append(np.stack([val] + grad + [h for row in hess for h in row]))
+        return np.zeros(m.shape + (1,))
+
+    _integrate_spline_exact(fn, [base], base, slopes, mp)
+    entries = np.concatenate(seen, axis=1)
+    assert np.all(np.abs(entries[:, 0]).max(axis=(1, 2)) > 0.0)
+    if not slopes.all():
+        assert np.all(entries[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(81, 81), (241, 241), (21, 21, 21)])
+def test_prefilter_matches_scipy_spline_filter(shape):
+    """The numpy port of the recursive prefilter gives scipy.ndimage's
+    coefficients (mirror boundaries, as its mode "constant" filters) to
+    roundoff."""
+    from scipy import ndimage
+    data = np.random.default_rng(13).standard_normal(shape)
+    ref = ndimage.spline_filter(data, order=3, mode="constant")
+    assert np.abs(_prefilter(data) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_spline_table_reproduces_its_data_at_the_knots():
+    """At every interior knot the interpolant is the tabulated value.  The
+    table pads its coefficients with zeros beyond the edges, which the
+    mirror boundary matches only where the data vanish, as a mollified
+    profile's do eight standard deviations out; the edge knots are left out."""
+    data = np.random.default_rng(14).standard_normal((21, 21))
+    t = _SplineTable(data, [-1.0, 0.5], [2.0, 4.5])
+    knots = np.meshgrid(*[t.lows[k] + t.h[k] * np.arange(t.pts) for k in range(2)],
+                        indexing="ij")
+    x = np.stack(knots, axis=-1)[1:-1, 1:-1]
+    got = t.evaluate_many(x.reshape(-1, 1, 2), [(0, 0)])[0].reshape(x.shape[:2])
+    assert np.abs(got - data[1:-1, 1:-1]).max() <= 1e-13 * np.abs(data).max()
 
 
 def _entry_keys(n):

@@ -7,7 +7,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from growthlab import suites
+from growthlab import generator, suites
+from growthlab.fields import CouplingParams
 from growthlab.suites import (CHECKS, CheckResult, CheckTableError, ExperimentConfig,
                               describe, not_decaying, run_suite)
 
@@ -121,6 +122,20 @@ def test_decay_gates_can_fail():
     assert gate([0.0527, 0.0504, 0.0500])
     for errs in ([0.05, 0.06, 0.04], [0.05, 0.04, 0.04], [0.03, 0.04, 0.05]):
         assert not gate(errs), errs
+
+
+@pytest.mark.parametrize("scale", [1.3, 2.0])
+def test_potential_gradient_gate_sees_c(monkeypatch, scale):
+    """The potential-gradient fixture's k has a nonzero integral, so its
+    gate fails at LIGHT when the potential's constant c is off by 30% or
+    doubled (z about 6 and 18 at seed 1)."""
+    check = generator.ibp_potential_check
+    c = scale * CouplingParams.pure_gravity().c
+    monkeypatch.setattr(generator, "ibp_potential_check",
+                        lambda *args, **kwargs: check(*args, c=c, **kwargs))
+    rows = run_suite(ExperimentConfig(suite="appendix", seed=1, **LIGHT["appendix"]))
+    row = next(r for r in rows if r.name == "potential-gradient-ibp")
+    assert abs(row.lhs - row.rhs) > 5.0 * row.stderr and not row.passed
 
 
 # (tol, passing (lhs, rhs, stderr), failing (lhs, rhs, stderr)) of each gate
