@@ -47,34 +47,62 @@ def cir_exact_step(x: np.ndarray, a: np.ndarray, sigma: float, dt: float,
     mixture.  Negative drifts are split: the drift is applied
     deterministically with absorption at zero (counted), then the exact
     zero-drift substep runs; the conditional mean stays exact.
+
+    Draw order, which fixes the stream: Poisson counts of the cells with
+    a >= 0 in C order, then their Gamma variates, then the Poisson counts
+    of the cells with a < 0, then their Gamma variates.  A Gamma variate
+    of shape 0 is 0 and draws nothing (numpy's standard gamma returns 0
+    there), so the cells of shape 0 need no filter.  The cells are split
+    by drift sign, into one index array per sign, only when some drift is
+    negative; the arithmetic runs in place on the arrays the split and the
+    draws return.
     """
     x = np.asarray(x, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), x.shape)
     scale = sigma * sigma * dt / 4.0
     pos = a >= 0.0
-    out = np.empty_like(x)
-    absorbed = 0
-
-    if np.any(pos):
-        lam = x[pos] / scale
-        df = 4.0 * a[pos] / (sigma * sigma)
-        npois = rng.poisson(lam / 2.0)
-        shape = df / 2.0 + npois
-        g = np.zeros_like(lam)
-        nz = shape > 0
-        g[nz] = rng.gamma(shape[nz], 2.0)
-        out[pos] = scale * g
-    if np.any(~pos):
-        xs = x[~pos] + a[~pos] * dt
-        absorbed = int(np.sum(xs < 0.0))
-        xs = np.clip(xs, 0.0, None)
-        lam = xs / scale
-        npois = rng.poisson(lam / 2.0)
-        g = np.zeros_like(lam)
-        nz = npois > 0
-        g[nz] = rng.gamma(npois[nz].astype(float), 2.0)
-        out[~pos] = scale * g
+    if pos.all():
+        return _grow(x, a, sigma, scale, rng), 0
+    ipos, ineg = np.flatnonzero(pos), np.flatnonzero(~pos)
+    out = np.empty(x.shape)
+    grown = _grow(x.take(ipos), a.take(ipos), sigma, scale, rng)
+    shrunk, absorbed = _shrink(x.take(ineg), a.take(ineg), dt, scale, rng)
+    out.put(ipos, grown)
+    out.put(ineg, shrunk)
     return out, absorbed
+
+
+def _grow(x, a, sigma, scale, rng):
+    """`cir_exact_step` of cells with drifts a >= 0, in one new array."""
+    t = np.divide(x, scale)
+    t /= 2.0
+    npois = rng.poisson(t)
+    np.multiply(4.0, a, out=t)
+    t /= sigma * sigma
+    t /= 2.0
+    t += npois
+    return _scaled_gamma(t, scale, rng)
+
+
+def _shrink(x, a, dt, scale, rng):
+    """`cir_exact_step` of cells with drifts a < 0, and the absorbed count."""
+    t = np.multiply(a, dt)
+    t += x
+    absorbed = int(np.count_nonzero(t < 0.0))
+    np.clip(t, 0.0, None, out=t)
+    t /= scale
+    t /= 2.0
+    t[...] = rng.poisson(t)
+    return _scaled_gamma(t, scale, rng), absorbed
+
+
+def _scaled_gamma(shape, scale, rng):
+    """scale * rng.gamma(shape, 2.0), written over shape.  numpy's gamma is
+    its scale times the standard gamma, and doubling is exact, so the
+    product (2 scale) * standard_gamma(shape) has the same bits."""
+    rng.standard_gamma(shape, out=shape)
+    shape *= 2.0 * scale
+    return shape
 
 
 def evolve(cells: np.ndarray, xi: float, dt: float, steps: int, N: int,

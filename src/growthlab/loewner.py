@@ -200,12 +200,17 @@ class NearlyCircularMap:
 
     F maps the unit disk onto the domain with F(0) = 0, F'(0) > 0; the
     stored data are the boundary correspondence theta(phi) and the Taylor
-    coefficients of log(F(w)/w).
+    coefficients of log(F(w)/w).  `fixed_point_residual` is the largest
+    change of theta(phi) in the last of the correspondence iteration's
+    `iterations` steps; above the tolerance, the iteration stopped at its
+    cap.
     """
 
     theta_of_phi: np.ndarray
     log_deriv_coeffs: np.ndarray     # Taylor coefficients of log(F(w)/w)
     boundary_residual: float
+    fixed_point_residual: float
+    iterations: int
     domain: StarDomain = field(repr=False)
 
     @property
@@ -262,14 +267,15 @@ def nearly_circular_map(domain: StarDomain, tol: float = 1e-13,
 
     Iterates theta(phi) = phi + conj(log r(theta(phi))) until the
     correspondence is fixed; raises MapperError with the residual when the
-    iteration stalls above tolerance.
+    iteration stalls above 1e3 * tol.  A stall between tol and 1e3 * tol is
+    accepted, and the map keeps its residual and iteration count.
     """
     M = domain.M
     phi = grid_angles(M)
     logr = BoundaryField.from_grid(np.log(domain.radius), degree=M // 2 - 1)
     theta = phi.copy()
     residual = np.inf
-    for _ in range(maxit):
+    for it in range(1, maxit + 1):
         u = logr.value_at(theta)
         theta_new = phi + grid_conjugate(u)
         residual = float(np.abs(theta_new - theta).max())
@@ -287,7 +293,7 @@ def nearly_circular_map(domain: StarDomain, tol: float = 1e-13,
     # boundary match: |F(e^{i phi})| versus r at the induced angle
     theta_hat = phi + grid_conjugate(u)
     bres = float(np.abs(np.exp(u) - np.exp(logr.value_at(theta_hat))).max())
-    return NearlyCircularMap(theta, coeffs, bres, domain)
+    return NearlyCircularMap(theta, coeffs, bres, residual, it, domain)
 
 
 # -- growth-rate checks --------------------------------------------------------

@@ -33,6 +33,72 @@ def test_cir_exact_moments():
     assert nab3 == 4 and np.all(x3 >= 0.0)
 
 
+def _reference_cir_exact_step(x, a, sigma, dt, rng):
+    """`cir_exact_step` with boolean-mask gathers, kept as the reference for
+    its values, its absorbed count and its draws."""
+    x = np.asarray(x, dtype=float)
+    a = np.broadcast_to(np.asarray(a, dtype=float), x.shape)
+    scale = sigma * sigma * dt / 4.0
+    pos = a >= 0.0
+    out = np.empty_like(x)
+    absorbed = 0
+
+    if np.any(pos):
+        lam = x[pos] / scale
+        df = 4.0 * a[pos] / (sigma * sigma)
+        npois = rng.poisson(lam / 2.0)
+        shape = df / 2.0 + npois
+        g = np.zeros_like(lam)
+        nz = shape > 0
+        g[nz] = rng.gamma(shape[nz], 2.0)
+        out[pos] = scale * g
+    if np.any(~pos):
+        xs = x[~pos] + a[~pos] * dt
+        absorbed = int(np.sum(xs < 0.0))
+        xs = np.clip(xs, 0.0, None)
+        lam = xs / scale
+        npois = rng.poisson(lam / 2.0)
+        g = np.zeros_like(lam)
+        nz = npois > 0
+        g[nz] = rng.gamma(npois[nz].astype(float), 2.0)
+        out[~pos] = scale * g
+    return out, absorbed
+
+
+def _cir_cases():
+    """Inputs (x, a) of `cir_exact_step` by name: each sign layout of the
+    drift on 1-D and 2-D states."""
+    x = make_rng(40).gamma(2.0, 0.5, size=(30, 16))
+    a = make_rng(41).normal(0.0, 1.5, size=x.shape)
+    zero = x.copy()
+    zero[3, 2:9] = 0.0
+    cases = {"scalar": (x[:, :1], 0.4),
+             "zero-drift-on-zero-mass": (zero, np.where(zero == 0.0, 0.0, np.abs(a))),
+             "absorbs": (np.full(8, 1e-6), np.full(8, -1.0))}
+    for name, drift in (("nonneg", np.abs(a)), ("neg", -np.abs(a)), ("mixed", a)):
+        cases[name + "-2d"] = (x, drift)
+        cases[name + "-1d"] = (x[7], drift[7])
+    return cases
+
+
+CIR_CASES = _cir_cases()
+
+
+@pytest.mark.parametrize("name", CIR_CASES)
+def test_cir_exact_step_keeps_the_reference_draws(name):
+    x, a = CIR_CASES[name]
+    rng, ref_rng = make_rng(42), make_rng(42)
+    for _ in range(3):
+        got, absorbed = cir_exact_step(x, a, 1.2, 0.05, rng)
+        want, ref_absorbed = _reference_cir_exact_step(x, a, 1.2, 0.05, ref_rng)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert absorbed == ref_absorbed
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+        x = got
+    if name == "absorbs":
+        assert ref_absorbed > 0
+
+
 def test_drift_only_slope_exact():
     # a uniform state recovers a constant field: the drift sums to the
     # mass law's slope 2 pi^2 xi^2, at every degree and in a batch

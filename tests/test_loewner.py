@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from growthlab.gmc import CircleMeasure
-from growthlab.loewner import (DrivingPath, StarDomain, conformal_radius,
-                               fit_driving_measure, flow, hadamard_check,
-                               nearly_circular_map, smooth_metric_driving)
+from growthlab.loewner import (DrivingPath, MapperError, StarDomain,
+                               conformal_radius, fit_driving_measure, flow,
+                               hadamard_check, nearly_circular_map,
+                               smooth_metric_driving)
 from growthlab.spectral import BoundaryField, grid_angles
 
 XI = 1.0 / np.sqrt(6.0)
@@ -117,6 +118,20 @@ def test_mapper_capacity_against_doubled_resolution():
     # interior roundtrip
     z = np.array([0.2 + 0.3j, -0.5 + 0.1j])
     assert np.abs(cm.from_disk(cm.to_disk(z)) - z).max() < 1e-12
+
+
+def test_mapper_keeps_a_stalled_residual_and_its_iterations():
+    dom = StarDomain(1 - 0.05 * (1 + np.cos(grid_angles(M))) / 2)
+    cm = nearly_circular_map(dom)
+    assert cm.fixed_point_residual < 1e-13 and 1 < cm.iterations < 400
+    # one step short of convergence the iteration stops at its cap above tol
+    # but within 1e3 * tol, which is accepted: the map says so
+    stalled = nearly_circular_map(dom, maxit=cm.iterations - 1)
+    assert stalled.iterations == cm.iterations - 1
+    assert 1e-13 < stalled.fixed_point_residual <= 1e-10
+    with pytest.raises(MapperError) as err:
+        nearly_circular_map(dom, maxit=2)
+    assert err.value.residual > 1e-10
 
 
 def test_hadamard_variation_formula():
