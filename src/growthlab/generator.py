@@ -27,9 +27,8 @@ from .fields import (CouplingParams, IntegrabilityError, batch_values,
 from .gmc import CircleMeasure, chaos_density_batch, chaos_measure
 from .kernels import (bulk_pairings, contract_left, dmu_modes, operator_a,
                       vkernel_dnh_grid)
-from .profiles import MollifiedProfile, ProductProfile
-from .quadrature import (batched_gauss_panels, gauss_legendre,
-                         green_pair_modes)
+from .profiles import MollifiedProfile, MovingAxesError, ProductProfile
+from .quadrature import batched_gauss_panels, green_pair_modes
 from .spectral import (BoundaryField, eigenvalues, grid_angles, grid_conjugate,
                        grid_dirichlet_to_neumann)
 
@@ -75,8 +74,8 @@ class CylindricalFunctional:
 
     @cached_property
     def mollified(self) -> MollifiedProfile:
-        """The profile averaged over the bulk Gaussian, on an 81-point table."""
-        return MollifiedProfile(self.profile, self.covariance, gh_points=16, table_pts=81)
+        """The profile averaged over the bulk Gaussian."""
+        return MollifiedProfile(self.profile, self.covariance)
 
 
 # -- the generator -------------------------------------------------------------
@@ -208,45 +207,6 @@ def _integrate_live(fn, rows, lo, hi, n_out: int):
     return out
 
 
-_SPLINE_GAUSS = gauss_legendre(0.0, 1.0, 4)
-
-
-def _integrate_spline_exact(fn, rows, base, slopes, profile: MollifiedProfile):
-    """Per-sample m-integrals of fn(m, *rows) for a spline profile.
-
-    The integral runs over the m-interval where base + m slopes meets the
-    profile's support box, cut at every knot crossing.  With k nonzero
-    slopes the tabulated profile has degree 3k in m on each segment, so
-    four Gauss nodes per segment integrate it times an exponential to
-    roundoff only when k = 1, as in the suites' fixtures; two slopes leave
-    a few 1e-12 relative against eight nodes at rate 2.  fn sees m of
-    shape (B, S, 4), the nodes of each of S segments, each segment inside
-    one table cell, and returns (B, S, 4, n_out), a block of rows at a time
-    (_in_blocks); the output is (B, n_out).  Each row is one sample's line
-    base + m slopes, so with k = 1 in the first slope the profile's other
-    axes stay fixed along it and MollifiedProfile.along contracts them once
-    per row.
-    """
-    lo, hi = _m_interval((base, slopes, profile))
-    B = lo.size
-    table = profile._table
-    breaks = [lo[:, None], hi[:, None]]
-    for k in range(len(slopes)):
-        if slopes[k] == 0.0:
-            continue
-        knots = table.lows[k] + table.h[k] * np.arange(table.pts)
-        m_cross = (knots[None, :] - base[:, k : k + 1]) / slopes[k]
-        breaks.append(np.clip(m_cross, lo[:, None], hi[:, None]))
-    grid = np.sort(np.concatenate(breaks, axis=1), axis=1)
-    a = grid[:, :-1]
-    w = grid[:, 1:] - a
-    x, wq = _SPLINE_GAUSS
-    nodes = a[:, :, None] + w[:, :, None] * x[None, None, :]
-    weights = (w[:, :, None] * wq[None, None, :]).reshape(B, -1)
-    vals = _in_blocks(fn, nodes, rows)
-    return np.einsum("bkc,bk->bc", vals.reshape(B, -1, vals.shape[-1]), weights)
-
-
 def _m_interval(*blocks):
     """Per-sample m-interval on which every (base, slopes, profile) block is
     inside its profile's support box."""
@@ -263,16 +223,14 @@ def _zero_mode_rows(blocks, inputs, fn, n_out, n_samples: int,
     inputs drawn from the _TraceBatch tb, as a list of (B,) arrays or
     nested lists of them, and fn(m, *psi, *inputs) is the integrand: psi
     holds each block's (value, grad, hess) up to its order, and every
-    input is shaped to broadcast against m.  A lone MollifiedProfile block
-    is integrated exactly between knots, any other profile by Gauss panels
-    on the live rows (_integrate_live with n_out).  Raises before any draw if
-    no symbol has a nonzero mean.  Returns the rows of every sample.
+    input is shaped to broadcast against m.  The integral runs by Gauss
+    panels on the live rows (_integrate_live with n_out).  Raises before any
+    draw if no symbol has a nonzero mean.  Returns the rows of every sample.
     """
     slopes = [np.array([p.integral() for p in symbols]) for symbols, *_ in blocks]
     if not any(np.any(s != 0.0) for s in slopes):
         raise IntegrabilityError(
             "no symbol has nonzero mean: the zero-mode integral does not localize")
-    profiles = [prof for _, prof, _, _ in blocks]
 
     def integrand(m, bases, rows):
         psi = [prof.along(base, s, m, order)
@@ -283,28 +241,55 @@ def _zero_mode_rows(blocks, inputs, fn, n_out, n_samples: int,
     def per_batch(b):
         tb = _TraceBatch.draw(N, b, rng, xi, M)
         bases = [tb.bases(symbols) + shift for symbols, _, _, shift in blocks]
-        rows = [bases, inputs(tb)]
-        if isinstance(profiles[0], MollifiedProfile):
-            return _integrate_spline_exact(integrand, rows, bases[0], slopes[0],
-                                           profiles[0])
-        lo, hi = _m_interval(*zip(bases, slopes, profiles))
-        return _integrate_live(integrand, rows, lo, hi, n_out)
+        lo, hi = _m_interval(*zip(bases, slopes, [prof for _, prof, _, _ in blocks]))
+        return _integrate_live(integrand, [bases, inputs(tb)], lo, hi, n_out)
 
     return monte_carlo_rows(per_batch, n_samples, batch)
 
 
-def _first_order_integrand(rate: float):
-    """fn(m, psi, a, c) = (a psi + sum_i c_i d_i psi) e^{rate m}, as (B, K, 1)."""
+def _line_rows(symbols, profile: MollifiedProfile, shift, inputs, fn, n_samples: int,
+               rng: np.random.Generator, xi: float, N: int, M: int, batch: int):
+    """Per-sample zero-mode integrals of a single profile block, in closed form.
 
-    def fn(m, psi, a, c):
-        val, grad, _ = psi
-        w = np.exp(rate * m)
-        out = a * w * val
-        for i in range(len(grad)):
-            out = out + c[i] * w * grad[i]
-        return out[..., None]
+    The profile is taken at the sample's pairings with the symbols plus
+    shift and moves along m by the symbols' integrals, which must be
+    nonzero on exactly one axis.  Per batch, inputs(tb) returns the
+    per-sample inputs drawn from the _TraceBatch tb, and fn(I, *inputs)
+    returns the batch's rows, where I(rate, key) is each sample's
+    int e^{rate m} d_key profile dm (MollifiedProfile.line_integrals).
+    Raises before any draw unless exactly one symbol has a nonzero mean.
+    """
+    slopes = np.array([p.integral() for p in symbols])
+    moving = np.flatnonzero(slopes)
+    if moving.size == 0:
+        raise IntegrabilityError(
+            "no symbol has nonzero mean: the zero-mode integral does not localize")
+    if moving.size > 1:
+        raise MovingAxesError(
+            f"{moving.size} symbols have a nonzero mean: the zero mode moves one axis only")
+    axis = int(moving[0])
 
-    return fn
+    def per_batch(b):
+        tb = _TraceBatch.draw(N, b, rng, xi, M)
+        I = profile.line_integrals(tb.bases(symbols) + shift, axis, slopes[axis])
+        return fn(I, *inputs(tb))
+
+    return monte_carlo_rows(per_batch, n_samples, batch)
+
+
+def _first_order_rows(F: CylindricalFunctional, inputs, rate: float, n_samples: int,
+                      rng: np.random.Generator, xi: float, N: int, M: int, batch: int):
+    """Per-sample int e^{rate m} (a psi + sum_i c_i d_i psi) dm on F's plain
+    profile (mollified by Sigma = 0), with [a, c] = inputs(tb)."""
+
+    def fn(I, a, c):
+        out = a * I(rate, ("v",))
+        for i in range(F.dim):
+            out += c[i] * I(rate, ("g", i))
+        return out
+
+    plain = MollifiedProfile(F.profile, np.zeros((F.dim, F.dim)))
+    return _line_rows(F.symbols, plain, 0.0, inputs, fn, n_samples, rng, xi, N, M, batch)
 
 
 @dataclass
@@ -356,7 +341,6 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     """
     xi = params.xi
     delta = params.zero_mode_weight
-    psit = F.mollified
     n = F.dim
 
     coef_rhs_a = TWO_PI * (params.chi - params.alpha + TWO_PI * params.c)
@@ -365,17 +349,17 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     # the beta term of the drift, the same on both sides, does not scale with mu
     beta_c = [-TWO_PI * params.beta * p.mean() for p in F.symbols]
 
-    def fn(m, psi, b, sig, rhs_c, mass_c):
-        val, grad, hess = psi
-        w = np.exp((delta - xi) * m)
-        w_mean = np.exp(delta * m)
-        lhs = _generator_term(b, sig, grad, hess) * w
-        rhs = np.zeros_like(m)
+    def fn(I, b, sig, rhs_c, mass_c):
+        rate = delta - xi
+        grad = [I(rate, ("g", i)) for i in range(n)]
+        hess = [[I(rate, ("h", min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
+        lhs = _generator_term(b, sig, grad, hess)
+        rhs = mass_c * I(rate, ("v",))
         for i in range(n):
-            lhs += beta_c[i] * w_mean * grad[i]
-            rhs += rhs_c[i] * w * grad[i]
-            rhs += beta_c[i] * w_mean * grad[i]
-        rhs += mass_c * w * val
+            mean_grad = I(delta, ("g", i))
+            lhs += beta_c[i] * mean_grad
+            rhs += rhs_c[i] * grad[i]
+            rhs += beta_c[i] * mean_grad
         return np.stack([lhs, rhs], axis=-1)
 
     def inputs(tb):
@@ -386,8 +370,8 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
                 [coef_rhs_a * A[i] + coef_rhs_b * B[i] for i in range(n)],
                 coef_rhs_mass * tb.mass0]
 
-    rows = _zero_mode_rows([(F.symbols, psit, 2, _log_shift(F, params))], inputs, fn, 2,
-                           n_samples, rng, xi, N, M, batch)
+    rows = _line_rows(F.symbols, F.mollified, _log_shift(F, params), inputs, fn,
+                      n_samples, rng, xi, N, M, batch)
     return _paired_from_samples(rows[:, 0], rows[:, 1])
 
 
@@ -407,13 +391,13 @@ def _configuration(F: CylindricalFunctional, params: CouplingParams,
 
 
 def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
-                           h: BoundaryField, m: float, psit: MollifiedProfile,
-                           M: int = 256) -> float:
+                           h: BoundaryField, m: float, M: int = 256) -> float:
     """Boundary-localized form of the stationarity integrand at one
     configuration: the generator term of the Monte Carlo estimators, with
     their _TraceBatch drift and diffusion on a batch of one."""
     tb, _, x = _configuration(F, params, h, m, M)
     n = F.dim
+    psit = F.mollified
     b = [tb.drift(p, params) - params.beta * p.integral() for p in F.symbols]
     sig = [[tb.diffusion(p, q) for q in F.symbols] for p in F.symbols]
     return float(_generator_term(b, sig, [psit.grad_entry(i, x) for i in range(n)],
@@ -422,13 +406,16 @@ def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
 
 
 def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
-                          h: BoundaryField, m: float, psit: MollifiedProfile,
-                          M: int = 256, nr: int = 40) -> float:
+                          h: BoundaryField, m: float, M: int = 256) -> float:
     """Generator form of the stationarity integrand at one configuration,
     assembled from bulk quadratures (the cross-check route for the
-    boundary-localized estimator)."""
+    boundary-localized estimator).  Its radial rules take 80 nodes: at 40
+    the quadrature error reached 3.4e-4 of the integrand at LIGHT, seed 1,
+    against about 1e-8 at 80."""
     _, mu, x = _configuration(F, params, h, m, M)
+    psit = F.mollified
     fs = F.realized()
+    nr = 80
     total = 0.0
     K = max(f.degree for f in fs) + 2
     for i, f in enumerate(fs):
@@ -527,10 +514,8 @@ def rotational_invariance_check(ell: BoundaryField, F: CylindricalFunctional,
     def inputs(tb):
         return [tb.mu_int(dtl), [TWO_PI * xi * tb.mu_int(g) for g in lt]]
 
-    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0)], inputs,
-                           _first_order_integrand(delta - xi), 1, n_samples, rng, xi,
-                           N, M, batch)
-    return mean_stderr(rows[:, 0])
+    return mean_stderr(_first_order_rows(F, inputs, delta - xi, n_samples, rng, xi, N, M,
+                                         batch))
 
 
 def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
@@ -602,10 +587,8 @@ def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
         LK = tb.mu_int(lv * kv)
         return [-kdv * Lmu - xi * LK, [pk_i * Lmu for pk_i in pk]]
 
-    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0)], inputs,
-                           _first_order_integrand(delta - xi), 1, n_samples, rng, xi,
-                           N, M, batch)
-    return mean_stderr(rows[:, 0])
+    return mean_stderr(_first_order_rows(F, inputs, delta - xi, n_samples, rng, xi, N, M,
+                                         batch))
 
 
 def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,

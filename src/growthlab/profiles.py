@@ -4,9 +4,12 @@ mollifications.
 
 The standard profile is a product of one-dimensional plateau bumps built
 from the C-infinity step sigma(t) = u(t)/(u(t)+u(1-t)), u(t) = e^{-1/t}.
-Mollification P_Sigma psi(x) = E psi(x + Sigma^{1/2} Z) is evaluated by
-tensor Gauss-Hermite quadrature, tabulated on a grid and interpolated with
-cubic splines (the tables carry every derivative order used downstream).
+Mollification P_Sigma psi(x) = E psi(x + Sigma^{1/2} Z) by a diagonal
+covariance is exact: a product of one-dimensional Gaussian convolutions of
+the bumps, by composite Gauss-Legendre over each bump's support.  Its
+integrals along a line that moves one axis, times an exponential, have a
+closed form (MollifiedProfile.line_integrals), which the single-block
+zero-mode estimators use on the mollified and on the plain profile alike.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_hermite_standard_normal
+from .quadrature import composite_rule
 
 
 def _u(t):
@@ -180,245 +183,55 @@ class BoundedSmoothProfile:
         return out
 
 
-_GROUP_CHUNK = 2048    # groups per pass: their partial contractions stay in cache
-_CELL_SLACK = 1e-12    # cells a group may overhang its own: roundoff at a knot
-_POLE = np.sqrt(3.0) - 2.0    # the pole of the cubic B-spline prefilter
+# composite Gauss-Legendre over a bump's support for its Gaussian
+# convolutions and tilted masses.  On the suites' bumps, whose breakpoints
+# fall on panel edges, 16 panels of 16 nodes put the invariance lhs at LIGHT
+# within 1e-15 of 128 panels; 8 panels leave 1e-12
+_PANELS = 16
+_NODES = 16
 
 
-def _prefilter(data: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients that interpolate data at the knots.
-
-    The recursive filter of Unser, Aldroubi and Eden ("B-spline signal
-    processing, Part II", IEEE TSP 41, 1993) runs along each axis in turn,
-    a causal and an anticausal pass with mirror-symmetric boundaries.
-    """
-    c = np.array(data, dtype=float)
-    z = _POLE
-    for axis in range(c.ndim):
-        line = np.moveaxis(c, axis, 0)
-        n = line.shape[0]
-        line *= (1.0 - z) * (1.0 - 1.0 / z)
-        zn = z ** (n - 1)
-        c0 = line[0] + zn * line[n - 1]
-        zi = z
-        for i in range(1, n - 1):
-            c0 += zi * (line[i] + zn * line[n - 1 - i])
-            zi *= z
-        line[0] = c0 / (1.0 - zn * zn)
-        for i in range(1, n):
-            line[i] += z * line[i - 1]
-        line[n - 1] = (z * line[n - 2] + line[n - 1]) * z / (z * z - 1.0)
-        for i in range(n - 2, -1, -1):
-            line[i] = z * (line[i + 1] - line[i])
-    return c
+class CovarianceNotDiagonalError(ValueError):
+    """The mollification covariance couples two axes; the exact
+    mollification is a product of one-dimensional convolutions only for a
+    diagonal covariance."""
 
 
-def _bspline3_taps(t: np.ndarray, order: int) -> tuple:
-    """Cubic B-spline basis (or a derivative) at offsets -1..2 from floor(t).
-
-    t is the fractional position in [0, 1], up to roundoff; returns the four
-    weights, each of t's shape, of the coefficients at floor + (-1, 0, 1, 2).
-    """
-    s = 1.0 - t
-    if order == 0:
-        return (s * s * s / 6.0,
-                (4.0 - 6.0 * t * t + 3.0 * t * t * t) / 6.0,
-                (4.0 - 6.0 * s * s + 3.0 * s * s * s) / 6.0,
-                t * t * t / 6.0)
-    if order == 1:
-        return (-0.5 * s * s,
-                (-12.0 * t + 9.0 * t * t) / 6.0,
-                (12.0 * s - 9.0 * s * s) / 6.0,
-                0.5 * t * t)
-    return s, (-12.0 + 18.0 * t) / 6.0, (-12.0 + 18.0 * s) / 6.0, t
-
-
-def _tap_offsets(strides):
-    """Flat offsets of a 4^k coefficient neighborhood on axes with the given
-    strides, the last axis slowest, so each axis's four taps are contiguous
-    blocks when that axis is contracted."""
-    return np.array([np.dot(o[::-1], strides) for o in np.ndindex(*(4,) * len(strides))])
-
-
-class _SplineTable:
-    """Cubic B-spline table with derivative-consistent evaluation.
-
-    All derivative queries differentiate the same interpolant, so the
-    family (value, gradient, Hessian) is exactly a smooth function with
-    its true derivatives; measure-level identities hold for it exactly,
-    independent of the table resolution.
-    """
-
-    def __init__(self, data, lows, highs):
-        self.lows = np.asarray(lows, dtype=float)
-        self.highs = np.asarray(highs, dtype=float)
-        self.n = self.lows.size
-        pts = data.shape[0]
-        self.h = (self.highs - self.lows) / (pts - 1)
-        self.coef = np.pad(_prefilter(data), 2, mode="constant")
-        self.pts = pts
-
-    def _cells(self, x, axes):
-        """Scaled positions of x, axis-major on the given axes, clipped into
-        the table, and the mask of points off it (more than a cell outside)."""
-        col = (-1,) + (1,) * (x.ndim - 1)
-        u = (x - self.lows[axes].reshape(col)) / self.h[axes].reshape(col)
-        outside = ~np.all((u > -1.0) & (u < self.pts), axis=0)
-        return np.clip(u, 0.0, self.pts - 1.0 - 1e-12), outside
-
-    def _contract(self, partial, orders_list, frac, first, stop):
-        """Contract partial sums over axes stop-1, ..., first, last axis first.
-
-        orders_list holds per-axis orders of axes first..n-1, and partial maps
-        the orders of axes stop..n-1 to arrays whose leading dimension runs
-        over the 4^(stop-first) taps, the last axis slowest; frac[k - first]
-        is axis k's fractional position, shaped to broadcast against them.
-        Each axis sums its taps in a fixed order by elementwise multiply-adds,
-        and order tuples that end alike share their partial sums and weights.
-        """
-        taps = {}
-        for orders in orders_list:
-            for k in range(stop - 1, first - 1, -1):
-                key = orders[k - first:]
-                if key in partial:
-                    continue
-                if (k, key[0]) not in taps:
-                    taps[(k, key[0])] = [w / self.h[k] ** key[0]
-                                         for w in _bspline3_taps(frac[k - first], key[0])]
-                w = taps[(k, key[0])]
-                prev = partial[key[1:]]
-                p = prev.reshape((4, -1) + prev.shape[1:])
-                acc = p[0] * w[0]
-                for tap in range(1, 4):
-                    acc += p[tap] * w[tap]
-                partial[key] = acc
-        return partial
-
-    def _row_planes(self, fixed, tails):
-        """First stage: contract the trailing axes at each row's coordinates.
-
-        fixed (R, f) holds the coordinates of the last f axes per row, and
-        tails the order tuples of those axes.  Returns, per tail, the rows'
-        coefficient planes over the other axes, flat (R * P,) with P entries
-        a row, and the (R,) mask of rows off the table.
-        """
-        f = fixed.shape[1]
-        lead = self.n - f
-        u, outside = self._cells(np.ascontiguousarray(fixed.T), slice(lead, None))
-        base = np.floor(u)
-        L = self.coef.shape[0]
-        strides = L ** np.arange(f - 1, -1, -1)
-        rows = strides @ (base.astype(np.int64) + 1)
-        idx = (_tap_offsets(strides)[:, None, None] + rows[None, :, None]
-               + L ** f * np.arange(L ** lead))
-        partial = self._contract({(): self.coef.ravel()[idx]}, tails,
-                                 (u - base)[:, :, None], lead, self.n)
-        return {t: partial[t][0].ravel() for t in tails}, outside
-
-    def evaluate_many(self, x, orders_list, fixed=None):
-        """Interpolant derivatives for several per-axis order tuples at x.
-
-        x has shape (..., Q, n), groups of Q points that share one table
-        cell: the cell of the midpoint of the group's first and last
-        points.  Its 4^n coefficient neighborhood is gathered once and
-        contracted one axis at a time, last axis first, against each
-        point's basis weights on that axis (_contract).  Each axis sums its
-        four taps in a fixed order by elementwise multiply-adds, so a
-        point's result has the same bits whatever the group size Q.  Single
-        points are groups of one, x[..., None, :].  A group whose points
-        leave the cell by more than _CELL_SLACK raises ValueError; a point
-        within it that overhangs by d is read on the neighbouring cubic, off
-        by O(d) in the Hessian.  Groups run in chunks of _GROUP_CHUNK.
-
-        With fixed (R, f), rows of points share their last f coordinates:
-        x has shape (R, ..., Q, n - f) and fixed[r] holds the last f
-        coordinates of every point of x[r].  The first stage contracts
-        those axes once per row (_row_planes), with the weights every point
-        of the row would take, and each group gathers its neighborhood on
-        the other axes from its row's plane, so every entry keeps the bits
-        of evaluating the full points.  Without fixed the whole table is
-        one row's plane.  Returns one array of shape x.shape[:-1] per order
-        tuple.
-        """
-        x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1]
-        L = self.coef.shape[0]
-        if fixed is None:
-            rows, lead = 1, self.n
-            planes, row_out = {(): self.coef.ravel()}, np.zeros(1, dtype=bool)
-        else:
-            rows, lead = fixed.shape[0], self.n - fixed.shape[1]
-            planes, row_out = self._row_planes(fixed, {o[lead:] for o in orders_list})
-        x = x.reshape(-1, shape[-1], lead)
-        per_row = x.shape[0] // rows
-        strides = L ** np.arange(lead - 1, -1, -1)
-        offsets = _tap_offsets(strides)
-        outs = [np.empty(x.shape[:-1]) for _ in orders_list]
-        for start in range(0, x.shape[0], _GROUP_CHUNK):
-            sl = slice(start, start + _GROUP_CHUNK)
-            row = np.arange(sl.start, min(sl.stop, x.shape[0])) // per_row
-            # axis-major (lead, Q, G): every elementwise pass runs along the groups
-            u, outside = self._cells(np.ascontiguousarray(x[sl].transpose(2, 1, 0)),
-                                     slice(0, lead))
-            outside |= row_out[row]
-            base = np.floor(0.5 * (u[:, 0] + u[:, -1]))
-            frac = u - base[:, None, :]
-            if np.any((frac < -_CELL_SLACK) | (frac > 1.0 + _CELL_SLACK)):
-                raise ValueError("a group of points spans more than one table cell")
-            idx = offsets[:, None] + (row * L ** lead + strides @ (base.astype(np.int64) + 1))
-            partial = self._contract({t: p[idx][:, None, :] for t, p in planes.items()},
-                                     orders_list, frac, 0, lead)
-            for out, orders in zip(outs, orders_list):
-                acc = partial[orders][0]
-                acc[outside] = 0.0
-                out[sl] = acc.T
-        return [out.reshape(shape) for out in outs]
+class MovingAxesError(ValueError):
+    """A zero-mode line moves more than one profile axis; the closed-form
+    line integral needs exactly one."""
 
 
 class MollifiedProfile:
-    """Gaussian mollification P_Sigma psi with value, gradient and Hessian.
+    """Gaussian mollification P_Sigma psi of a product profile, exactly.
 
-    Evaluated by tensor Gauss-Hermite quadrature; results are tabulated on
-    a grid in one pass over the quadrature nodes (the one-dimensional
-    factor derivatives are shared across all derivative tables) and
-    interpolated with cubic splines.
+    Sigma must be diagonal, so P_Sigma psi is the product over axes b of
+    the one-dimensional convolutions (P_v phi_b)(y) = int phi_b(u) g_v(u - y)
+    du, v = Sigma_bb, and each derivative (P_v phi_b^{(k)})(y) moves onto
+    the Gaussian: int phi_b(u) d_y^k g_v(u - y) du.  Both run over the
+    bump's support by composite Gauss-Legendre.  v = 0 leaves the bump as
+    it is, so P_0 psi = psi.
     """
 
-    def __init__(self, profile: ProductProfile, sigma: np.ndarray,
-                 gh_points: int = 16, table_pts: int = 241, tail: float = 8.0):
-        self.profile = profile
+    def __init__(self, profile: ProductProfile, sigma: np.ndarray):
         n = profile.dim
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         if sigma.shape != (n, n):
             raise ValueError("covariance shape mismatch")
-        w, V = np.linalg.eigh(sigma)
-        if np.any(w < -1e-10 * max(1.0, np.abs(w).max())):
+        var = np.diag(sigma).copy()
+        if np.any(var < 0.0):
             raise ValueError("mollification covariance is not PSD")
-        self.L = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-        sd = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
-        lows = [b[0] - tail * sd[k] - 1e-9 for k, b in enumerate(profile.box)]
-        highs = [b[1] + tail * sd[k] + 1e-9 for k, b in enumerate(profile.box)]
-        self.box = list(zip(lows, highs))
-        z1, w1 = gauss_hermite_standard_normal(gh_points)
-        mesh = np.meshgrid(*([z1] * n), indexing="ij")
-        self.gh_z = np.stack([m.ravel() for m in mesh], axis=-1) @ self.L.T
-        wmesh = np.meshgrid(*([w1] * n), indexing="ij")
-        self.gh_w = np.ones(gh_points ** n)
-        for m in wmesh:
-            self.gh_w = self.gh_w * m.ravel()
-
-        axes = [np.linspace(lo, hi, table_pts) for lo, hi in self.box]
-        # factor values at (axis point + node shift) once per factor, then one
-        # tensor contraction against the quadrature weights ("iq,jq,q->ij" at n = 2)
-        fac = [profile.factors[k].pieces(axes[k][:, None] + self.gh_z[None, :, k])[0]
-               for k in range(n)]
-        out = "ijklmnop"[:n]
-        val = np.einsum(",".join(c + "q" for c in out) + ",q->" + out, *fac, self.gh_w)
-        # derivative queries differentiate this one interpolant, so the
-        # evaluated family is exactly (a smooth function, its gradient,
-        # its Hessian): the identities under test hold for it exactly
-        self._table = _SplineTable(val, lows, highs)
+        if np.abs(sigma - np.diag(var)).max() > 1e-12 * max(var.max(), 1e-300):
+            raise CovarianceNotDiagonalError(
+                "off-diagonal covariance: the mollification does not factor by axis")
+        self.profile = profile
         self.dim = n
+        self.var = var
+        t, wt = composite_rule(_PANELS, _NODES)
+        self._rules = []        # per axis: nodes u on the support, weights times phi(u)
+        for f in profile.factors:
+            u = f.lo + (f.hi - f.lo) * t
+            self._rules.append((u, (f.hi - f.lo) * wt * f.pieces(u)[0]))
 
     def _orders(self, key):
         orders = [0] * self.dim
@@ -427,59 +240,83 @@ class MollifiedProfile:
         elif key[0] == "h":
             orders[key[1]] += 1
             orders[key[2]] += 1
-        return tuple(orders)
+        return orders
 
-    def eval_many(self, x, keys, fixed=None):
-        """Evaluate several derivative entries in one neighborhood pass.
+    def _convolved(self, b, k, y):
+        """(P_v phi_b^{(k)})(y) on axis b, for k = 0, 1 or 2."""
+        v = self.var[b]
+        if v == 0.0:
+            return self.profile.factors[b].pieces(y)[k]
+        u, wphi = self._rules[b]
+        d = u - y[..., None]
+        g = d * d
+        g *= -0.5 / v
+        np.exp(g, out=g)
+        if k == 1:
+            g *= d
+        elif k == 2:
+            d *= d
+            d -= v
+            g *= d
+        g *= wphi      # summed elementwise, not by BLAS: the same bits at any shape
+        return g.sum(axis=-1) / (np.sqrt(2.0 * np.pi * v) * v ** k)
 
-        x is grouped as in _SplineTable.evaluate_many, (..., Q, n) with
-        each group of Q points inside one table cell, or (R, ..., Q, n - f)
-        with rows that share the last f coordinates fixed (R, f); keys are
-        tuples ('v',), ('g', i) or ('h', i, j).
+    def _factors(self, x):
+        """factor(b, k): _convolved at the axis-b coordinates of x, once each."""
+        done = {}
+
+        def factor(b, k):
+            if (b, k) not in done:
+                done[(b, k)] = self._convolved(b, k, x[..., b])
+            return done[(b, k)]
+
+        return factor
+
+    def eval_many(self, x, keys):
+        """Several derivative entries at the points x (..., n), sharing the
+        one-dimensional factors; keys are tuples ('v',), ('g', i) or
+        ('h', i, j).  Returns a dict of arrays of shape x.shape[:-1]."""
+        factor = self._factors(np.asarray(x, dtype=float))
+        out = {}
+        for key in keys:
+            orders = self._orders(key)
+            val = factor(0, orders[0])
+            for b in range(1, self.dim):
+                val = val * factor(b, orders[b])
+            out[key] = val
+        return out
+
+    def line_integrals(self, x, axis: int, slope: float):
+        """I(rate, key): per row of x (B, n), int e^{rate m} d_key P_Sigma psi
+        (x + m slope e_axis) dm over the whole line, in closed form.
+
+        With rho = rate / slope and Phi(rho) = int e^{rho u} phi_axis(u) du,
+        Fubini, integration by parts in u and exponential tilting of the
+        Gaussian give
+
+            |slope|^{-1} e^{-rho x_axis + rho^2 v / 2} (-rho)^{k_axis} Phi(rho)
+            prod_{b != axis} (P_{v_b} phi_b^{(k_b)})(x_b).
         """
-        vals = self._table.evaluate_many(x, [self._orders(k) for k in keys], fixed)
-        return dict(zip(keys, vals))
+        factor = self._factors(x)
+        u, wphi = self._rules[axis]
 
-    def along(self, base, slopes, m, order: int = 2):
-        """Mollified value, grad and hess at base + m * slopes, per segment.
+        def integral(rate, key):
+            rho = rate / slope
+            orders = self._orders(key)
+            mass = np.exp(0.5 * rho * rho * self.var[axis]) * (wphi * np.exp(rho * u)).sum()
+            out = np.exp(-rho * x[:, axis]) * (mass * (-rho) ** orders[axis] / abs(slope))
+            for b, k in enumerate(orders):
+                if b != axis:
+                    out = out * factor(b, k)
+            return out
 
-        Unlike ProductProfile.along's (B, K), m has shape (B, S, Q), and the
-        Q points of each segment must lie in one table cell (as between knot
-        crossings): one gather per segment serves every point and entry.
-        When only the first slope is nonzero, as in the suites' fixtures,
-        the other axes stay fixed along each row: they are contracted once
-        per row into a line of coefficients along the first axis (the fixed
-        argument of _SplineTable.evaluate_many).  Every entry keeps the bits
-        of value, grad_entry and hess_entry at base + m * slopes.  Outputs
-        have m's shape; hess[i][j] is evaluated once for i <= j.
-        """
-        if np.ndim(m) != 3:
-            raise ValueError("m must have shape (B, S, Q): Q points per knot segment")
-        n = self.dim
-        keys = [("v",)]
-        if order >= 1:
-            keys += [("g", i) for i in range(n)]
-        if order >= 2:
-            keys += [("h", i, j) for i in range(n) for j in range(i, n)]
-        slopes = np.asarray(slopes, dtype=float)
-        lead = n if slopes[1:].any() else 1
-        args = base[:, None, None, :lead] + m[..., None] * slopes[:lead]
-        vals = self.eval_many(args, keys, base[:, lead:] if lead < n else None)
-        grad = [vals[("g", i)] for i in range(n)] if order >= 1 else None
-        hess = None
-        if order >= 2:
-            hess = [[vals[("h", min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
-        return vals[("v",)], grad, hess
-
-    def _entry(self, key, x):
-        x = np.asarray(x, dtype=float)[..., None, :]
-        return self._table.evaluate_many(x, [self._orders(key)])[0][..., 0]
+        return integral
 
     def value(self, x):
-        return self._entry(("v",), x)
+        return self.eval_many(x, [("v",)])[("v",)]
 
     def grad_entry(self, i, x):
-        return self._entry(("g", i), x)
+        return self.eval_many(x, [("g", i)])[("g", i)]
 
     def hess_entry(self, i, j, x):
-        return self._entry(("h", i, j), x)
+        return self.eval_many(x, [("h", i, j)])[("h", i, j)]

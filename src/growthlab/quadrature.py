@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 
@@ -32,10 +31,13 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def gauss_hermite_standard_normal(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z_i and weights w_i with E[f(Z)] = sum w_i f(z_i), Z ~ N(0,1)."""
-    t, w = hermgauss(n)
-    return np.sqrt(2.0) * t, w / np.sqrt(np.pi)
+def composite_rule(k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre on [0, 1]: k equal panels of order nodes."""
+    x, w = legendre_rule(order)
+    edges = np.linspace(0.0, 1.0, k + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 / k
+    return (mids[:, None] + half * x[None, :]).ravel(), np.tile(half * w, k)
 
 
 def batched_gauss_panels(fn, a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8,
@@ -54,14 +56,9 @@ def batched_gauss_panels(fn, a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8
     b = np.asarray(b, dtype=float)
     width = np.maximum(b - a, 0.0)
     live = width > 0
-    x, w = legendre_rule(order)
 
     def composite(k):
-        edges = np.linspace(0.0, 1.0, k + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 / k
-        t = (mids[:, None] + half * x[None, :]).ravel()
-        wt = np.tile(half * w, k)
+        t, wt = composite_rule(k, order)
         nodes = a[:, None] + width[:, None] * t[None, :]
         vals = fn(nodes)
         if vals.ndim == 3:

@@ -23,7 +23,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import fields, generator, gmc, kernels, loewner
 from .disk import DiskTestFunction, bump, realize_symbol
-from .profiles import BoundedSmoothProfile, MollifiedProfile, ProductProfile
+from .profiles import BoundedSmoothProfile, ProductProfile
 from .rng import make_rng
 from .spectral import BoundaryField, conjugate_pv, grid_angles
 
@@ -489,13 +489,12 @@ def run_invariance(cfg: ExperimentConfig) -> dict:
 
     # generator forms agree configuration by configuration
     rng = make_rng(cfg.seed, 11)
-    psit = MollifiedProfile(F.profile, F.covariance)
     worst = 0.0
     for _ in range(5):
         h = BoundaryField(fields.sample_trace_batch(cfg.N, 1, rng)[0])
         m = float(rng.uniform(-0.5, 0.5))
-        v1 = generator.invariance_local_value(F, pg, h, m, M=cfg.M, psit=psit)
-        v2 = generator.invariance_bulk_value(F, pg, h, m, M=cfg.M, psit=psit)
+        v1 = generator.invariance_local_value(F, pg, h, m, M=cfg.M)
+        v2 = generator.invariance_bulk_value(F, pg, h, m, M=cfg.M)
         worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-12))
     out["generator-bulk-boundary"] = worst
     return out

@@ -2,8 +2,8 @@
 
 perfbench/worker.py patches growthlab by name: it counts samples through
 generator's own sample_trace_batch binding and dynamics' cir_exact_step, and
-times the estimators, the spline profile, the Gauss panels and the
-square-root steps as module functions and methods.  A traced round of each
+times the estimators, the mollified profile (its `profiles.spline` spans),
+the Gauss panels and the square-root steps as module functions and methods.  A traced round of each
 workload must see every one of them, and a one-round `perfbench/run.py` of
 each workload must finish correct.
 """

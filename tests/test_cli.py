@@ -144,14 +144,16 @@ def test_pure_gravity_suites_reject_another_xi(tmp_path, capsys):
 
 def test_import_leaves_scipy_submodules_out():
     """Importing the CLI loads neither slow scipy submodule, and an
-    invariance run (its spline prefilter is numpy's) loads no scipy.ndimage."""
+    invariance run (its mollification and zero-mode integrals are numpy's)
+    loads neither scipy.ndimage nor scipy.special."""
     code = ("import sys, growthlab.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.ndimage') "
             "if m in sys.modules)); "
             "from growthlab.suites import ExperimentConfig, run_suite; "
             "run_suite(ExperimentConfig(suite='invariance', N=8, M=32, n_samples=200, "
             "n_samples_main=200)); "
-            "print('scipy.ndimage' in sys.modules)")
+            "print(sorted(m for m in ('scipy.ndimage', 'scipy.special') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split() == ["[]", "False"]
+    assert proc.stdout.split() == ["[]", "[]"]

@@ -6,12 +6,11 @@ import pytest
 from growthlab import generator, suites
 from growthlab.disk import DiskTestFunction, realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
-                              bulk_covariance_matrix, mean_stderr, sample_trace_batch)
+                              mean_stderr, sample_trace_batch)
 from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
 from growthlab.generator import (CylindricalFunctional, _generator_term,
-                                 _integrate_live, _integrate_spline_exact,
-                                 _m_interval, _TraceBatch,
-                                 _zero_mode_rows,
+                                 _integrate_live, _line_rows, _m_interval,
+                                 _TraceBatch, _zero_mode_rows,
                                  derivative_martingale_identity,
                                  dirichlet_form, divergence_form_check,
                                  drift_bulk, ibp_hdmuf_check,
@@ -21,7 +20,8 @@ from growthlab.generator import (CylindricalFunctional, _generator_term,
                                  projection_covariance_identity,
                                  qle_drift_compare, rotational_invariance_check,
                                  truncated_second_moment_growth)
-from growthlab.profiles import BoundedSmoothProfile, MollifiedProfile, ProductProfile
+from growthlab.profiles import (BoundedSmoothProfile, CovarianceNotDiagonalError,
+                                MollifiedProfile, MovingAxesError, ProductProfile)
 from growthlab.quadrature import batched_gauss_panels
 from growthlab.rng import make_rng
 from growthlab.spectral import BoundaryField, grid_angles
@@ -162,9 +162,9 @@ def test_invariance_guard():
 
 
 def test_invariance_suite_builds_its_table_once(monkeypatch):
-    """The suite's five invariance_check calls share one functional, so its
-    covariance, its 81-point mollified table and its log pairings are each
-    built once."""
+    """The suite's five invariance_check calls and its bulk-boundary check
+    share one functional, so its covariance, its mollified profile and its
+    log pairings are each built once."""
     counts = Counter()
 
     def counted(name, fn):
@@ -221,6 +221,37 @@ def test_zero_mode_estimators_raise_before_any_draw(name):
     assert rng.random() == make_rng(1).random()
 
 
+def _two_moving_axes():
+    return CylindricalFunctional([BoundaryField.constant(0.3, 2) + BoundaryField.basis(1, 2),
+                                  BoundaryField.constant(0.2, 2) + BoundaryField.basis(2, 2)],
+                                 ProductProfile.bumps([0.0, 0.0], [2.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", ["rotational_invariance_check", "ibp_potential_check"])
+def test_single_block_estimators_refuse_two_moving_axes_before_any_draw(name):
+    """The closed-form zero-mode integral moves one profile axis: a block
+    with two nonzero-mean symbols raises MovingAxesError before any draw."""
+    rng = make_rng(1)
+    with pytest.raises(MovingAxesError):
+        ZERO_MODE_ESTIMATORS[name](_two_moving_axes(), rng)
+    assert rng.random() == make_rng(1).random()
+
+
+def test_invariance_refuses_a_coupled_bulk_covariance_before_any_draw():
+    """Symbols that share a mode give a bulk covariance with an off-diagonal
+    entry, which the exact mollification cannot factor: invariance_check
+    raises CovarianceNotDiagonalError before any draw."""
+    F = CylindricalFunctional([BoundaryField.constant(1 / (2 * np.pi), 4)
+                               + 0.6 * BoundaryField.basis(1, 4),
+                               0.8 * BoundaryField.basis(1, 4) + 0.3 * BoundaryField.basis(2, 4)],
+                              ProductProfile.bumps([0.0, 0.0], [2.0, 2.5]))
+    assert abs(F.covariance[0, 1]) > 1e-3 * np.abs(np.diag(F.covariance)).max()
+    rng = make_rng(1)
+    with pytest.raises(CovarianceNotDiagonalError):
+        invariance_check(F, PG, 200, rng, N=8, M=32)
+    assert rng.random() == make_rng(1).random()
+
+
 def test_dirichlet_pairs_take_a_second_functional_without_zero_mode():
     """F's block alone localizes the zero mode, so the second functional of
     the Dirichlet form and the divergence-form route needs no nonzero-mean
@@ -235,14 +266,11 @@ def test_dirichlet_pairs_take_a_second_functional_without_zero_mode():
 
 def test_generator_bulk_vs_localized_integrand():
     F = fixture_F()
-    fs = F.realized()
-    sigma = bulk_covariance_matrix(fs)
-    psit = MollifiedProfile(F.profile, sigma)
     rng = make_rng(5)
     for params in (PG, PG.replace(alpha=PG.alpha + 0.3, beta=0.05)):
         h = BoundaryField(sample_trace_batch(N, 1, rng)[0])
-        v1 = invariance_local_value(F, params, h, 0.2, M=M, psit=psit)
-        v2 = invariance_bulk_value(F, params, h, 0.2, M=M, psit=psit)
+        v1 = invariance_local_value(F, params, h, 0.2, M=M)
+        v2 = invariance_bulk_value(F, params, h, 0.2, M=M)
         assert abs(v1 - v2) < 1e-4 * max(abs(v1), abs(v2), 1e-12)
 
 
@@ -254,12 +282,11 @@ def test_bulk_route_sees_the_estimators_terms(term, monkeypatch):
     orig = getattr(_TraceBatch, term)
     monkeypatch.setattr(_TraceBatch, term, lambda self, *a: 1.01 * orig(self, *a))
     F = fixture_F()
-    psit = MollifiedProfile(F.profile, bulk_covariance_matrix(F.realized()))
     rng = make_rng(5)
     for _ in range(3):
         h = BoundaryField(sample_trace_batch(N, 1, rng)[0])
-        v1 = invariance_local_value(F, PG, h, 0.2, M=M, psit=psit)
-        v2 = invariance_bulk_value(F, PG, h, 0.2, M=M, psit=psit)
+        v1 = invariance_local_value(F, PG, h, 0.2, M=M)
+        v2 = invariance_bulk_value(F, PG, h, 0.2, M=M)
         assert abs(v1 - v2) > 1e-4 * max(abs(v1), abs(v2))
 
 
@@ -297,53 +324,36 @@ GOLDEN_DIV = (0.2712896826928716, 0.5738594155471081, 0.8702069172567649)
 # Recorded from the estimators before they shared one Monte Carlo driver and
 # one integrand form (numpy 2.4, x86-64); paired results are (lhs, rhs,
 # stderr, lhs_stderr, rhs_stderr), single ones (estimate, stderr).  The
-# GOLDEN_INV_* triple is re-recorded at the axis-by-axis spline contraction,
-# GOLDEN_INV_PG, GOLDEN_INV_BETA and GOLDEN_HDMUF again at the single
-# generator term (see ONE_GENERATOR_RECORDED below), and the GOLDEN_INV_*
-# triple again at the numpy spline prefilter (see SCIPY_PREFILTER_INV).
-GOLDEN_INV_PG = (1.1674247082143798, 5.566239549678691e-17, 1.3155936754364628,
-                 1.3155936754364628, 7.998677169129765e-18)
-GOLDEN_INV_ALPHA = (0.9668797933200761, -0.20054491489430312, 1.3155936754364626,
-                    1.3087260399637983, 0.028818271614679793)
-GOLDEN_ROT = (-0.09312335749813037, 0.21467568790128935)
+# GOLDEN_INV_* triple is re-recorded on the exact mollification with the
+# closed-form zero-mode integral (the 16-point Gauss-Hermite table before it
+# read lhs 1.1674, 0.9669 and 1.2167 with stderr 1.3156), and GOLDEN_ROT and
+# GOLDEN_POT on the closed form over the plain profile (see LADDER_RECORDED).
+GOLDEN_INV_PG = (0.7982891213004858, 5.686448664907282e-17, 0.2902244923797735,
+                 0.2902244923797735, 3.7066890846075165e-18)
+GOLDEN_INV_ALPHA = (0.5934132165937825, -0.20487590470670328, 0.2902244923797735,
+                    0.27966379054821316, 0.013354754864173363)
+GOLDEN_ROT = (-0.0931233574981303, 0.21467568790128935)
 GOLDEN_HDMUF = (1.8310762247661676, 0.8683396856050958)
-GOLDEN_POT = (-4.790052207892868, 0.17545611474474798)
+GOLDEN_POT = (-4.790052207892869, 0.175456114744748)
 GOLDEN_PROJ = (0.05130019509384791, 0.0388888590345318, 0.02561397653960413,
                0.017001667783138483, 0.01940847788058585)
 GOLDEN_WEIGHTED = (0.11614463948869914, 0.04818989118700455, 0.03616200784216547)
 GOLDEN_DIV_REM = GOLDEN_DIV + (0.07748244707594767, 0.8677067790317843)
 # At beta != 0 the beta terms are no longer exact zeros, so their order counts.
-GOLDEN_INV_BETA = (1.21665745990991, 0.049232751695528786, 1.3155936754364626,
-                   1.3151786561495105, 0.0018763041210487954)
-# The three invariance goldens as recorded while scipy.ndimage.spline_filter
-# computed the spline coefficients: the numpy prefilter moves them by about
-# 1e-15, and every number stays within ROUNDOFF times the paired stderr.
-SCIPY_PREFILTER_INV = {
-    "INV_PG": (1.1674247082143794, 5.566239549678693e-17, 1.3155936754364626,
-               1.3155936754364626, 7.998677169129767e-18),
-    "INV_ALPHA": (0.966879793320077, -0.20054491489430318, 1.3155936754364628,
-                  1.3087260399637983, 0.028818271614679793),
-    "INV_BETA": (1.2166574599099094, 0.049232751695528806, 1.3155936754364626,
-                 1.3151786561495105, 0.0018763041210487958),
+GOLDEN_INV_BETA = (0.8474515248660427, 0.049162403565557025, 0.2902244923797735,
+                   0.29040959138505473, 0.0018625904065221461)
+# The two plain-profile goldens as recorded while the Gauss-panel ladder
+# integrated their zero mode: the closed form stays within ROUNDOFF times
+# their stderr.
+LADDER_RECORDED = {
+    "ROT": (-0.09312335749813037, 0.21467568790128935),
+    "POT": (-4.790052207892868, 0.17545611474474798),
 }
-# The three invariance goldens as recorded before the spline table contracted
-# its coefficient neighborhood one axis at a time, which sums in another
-# order: every number stays within ROUNDOFF times the paired stderr.
-POINT_MAJOR_INV_PG = (1.1674247082143803, 5.566239549678692e-17, 1.3155936754364626,
-                      1.3155936754364626, 7.998677169129767e-18)
-POINT_MAJOR_INV_ALPHA = (0.9668797933200772, -0.20054491489430318, 1.3155936754364628,
-                         1.3087260399637985, 0.028818271614679793)
-POINT_MAJOR_INV_BETA = (1.2166574599099096, 0.049232751695528806, 1.3155936754364628,
-                        1.3151786561495107, 0.001876304121048796)
 # The goldens that moved when the estimators took one generator term (the
 # drift and diffusion summed as L psi = sum b_j psi_j + 1/2 sum sigma_jk
 # psi_jk) and one quadrature path with a trailing output axis, as recorded
 # before: each re-pinned number stays within ROUNDOFF times its stderr.
 ONE_GENERATOR_RECORDED = {
-    "INV_PG": (1.1674247082143796, 5.566239549678693e-17, 1.3155936754364628,
-               1.3155936754364628, 7.998677169129767e-18),
-    "INV_BETA": (1.21665745990991, 0.049232751695528806, 1.3155936754364626,
-                 1.3151786561495105, 0.0018763041210487958),
     "HDMUF": (1.8310762247661683, 0.8683396856050958),
 }
 ROUNDOFF = 1e-12
@@ -351,10 +361,6 @@ ROUNDOFF = 1e-12
 
 def _near(numbers, recorded, stderr):
     return all(abs(a - b) <= ROUNDOFF * stderr for a, b in zip(numbers, recorded))
-
-
-def _near_point_major(numbers, recorded):
-    return _near(numbers, recorded, recorded[2])
 
 
 def _paired_numbers(res):
@@ -381,19 +387,14 @@ def test_zero_mode_estimators_keep_their_bits():
     assert (div.lhs, div.rhs, div.stderr) == GOLDEN_DIV
 
     kw = dict(N=16, M=64)
-    for params, golden, recorded, name in (
-            (PG, GOLDEN_INV_PG, POINT_MAJOR_INV_PG, "INV_PG"),
-            (PG.replace(alpha=PG.alpha + 0.2), GOLDEN_INV_ALPHA, POINT_MAJOR_INV_ALPHA,
-             "INV_ALPHA"),
-            (PG.replace(beta=0.1), GOLDEN_INV_BETA, POINT_MAJOR_INV_BETA, "INV_BETA")):
-        numbers = _paired_numbers(invariance_check(F, params, 400, make_rng(1, 23), **kw))
-        assert numbers == golden
-        assert _near_point_major(numbers, recorded)
-        assert _near_point_major(numbers, SCIPY_PREFILTER_INV[name])
-        if name in ONE_GENERATOR_RECORDED:
-            assert _near_point_major(numbers, ONE_GENERATOR_RECORDED[name])
+    for params, golden in ((PG, GOLDEN_INV_PG),
+                           (PG.replace(alpha=PG.alpha + 0.2), GOLDEN_INV_ALPHA),
+                           (PG.replace(beta=0.1), GOLDEN_INV_BETA)):
+        assert _paired_numbers(invariance_check(F, params, 400, make_rng(1, 23),
+                                                **kw)) == golden
     ell = BoundaryField.basis(3, 4) + BoundaryField.constant(0.2, 4)
     assert rotational_invariance_check(ell, F, 400, make_rng(1, 24), **kw) == GOLDEN_ROT
+    assert _near(GOLDEN_ROT, LADDER_RECORDED["ROT"], GOLDEN_ROT[1])
     p = 0.5 * BoundaryField.basis(1, 4) + BoundaryField.constant(0.1, 4)
     hdmuf = ibp_hdmuf_check(p, F, G, 400, make_rng(1, 25), **kw)
     assert hdmuf == GOLDEN_HDMUF
@@ -401,6 +402,7 @@ def test_zero_mode_estimators_keep_their_bits():
     ell2 = BoundaryField.constant(0.3, 2) + 0.5 * BoundaryField.basis(2, 2)
     assert ibp_potential_check(ell2, BoundaryField.constant(1.0, 2), F, 400,
                                make_rng(1, 26), c=PG.c + 0.2, **kw) == GOLDEN_POT
+    assert _near(GOLDEN_POT, LADDER_RECORDED["POT"], GOLDEN_POT[1])
     P = [BoundaryField.basis(0, 2), BoundaryField.basis(1, 2), BoundaryField.basis(2, 2)]
     Fprof = ProductProfile.bumps([0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
     assert _paired_numbers(projected_symmetric_ibp_check(
@@ -451,8 +453,8 @@ def test_integrate_live_skips_dead_rows():
 @pytest.mark.parametrize("n_out", [1, 4])
 def test_zero_mode_blocks_keep_their_bits(monkeypatch, n_out):
     """Row blocks of one row, of three rows with a remainder, and of every
-    row give the bits of one block on both integration paths; fn never
-    sees more rows than _BLOCK_NODES allows, nor a dead row."""
+    row give the bits of one block on the Gauss-panel path; fn never sees
+    more rows than _BLOCK_NODES allows, nor a dead row."""
     rng = np.random.default_rng(8)
     powers = np.arange(n_out)
     seen = []          # (rows, nodes per row) of every call of fn
@@ -474,60 +476,41 @@ def test_zero_mode_blocks_keep_their_bits(monkeypatch, n_out):
         assert not np.isnan(coef).any()
         return (coef[:, None] * np.exp(-m * m))[..., None] * m[..., None] ** powers
 
-    # knot segments of a spline profile: 10 rows
-    mp = MollifiedProfile(ProductProfile.bumps([0.0, 1.0], [1.0, 0.8]),
-                          np.array([[0.04, 0.01], [0.01, 0.09]]), table_pts=81)
-    (lo0, hi0), (lo1, hi1) = mp.box
-    base = np.column_stack([rng.uniform(lo0, hi0, 10), rng.uniform(lo1, hi1, 10)])
-    slopes = np.array([0.7, -1.3])
-    scale = rng.standard_normal(10)
+    def run():
+        return _integrate_live(gauss_fn, [coef], lo, hi, n_out)
 
-    def spline_fn(m, base, scale):
-        fits(m)
-        v, g, _ = mp.along(base, slopes, m, 1)
-        return (np.stack([v, g[0], g[1], v * m][:n_out], axis=-1)
-                * (scale[:, None, None] * np.exp(m))[..., None])
-
-    routes = [
-        (lambda: _integrate_live(gauss_fn, [coef], lo, hi, n_out), 8),
-        (lambda: _integrate_spline_exact(spline_fn, [base, scale], base, slopes, mp), 10),
-    ]
-    for run, rows in routes:
-        monkeypatch.setattr(generator, "_BLOCK_NODES", 2 ** 62)
+    rows = 8
+    monkeypatch.setattr(generator, "_BLOCK_NODES", 2 ** 62)
+    seen.clear()
+    one = run()
+    assert one.shape[1] == n_out and np.all(np.isfinite(one))
+    assert {r for r, _ in seen} == {rows}
+    first = seen[0][1]
+    for per_block, blocks in [(1, [1] * rows), (3, [3] * (rows // 3) + [rows % 3]),
+                              (rows, [rows])]:
+        monkeypatch.setattr(generator, "_BLOCK_NODES", per_block * first)
         seen.clear()
-        one = run()
-        assert one.shape[1] == n_out and np.all(np.isfinite(one))
-        assert {r for r, _ in seen} == {rows}
-        first = seen[0][1]
-        for per_block, blocks in [(1, [1] * rows), (3, [3] * (rows // 3) + [rows % 3]),
-                                  (rows, [rows])]:
-            monkeypatch.setattr(generator, "_BLOCK_NODES", per_block * first)
-            seen.clear()
-            assert np.array_equal(run(), one)
-            assert [r for r, n in seen if n == first] == blocks
+        assert np.array_equal(run(), one)
+        assert [r for r, n in seen if n == first] == blocks
 
 
-# the two integration paths of _zero_mode_rows: Gauss panels on the live
-# rows for a ProductProfile, exact segments between knots for a lone
-# MollifiedProfile
+# the two zero-mode routes: Gauss panels on the live rows of a plain profile
+# (_zero_mode_rows), and the closed form along the line for a mollified one
+# (_line_rows)
 BUMP = ProductProfile.bumps([0.5], [1.0])
 ZERO_MODE_PROFILES = {
     "gauss_panels": lambda: BUMP,
-    "spline_exact": lambda: MollifiedProfile(BUMP, np.array([[0.1]]), gh_points=16,
-                                             table_pts=81),
+    "closed_form": lambda: MollifiedProfile(BUMP, np.array([[0.1]])),
 }
 
 
 def _line_integral(profile, delta):
-    """int e^{delta u} psi(u) du by adaptive quadrature, broken where the
-    profile changes piece: the bump's plateau edges or the spline's knots."""
+    """int e^{delta u} psi(u) du by adaptive quadrature, broken at the bump's
+    plateau edges (the mollified profile is smooth, so its breaks are only
+    where the bump's are)."""
     from scipy.integrate import quad
-    if isinstance(profile, MollifiedProfile):
-        table = profile._table
-        knots = table.lows[0] + table.h[0] * np.arange(table.pts)
-    else:
-        f = profile.factors[0]
-        knots = np.array([f.lo, f.lo + f.rise, f.hi - f.rise, f.hi])
+    f = BUMP.factors[0]
+    knots = np.array([f.lo - 4.0, f.lo, f.lo + f.rise, f.hi - f.rise, f.hi, f.hi + 4.0])
     return sum(quad(lambda u: np.exp(delta * u) * profile.value(np.array([[u]]))[0],
                     a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
                for a, b in zip(knots[:-1], knots[1:]))
@@ -535,7 +518,11 @@ def _line_integral(profile, delta):
 
 def _sigma_finite_rows(p, profile, delta, n_samples, rng):
     """Per-sample int e^{delta m} psi(<h0, p> + m int p) dm through the
-    suites' zero-mode engine."""
+    suites' zero-mode routes."""
+    if isinstance(profile, MollifiedProfile):
+        return _line_rows([p], profile, 0.0, lambda tb: [],
+                          lambda I: I(delta, ("v",)), n_samples, rng, PG.xi, 8, 32, 4096)
+
     def fn(m, psi):
         return (np.exp(delta * m) * psi[0])[..., None]
 

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import generator
-from growthlab.generator import _integrate_spline_exact
-from growthlab.profiles import (_GROUP_CHUNK, BoundedSmoothProfile,
-                                MollifiedProfile, PlateauBump1D, ProductProfile,
-                                _bspline3_taps, _prefilter, _SplineTable, _step)
-from growthlab.quadrature import gauss_legendre
+from scipy.integrate import quad
+
+from growthlab.profiles import (BoundedSmoothProfile, CovarianceNotDiagonalError,
+                                MollifiedProfile, PlateauBump1D, ProductProfile, _step)
+from growthlab.quadrature import composite_rule
 
 
 def test_step_endpoints_and_monotonicity():
@@ -114,10 +113,14 @@ def test_product_profile_along_matches_pointwise(slopes):
         assert val.shape == (60, 1)
 
 
+# the invariance fixture's bumps under its bulk covariance, diag(2.44, 6.68)
+FIXTURE = ProductProfile.bumps([0.0, 0.0], [2.0, 2.5])
+FIXTURE_SIGMA = np.diag([2.44, 6.68])
+
+
 def test_mollified_profile_is_derivative_consistent():
     prof = ProductProfile.bumps([0.0, 1.0], [1.0, 0.8])
-    sigma = np.array([[0.04, 0.01], [0.01, 0.09]])
-    mp = MollifiedProfile(prof, sigma, table_pts=121)
+    mp = MollifiedProfile(prof, np.diag([0.04, 0.09]))
     rng = np.random.default_rng(2)
     x = rng.uniform(-1.3, 0.9, size=(500, 2)) + np.array([0.0, 1.0])
     eps = 1e-6
@@ -126,9 +129,12 @@ def test_mollified_profile_is_derivative_consistent():
         e[i] = eps
         fd = (mp.value(x + e) - mp.value(x - e)) / (2 * eps)
         assert np.abs(fd - mp.grad_entry(i, x)).max() < 1e-7
+        for j in range(2):
+            fd = (mp.grad_entry(j, x + e) - mp.grad_entry(j, x - e)) / (2 * eps)
+            assert np.abs(fd - mp.hess_entry(i, j, x)).max() < 1e-6
     d = mp.eval_many(x[:, None, :], [("v",), ("g", 0), ("h", 0, 1)])
-    assert np.abs(d[("v",)][:, 0] - mp.value(x)).max() == 0.0
-    assert np.abs(d[("g", 0)][:, 0] - mp.grad_entry(0, x)).max() == 0.0
+    assert np.array_equal(d[("v",)][:, 0], mp.value(x))
+    assert np.array_equal(d[("g", 0)][:, 0], mp.grad_entry(0, x))
 
 
 def test_mollified_profile_approximates_gaussian_average():
@@ -149,183 +155,30 @@ def test_mollified_profile_psd_guard():
         MollifiedProfile(prof, np.eye(2))       # shape mismatch
 
 
-def _bspline3_weights(t, order):
-    """Cubic B-spline basis (or a derivative) at offsets -1..2 from floor(t),
-    as shape t.shape + (4,): the point-major weights, kept as the reference."""
-    w = np.empty(t.shape + (4,))
-    s = 1.0 - t
-    if order == 0:
-        w[..., 0] = s * s * s / 6.0
-        w[..., 1] = (4.0 - 6.0 * t * t + 3.0 * t * t * t) / 6.0
-        w[..., 2] = (4.0 - 6.0 * s * s + 3.0 * s * s * s) / 6.0
-        w[..., 3] = t * t * t / 6.0
-    elif order == 1:
-        w[..., 0] = -0.5 * s * s
-        w[..., 1] = (-12.0 * t + 9.0 * t * t) / 6.0
-        w[..., 2] = (12.0 * s - 9.0 * s * s) / 6.0
-        w[..., 3] = 0.5 * t * t
-    else:
-        w[..., 0] = s
-        w[..., 1] = (-12.0 + 18.0 * t) / 6.0
-        w[..., 2] = (-12.0 + 18.0 * s) / 6.0
-        w[..., 3] = t
-    return w
+def test_mollified_profile_rejects_a_coupled_covariance():
+    """The exact mollification factors by axis, so a covariance with an
+    off-diagonal entry beyond 1e-12 of its diagonal raises a named error;
+    roundoff below that, or an exact -0.0, is accepted."""
+    prof = ProductProfile.bumps([0.0, 0.0], [2.0, 2.5])
+    with pytest.raises(CovarianceNotDiagonalError):
+        MollifiedProfile(prof, np.array([[2.44, 1e-9], [1e-9, 6.68]]))
+    for off in (-0.0, 1e-15):
+        mp = MollifiedProfile(prof, np.array([[2.44, off], [off, 6.68]]))
+        assert np.array_equal(mp.var, [2.44, 6.68])
 
 
-def test_bspline3_taps_match_the_reference_weights_bit_for_bit():
-    rng = np.random.default_rng(8)
-    t = np.concatenate([rng.uniform(0.0, 1.0, 2000), [0.0, 1.0, 0.5, 1e-15, 1.0 - 1e-12]])
-    for order in (0, 1, 2):
-        taps = _bspline3_taps(t.reshape(5, -1), order)
-        w = _bspline3_weights(t, order)
-        for k in range(4):
-            assert np.array_equal(taps[k].ravel(), w[:, k])
+def _convolution_reference(f, var, y, k):
+    """(P_var phi^{(k)})(y) = int phi(u) d_y^k g_var(u - y) du by adaptive
+    quadrature, broken at the bump's breakpoints."""
+    def kernel(u):
+        d = u - y
+        g = np.exp(-0.5 * d * d / var) / np.sqrt(2 * np.pi * var)
+        return g * (1.0, d / var, (d * d - var) / var ** 2)[k]
 
-
-def _spline_reference(table, x, orders):
-    """One spline entry at points x (P, n), each point gathering its own
-    neighborhood: the per-point evaluation, kept as the reference."""
-    u = (x - table.lows) / table.h
-    inside = np.all((u > -1.0) & (u < table.pts), axis=1)
-    u = np.clip(u, 0.0, table.pts - 1.0 - 1e-12)
-    base = np.floor(u).astype(int)
-    frac = u - base
-    strides = np.array(table.coef.strides) // table.coef.itemsize
-    flat = (base + 1) @ strides
-    cfl = table.coef.ravel()
-    cells = list(np.ndindex(*(4,) * table.n))
-    neigh = np.stack([cfl[flat + np.dot(o, strides)] for o in cells], axis=1)
-    w = _bspline3_weights(frac[:, 0], orders[0]) / table.h[0] ** orders[0]
-    for k in range(1, table.n):
-        wk = _bspline3_weights(frac[:, k], orders[k]) / table.h[k] ** orders[k]
-        w = (w[:, :, None] * wk[:, None, :]).reshape(x.shape[0], -1)
-    acc = np.einsum("qi,qi->q", neigh, w)
-    acc[~inside] = 0.0
-    return acc
-
-
-SPLINE_RTOL = 1e-12     # the axis-by-axis contraction sums in another order
-
-
-def _assert_near_reference(got, ref):
-    """got is within SPLINE_RTOL of the reference, relative to its largest entry."""
-    assert np.abs(ref).max() > 0.0
-    assert np.abs(got - ref).max() <= SPLINE_RTOL * np.abs(ref).max()
-
-
-def _mollified_2d():
-    prof = ProductProfile.bumps([0.0, 1.0], [1.0, 0.8])
-    return MollifiedProfile(prof, np.array([[0.04, 0.01], [0.01, 0.09]]), table_pts=81)
-
-
-def test_mollified_along_on_knot_segments_matches_pointwise():
-    """Grouped evaluation on the segments the exact zero-mode integral cuts
-    equals per-point evaluation bit for bit, and the per-point reference
-    within SPLINE_RTOL."""
-    mp = _mollified_2d()
-    rng = np.random.default_rng(5)
-    (lo0, hi0), (lo1, hi1) = mp.box
-    base = np.column_stack([rng.uniform(lo0, hi0, 40), rng.uniform(lo1, hi1, 40)])
-    slopes = np.array([0.7, -1.3])
-    seen = []
-
-    def fn(m, base):
-        val, grad, hess = mp.along(base, slopes, m)
-        x = (base[:, None, None, :] + m[..., None] * slopes).reshape(-1, 2)
-        assert np.array_equal(val.ravel(), mp.value(x))
-        _assert_near_reference(val.ravel(), _spline_reference(mp._table, x, (0, 0)))
-        for i in range(2):
-            assert np.array_equal(grad[i].ravel(), mp.grad_entry(i, x))
-            for j in range(2):
-                assert np.array_equal(hess[i][j].ravel(), mp.hess_entry(i, j, x))
-                orders = tuple(int(i == k) + int(j == k) for k in range(2))
-                _assert_near_reference(hess[i][j].ravel(),
-                                       _spline_reference(mp._table, x, orders))
-        seen.append(m.shape)
-        return np.zeros(m.shape + (1,))
-
-    _integrate_spline_exact(fn, [base], base, slopes, mp)
-    B, S, Q = seen[0]
-    assert Q == 4 and B * S > 2 * _GROUP_CHUNK
-
-
-def _mollified(n):
-    """The 2-D profile on the invariance suite's 81-point table, or a 3-D
-    one on a 21-point table."""
-    if n == 2:
-        return _mollified_2d()
-    prof = ProductProfile.bumps([0.0, 1.0, -0.5], [1.0, 0.8, 1.3])
-    sigma = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, -0.02], [0.0, -0.02, 0.06]])
-    return MollifiedProfile(prof, sigma, table_pts=21)
-
-
-@pytest.mark.parametrize("slopes", [(1.0, 0.0), (0.0, 1.0), (0.7, -1.3), (1.0, 0.0, 0.0),
-                                    (0.0, 1.0, 0.0), (0.5, 0.0, -0.2)])
-def test_mollified_along_matches_pointwise_bit_for_bit(slopes):
-    """On the knot segments of the exact zero-mode integral, along (which
-    contracts the fixed axes once per row when only the first axis moves)
-    and eval_many with the trailing run of zero-slope axes fixed per row
-    equal value, grad_entry and hess_entry at the same points bit for bit.
-    Row 0 has every coordinate on a knot; row 1 has its fixed coordinates
-    three cells off the table, so it reads exact zeros."""
-    n = len(slopes)
-    mp = _mollified(n)
-    t = mp._table
-    slopes = np.array(slopes)
-    lead = np.flatnonzero(slopes)[-1] + 1
-    keys = _entry_keys(n)
-    rng = np.random.default_rng(12)
-    base = t.lows + (t.highs - t.lows) * rng.uniform(0.0, 1.0, (30, n))
-    base[0] = t.lows + t.h * np.arange(t.pts // 3, t.pts // 3 + n)
-    base[1] = np.where(slopes == 0.0, t.highs + 3.0 * t.h, base[1])
-    seen = []
-
-    def fn(m, base):
-        val, grad, hess = mp.along(base, slopes, m)
-        x = (base[:, None, None, :] + m[..., None] * slopes).reshape(-1, n)
-        assert np.array_equal(val.ravel(), mp.value(x))
-        for i in range(n):
-            assert np.array_equal(grad[i].ravel(), mp.grad_entry(i, x))
-            for j in range(n):
-                assert np.array_equal(hess[i][j].ravel(), mp.hess_entry(i, j, x))
-        if lead < n:
-            rows = mp.eval_many(base[:, None, None, :lead] + m[..., None] * slopes[:lead],
-                                keys, base[:, lead:])
-            for key in keys:
-                assert np.array_equal(rows[key].ravel(), mp._entry(key, x))
-        seen.append(np.stack([val] + grad + [h for row in hess for h in row]))
-        return np.zeros(m.shape + (1,))
-
-    _integrate_spline_exact(fn, [base], base, slopes, mp)
-    entries = np.concatenate(seen, axis=1)
-    assert np.all(np.abs(entries[:, 0]).max(axis=(1, 2)) > 0.0)
-    if not slopes.all():
-        assert np.all(entries[:, 1] == 0.0)
-
-
-@pytest.mark.parametrize("shape", [(81, 81), (241, 241), (21, 21, 21)])
-def test_prefilter_matches_scipy_spline_filter(shape):
-    """The numpy port of the recursive prefilter gives scipy.ndimage's
-    coefficients (mirror boundaries, as its mode "constant" filters) to
-    roundoff."""
-    from scipy import ndimage
-    data = np.random.default_rng(13).standard_normal(shape)
-    ref = ndimage.spline_filter(data, order=3, mode="constant")
-    assert np.abs(_prefilter(data) - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-def test_spline_table_reproduces_its_data_at_the_knots():
-    """At every interior knot the interpolant is the tabulated value.  The
-    table pads its coefficients with zeros beyond the edges, which the
-    mirror boundary matches only where the data vanish, as a mollified
-    profile's do eight standard deviations out; the edge knots are left out."""
-    data = np.random.default_rng(14).standard_normal((21, 21))
-    t = _SplineTable(data, [-1.0, 0.5], [2.0, 4.5])
-    knots = np.meshgrid(*[t.lows[k] + t.h[k] * np.arange(t.pts) for k in range(2)],
-                        indexing="ij")
-    x = np.stack(knots, axis=-1)[1:-1, 1:-1]
-    got = t.evaluate_many(x.reshape(-1, 1, 2), [(0, 0)])[0].reshape(x.shape[:2])
-    assert np.abs(got - data[1:-1, 1:-1]).max() <= 1e-13 * np.abs(data).max()
+    knots = [f.lo, f.lo + f.rise, f.hi - f.rise, f.hi]
+    return sum(quad(lambda u: f.pieces(np.array([u]))[0][0] * kernel(u), a, b,
+                    epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+               for a, b in zip(knots[:-1], knots[1:]))
 
 
 def _entry_keys(n):
@@ -335,86 +188,72 @@ def _entry_keys(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_eval_many_matches_the_reference_for_every_order(n):
-    """Every order tuple up to second derivatives at n = 1, 2 and 3, on
-    groups of three points in one cell (some outside the table): groups
-    equal single points bit for bit and the per-point reference within
-    SPLINE_RTOL."""
-    prof = ProductProfile.bumps([0.0, 1.0, -0.5][:n], [1.0, 0.8, 1.3][:n])
-    sigma = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, -0.02], [0.0, -0.02, 0.06]])[:n, :n]
-    mp = MollifiedProfile(prof, sigma, table_pts=21 if n == 3 else 81)
-    t = mp._table
-    rng = np.random.default_rng(9)
-    cells = rng.integers(-2, t.pts + 1, size=(400, 1, n))
-    x = t.lows + t.h * (cells + rng.uniform(0.0, 1.0, size=(400, 3, n)))
-    keys = _entry_keys(n)
-    grouped = mp.eval_many(x, keys)
-    single = mp.eval_many(x.reshape(-1, 1, n), keys)
-    for key in keys:
-        assert grouped[key].shape == (400, 3)
-        assert np.array_equal(grouped[key].ravel(), single[key].ravel())
-        _assert_near_reference(grouped[key].ravel(),
-                               _spline_reference(t, x.reshape(-1, n), mp._orders(key)))
-    assert np.any(grouped[("v",)] == 0.0)
+    """Every derivative entry up to second order at n = 1, 2 and 3, at points
+    within three standard deviations of the supports and one six out, is the product of one-dimensional
+    convolutions that a brute-force adaptive quadrature reproduces to 1e-11
+    of the entry's largest value (each factor agrees to about 2e-13); a zero
+    variance leaves the plain profile."""
+    prof = ProductProfile.bumps([0.0, 1.0, -0.5][:n], [2.0, 2.5, 1.3][:n])
+    var = np.array([2.44, 6.68, 0.5])[:n]
+    mp = MollifiedProfile(prof, np.diag(var))
+    reach = np.array([2.0, 2.5, 1.3])[:n] + 3.0 * np.sqrt(var)
+    x = np.array([0.0, 1.0, -0.5])[:n] + reach * np.random.default_rng(9).uniform(
+        -1.0, 1.0, size=(4, n))
+    x[0, 0] = 12.0      # six standard deviations off the first bump
+    ref = {(b, k, r): _convolution_reference(prof.factors[b], var[b], x[r, b], k)
+           for b in range(n) for k in range(3) for r in range(len(x))}
+    got = mp.eval_many(x, _entry_keys(n))
+    for key in _entry_keys(n):
+        orders = [sum(b == i for i in key[1:]) for b in range(n)]
+        want = np.array([np.prod([ref[(b, orders[b], r)] for b in range(n)])
+                         for r in range(len(x))])
+        assert np.abs(got[key] - want).max() <= 1e-11 * np.abs(want).max()
+    plain = MollifiedProfile(prof, np.zeros((n, n))).eval_many(x, _entry_keys(n))
+    assert np.array_equal(plain[("v",)], prof.value(x))
+    assert np.array_equal(plain[("g", 0)], prof.grad(x)[:, 0])
 
 
-@pytest.mark.parametrize("slopes, rtol", [((1.0, 0.0), 1e-13), ((0.7, -1.3), 1e-10)])
-def test_spline_exact_integral_against_eight_gauss_nodes(monkeypatch, slopes, rtol):
-    """Four Gauss nodes per knot segment against eight, for the profile
-    entries times e^{2m}: with one nonzero slope the profile is cubic in m
-    on a segment (about 2e-15 relative), with two of degree 6 (about 2e-12)."""
-    mp = _mollified_2d()
-    rng = np.random.default_rng(7)
-    (lo0, hi0), (lo1, hi1) = mp.box
-    base = np.column_stack([rng.uniform(lo0, hi0, 40), rng.uniform(lo1, hi1, 40)])
-    slopes = np.array(slopes)
-
-    def fn(m, base):
-        v, g, h = mp.along(base, slopes, m)
-        w = np.exp(2.0 * m)
-        return np.stack([v, g[0], g[1], h[0][0], h[0][1], h[1][1]], axis=-1) * w[..., None]
-
-    four = _integrate_spline_exact(fn, [base], base, slopes, mp)
-    monkeypatch.setattr(generator, "_SPLINE_GAUSS", gauss_legendre(0.0, 1.0, 8))
-    eight = _integrate_spline_exact(fn, [base], base, slopes, mp)
-    scale = np.abs(eight).max(axis=0)
-    assert np.all(scale > 0.0)
-    assert np.all(np.abs(four - eight).max(axis=0) <= rtol * scale)
+def _dense_line_integral(mp, x, axis, slope, rate, key, panels=256):
+    """int e^{rate m} d_key P_Sigma psi(x + m slope e_axis) dm by composite
+    Gauss-Legendre in m over the bump's support widened by 14 sd."""
+    f = mp.profile.factors[axis]
+    pad = 14.0 * np.sqrt(mp.var[axis])
+    lo, hi = f.lo - pad, f.hi + pad
+    t, wt = composite_rule(panels, 16)
+    u = lo + (hi - lo) * t
+    m = (u - x[axis]) / slope
+    pts = np.repeat(x[None, :], m.size, axis=0)
+    pts[:, axis] = u
+    vals = mp.eval_many(pts, [key])[key] * np.exp(rate * m)
+    return (hi - lo) * (wt @ vals) / abs(slope)
 
 
-def test_mollified_group_straddling_a_knot():
-    """A tiny segment whose first node falls below a knot in floating point
-    is evaluated in its midpoint's cell: the nodes in that cell keep their
-    per-point bits, and the first is within 1e-12 of its own."""
-    mp = _mollified_2d()
-    t = mp._table
-    knot = t.lows + t.h * np.array([40.0, 45.3])
-    x = knot + np.array([-1e-15, 2e-15, 4e-15, 6e-15])[:, None] * np.array([1.0, 0.0])
-    cells = np.floor((x - t.lows) / t.h)[:, 0]
-    assert cells[0] < cells[1] == cells[3]
-    keys = [("v",), ("g", 0), ("g", 1), ("h", 0, 0), ("h", 0, 1), ("h", 1, 1)]
-    grouped = mp.eval_many(x[None], keys)
-    for key in keys:
-        point = mp._entry(key, x)
-        assert np.abs(point).min() > 1e-3
-        assert np.array_equal(grouped[key][0, 1:], point[1:])
-        np.testing.assert_allclose(grouped[key][0], point, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("sigma", ["fixture", "plain"])
+def test_line_integrals_match_a_dense_m_quadrature(sigma):
+    """The closed form of the zero-mode line integral (Fubini, integration by
+    parts in u, exponential tilting of the Gaussian) against direct
+    quadrature in m of the exact entries: value, gradient and Hessian at
+    rates 0, +-0.3 and 1.2, on either moving axis, to 1e-12 of the largest
+    entry at each rate (at rate 0 the moving axis's derivatives vanish)."""
+    mp = MollifiedProfile(FIXTURE, FIXTURE_SIGMA if sigma == "fixture" else np.zeros((2, 2)))
+    x = np.array([[0.271, -1.559], [1.8, 0.4], [-3.0, 2.2]])
+    for axis, slope in ((0, 1.0), (1, -2.51)):
+        I = mp.line_integrals(x, axis, slope)
+        for rate in (0.0, 0.3, -0.3, 1.2):
+            got = np.array([I(rate, key) for key in _entry_keys(2)])
+            want = np.array([[_dense_line_integral(mp, row, axis, slope, rate, key)
+                              for row in x] for key in _entry_keys(2)])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (axis, rate)
 
 
-def test_mollified_group_spanning_two_cells_raises():
-    mp = _mollified_2d()
-    t = mp._table
-    x = t.lows + t.h * np.array([[[30.2, 40.5], [31.2, 40.5]]])
-    with pytest.raises(ValueError):
-        mp.eval_many(x, [("v",)])
-    pts = np.random.default_rng(6).uniform(-1.0, 1.5, size=(50, 2))
-    with pytest.raises(ValueError):        # a plain (P, n) array is one group
-        mp.eval_many(pts, [("v",)])
-    assert mp.eval_many(pts[:, None, :], [("v",)])[("v",)].shape == (50, 1)
-    over = t.lows + t.h * np.array([[[29.9999999999, 40.5], [30.5, 40.5], [30.6, 40.5]]])
-    with pytest.raises(ValueError):        # 1e-10 cells of overhang is not roundoff
-        mp.eval_many(over, [("v",)])
-    with pytest.raises(ValueError):        # along takes (B, S, Q), not (B, K)
-        mp.along(pts[:2], np.array([0.7, -1.3]), np.zeros((2, 3)))
+def test_mollified_fixture_derivatives_at_a_reference_point():
+    """At x = (0.271, -1.559) the fixture's exact mollification has
+    d_1 = -0.024 and d_2^2 = -0.026 (the 16-point Gauss-Hermite table read
+    0.139 and -0.578 there)."""
+    mp = MollifiedProfile(FIXTURE, FIXTURE_SIGMA)
+    x = np.array([[0.271, -1.559]])
+    assert abs(mp.grad_entry(0, x)[0] - (-0.024)) < 5e-4
+    assert abs(mp.hess_entry(1, 1, x)[0] - (-0.026)) < 5e-4
 
 
 def test_bounded_smooth_profile_gradient():

@@ -171,3 +171,22 @@ def test_run_suite_gates_in_table_order_and_raises_on_a_stray_name(monkeypatch):
     del measured["dirichlet-undeclared"], measured["divergence-form"]
     with pytest.raises(CheckTableError, match="divergence-form"):
         run_suite(cfg)
+
+
+# (term of _TraceBatch, factor): mutations of the generator's own terms that
+# invariance-pure-gravity must see at LIGHT.  Seeds 1 and 41 read |z| = 11.9
+# and 12.1 under diffusion x 1.5, 5.6 and 4.6 under vpair_dnh x 1.1 (the
+# 16-point Gauss-Hermite table read 1.47 and 2.23, 1.15 and 0.33).
+INVARIANCE_MUTATIONS = [("diffusion", 1.5), ("vpair_dnh", 1.1)]
+
+
+@pytest.mark.parametrize("seed", [1, 41])
+@pytest.mark.parametrize("term, factor", INVARIANCE_MUTATIONS)
+def test_invariance_gate_fails_under_a_mutated_term(term, factor, seed, monkeypatch):
+    orig = getattr(generator._TraceBatch, term)
+    monkeypatch.setattr(generator._TraceBatch, term,
+                        lambda self, *args: factor * orig(self, *args))
+    results = run_suite(ExperimentConfig(suite="invariance", seed=seed, **LIGHT["invariance"]))
+    gate = {r.name: r for r in results}["invariance-pure-gravity"]
+    assert not gate.passed
+    assert abs(gate.lhs - gate.rhs) > 3.0 * gate.stderr
