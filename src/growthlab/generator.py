@@ -15,7 +15,7 @@ placed at three standard errors of the paired difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class CylindricalFunctional:
     symbols are band-limited boundary fields p_i; each is realizable as
     the Poisson adjoint of a disk test function (built on demand) when
     bulk pairings are needed.  The realized functions, their covariance,
-    their log pairings and the invariance estimator's mollified profile
-    are built once per functional, on first use.
+    their log pairings and the closed-form zero mode's profiles (mollified
+    and plain) are built once per functional, on first use.
     """
 
     symbols: list
@@ -76,6 +76,12 @@ class CylindricalFunctional:
     def mollified(self) -> MollifiedProfile:
         """The profile averaged over the bulk Gaussian."""
         return MollifiedProfile(self.profile, self.covariance)
+
+    @cached_property
+    def plain(self) -> MollifiedProfile:
+        """The profile itself (mollified by Sigma = 0), for the closed-form
+        zero mode."""
+        return MollifiedProfile(self.profile, np.zeros((self.dim, self.dim)))
 
 
 # -- the generator -------------------------------------------------------------
@@ -139,17 +145,31 @@ class _TraceBatch:
         return TWO_PI ** 2 * self.mu_int(p.values(self.M) * q.values(self.M))
 
 
-def _generator_term(b, sig, grad, hess):
-    """sum_j b_j d_j psi + 1/2 sum_jk sigma_jk d_jk psi, entry by entry, for
-    scalars or for per-sample arrays shaped against the profile's; sums in
-    place, as the nodes of a batch make arrays of many megabytes."""
-    out = b[0] * grad[0]
-    for j in range(1, len(b)):
-        out += b[j] * grad[j]
-    for j in range(len(b)):
-        for k in range(len(b)):
-            out += 0.5 * sig[j][k] * hess[j][k]
-    return out
+def _generator_terms(symbols, drift):
+    """The generator L psi = sum_j b_j d_j psi + 1/2 sum_jk sigma_jk d_jk psi
+    as (coefficient, key) terms, drifts first, then the diffusion row by row.
+
+    drift(tb, p) is the drift coefficient of the symbol p on the _TraceBatch
+    tb, and sigma_jk is tb.diffusion.  Hessian keys are sorted, so both
+    off-diagonal terms read one entry.
+    """
+    terms = [(lambda tb, p=p: drift(tb, p), ("g", j)) for j, p in enumerate(symbols)]
+    terms += [(lambda tb, p=p, q=q: 0.5 * tb.diffusion(p, q), ("h", min(j, k), max(j, k)))
+              for j, p in enumerate(symbols) for k, q in enumerate(symbols)]
+    return terms
+
+
+def _column_sums(terms, tb, value):
+    """Per column, the sum of coefficient(tb) * value(keys) over the terms
+    (column, coefficient, keys), in the order they are listed."""
+    cols = {}
+    for col, coef, keys in terms:
+        v = coef(tb) * value(keys)
+        if col in cols:
+            cols[col] += v
+        else:
+            cols[col] = v
+    return [cols[c] for c in sorted(cols)]
 
 
 def drift_bulk(f: DiskTestFunction, h: BoundaryField, mu: CircleMeasure,
@@ -159,11 +179,6 @@ def drift_bulk(f: DiskTestFunction, h: BoundaryField, mu: CircleMeasure,
     p = f.poisson_adjoint()
     return (bulk["harmonic"] - TWO_PI * params.alpha * mu.integrate_field(p)
             + params.chi * bulk["conformal"] - params.beta * p.integral())
-
-
-def _nested(f, rows):
-    """f applied to every per-sample array of a nested list."""
-    return [_nested(f, r) for r in rows] if isinstance(rows, list) else f(rows)
 
 
 # nodes per block of rows that an integrand sees at once: whole batches make
@@ -182,7 +197,7 @@ def _in_blocks(fn, m, rows):
     out = None
     for start in range(0, B, step):
         block = slice(start, start + step)
-        vals = fn(m[block], *_nested(lambda r: r[block], rows))
+        vals = fn(m[block], *(r[block] for r in rows))
         if out is None:
             out = np.empty((B,) + vals.shape[1:])
         out[block] = vals
@@ -192,16 +207,16 @@ def _in_blocks(fn, m, rows):
 def _integrate_live(fn, rows, lo, hi, n_out: int):
     """Per-sample integrals over [lo, hi] of fn(m, *rows), live rows only.
 
-    rows are nested lists of per-sample arrays (leading axis B).  Rows with
-    hi > lo go to batched_gauss_panels together, and fn sees exactly those
-    rows of every array, a block of rows at a time (_in_blocks); a row with
-    an empty interval is an exact zero in the output and never reaches fn.
-    fn returns (B, K, n_out), and the output has shape (B, n_out).
+    rows are per-sample arrays (leading axis B).  Rows with hi > lo go to
+    batched_gauss_panels together, and fn sees exactly those rows of every
+    array, a block of rows at a time (_in_blocks); a row with an empty
+    interval is an exact zero in the output and never reaches fn.  fn
+    returns (B, K, n_out), and the output has shape (B, n_out).
     """
     live = hi > lo
     out = np.zeros(lo.shape + (n_out,))
     if live.any():
-        sub = _nested(lambda r: r[live], rows)
+        sub = [r[live] for r in rows]
         out[live] = batched_gauss_panels(lambda m: _in_blocks(fn, m, sub),
                                          lo[live], hi[live])
     return out
@@ -213,51 +228,77 @@ def _m_interval(*blocks):
     return m_support([(base, slopes, prof.box) for base, slopes, prof in blocks])
 
 
-def _zero_mode_rows(blocks, inputs, fn, n_out, n_samples: int,
+def _zero_mode_rows(blocks, terms, rate: float, n_samples: int,
                     rng: np.random.Generator, xi: float, N: int, M: int, batch: int):
-    """Per-sample zero-mode integrals of fn over n_samples trace fields.
+    """Per-sample zero-mode integrals of products of profile blocks, by Gauss
+    panels, over n_samples trace fields.
 
-    Each block is (symbols, profile, order, shift): its profile is taken
-    at the sample's pairings with the symbols plus shift, moved along m by
-    the symbols' integrals.  Per batch, inputs(tb) returns the per-sample
-    inputs drawn from the _TraceBatch tb, as a list of (B,) arrays or
-    nested lists of them, and fn(m, *psi, *inputs) is the integrand: psi
-    holds each block's (value, grad, hess) up to its order, and every
-    input is shaped to broadcast against m.  The integral runs by Gauss
-    panels on the live rows (_integrate_live with n_out).  Raises before any
-    draw if no symbol has a nonzero mean.  Returns the rows of every sample.
+    Each block is (symbols, profile): the profile is taken at the sample's
+    pairings with the symbols, moved along m by the symbols' integrals.
+    Each term (column, coefficient, keys) adds coefficient(tb), from the
+    batch's _TraceBatch tb, times the product over blocks of the profile
+    entry keys[b] (ProductProfile.along) to its column; a column's terms
+    are grouped by their first block's key, which multiplies the group's
+    sum once, and every column is multiplied once by e^{rate m}.  The
+    integral runs on the live rows (_integrate_live).  Raises before any
+    draw if no symbol has a nonzero mean.  Returns (n_samples, columns).
     """
-    slopes = [np.array([p.integral() for p in symbols]) for symbols, *_ in blocks]
+    slopes = [np.array([p.integral() for p in symbols]) for symbols, _ in blocks]
     if not any(np.any(s != 0.0) for s in slopes):
         raise IntegrabilityError(
             "no symbol has nonzero mean: the zero-mode integral does not localize")
+    nb = len(blocks)
+    keys = [list(dict.fromkeys(k[b] for _, _, k in terms)) for b in range(nb)]
+    n_cols = 1 + max(col for col, _, _ in terms)
+    groups = [{} for _ in range(n_cols)]
+    for t, (col, _, k) in enumerate(terms):
+        groups[col].setdefault(k[0], []).append((t, k[1:]))
 
-    def integrand(m, bases, rows):
-        psi = [prof.along(base, s, m, order)
-               for base, s, (_, prof, order, _) in zip(bases, slopes, blocks)]
-        shaped = _nested(lambda r: r.reshape(r.shape + (1,) * (m.ndim - 1)), rows)
-        return fn(m, *psi, *shaped)
+    def integrand(m, *rows):
+        psi = [prof.along(base, s, m, kb)
+               for base, s, (_, prof), kb in zip(rows, slopes, blocks, keys)]
+        coefs = [c[:, None] for c in rows[nb:]]
+        w = np.exp(rate * m)
+        out = np.empty(m.shape + (n_cols,))
+        for col, by_first in enumerate(groups):
+            acc = None
+            for first, members in by_first.items():
+                inner = None
+                for t, rest in members:
+                    v = coefs[t]
+                    for entries, key in zip(psi[1:], rest):
+                        v = v * entries[key]
+                    inner = v if inner is None else inner + v
+                v = psi[0][first] * inner
+                if acc is None:
+                    acc = v
+                else:
+                    acc += v
+            np.multiply(acc, w, out=out[..., col])
+        return out
 
     def per_batch(b):
         tb = _TraceBatch.draw(N, b, rng, xi, M)
-        bases = [tb.bases(symbols) + shift for symbols, _, _, shift in blocks]
-        lo, hi = _m_interval(*zip(bases, slopes, [prof for _, prof, _, _ in blocks]))
-        return _integrate_live(integrand, [bases, inputs(tb)], lo, hi, n_out)
+        bases = [tb.bases(symbols) for symbols, _ in blocks]
+        lo, hi = _m_interval(*zip(bases, slopes, [prof for _, prof in blocks]))
+        coefs = [np.broadcast_to(coef(tb), (b,)) for _, coef, _ in terms]
+        return _integrate_live(integrand, bases + coefs, lo, hi, n_cols)
 
     return monte_carlo_rows(per_batch, n_samples, batch)
 
 
-def _line_rows(symbols, profile: MollifiedProfile, shift, inputs, fn, n_samples: int,
+def _line_rows(symbols, profile: MollifiedProfile, shift, terms, n_samples: int,
                rng: np.random.Generator, xi: float, N: int, M: int, batch: int):
     """Per-sample zero-mode integrals of a single profile block, in closed form.
 
     The profile is taken at the sample's pairings with the symbols plus
     shift and moves along m by the symbols' integrals, which must be
-    nonzero on exactly one axis.  Per batch, inputs(tb) returns the
-    per-sample inputs drawn from the _TraceBatch tb, and fn(I, *inputs)
-    returns the batch's rows, where I(rate, key) is each sample's
-    int e^{rate m} d_key profile dm (MollifiedProfile.line_integrals).
-    Raises before any draw unless exactly one symbol has a nonzero mean.
+    nonzero on exactly one axis.  Each term (column, coefficient, (rate,
+    key)) adds coefficient(tb), from the batch's _TraceBatch tb, times
+    I(rate, key) to its column, in the order listed (_column_sums), where
+    I(rate, key) is each sample's int e^{rate m} d_key profile dm
+    (MollifiedProfile.line_integrals).  Raises before any draw unless
+    exactly one symbol has a nonzero mean.  Returns (n_samples, columns).
     """
     slopes = np.array([p.integral() for p in symbols])
     moving = np.flatnonzero(slopes)
@@ -271,25 +312,10 @@ def _line_rows(symbols, profile: MollifiedProfile, shift, inputs, fn, n_samples:
 
     def per_batch(b):
         tb = _TraceBatch.draw(N, b, rng, xi, M)
-        I = profile.line_integrals(tb.bases(symbols) + shift, axis, slopes[axis])
-        return fn(I, *inputs(tb))
+        I = cache(profile.line_integrals(tb.bases(symbols) + shift, axis, slopes[axis]))
+        return np.stack(_column_sums(terms, tb, lambda rk: I(*rk)), axis=-1)
 
     return monte_carlo_rows(per_batch, n_samples, batch)
-
-
-def _first_order_rows(F: CylindricalFunctional, inputs, rate: float, n_samples: int,
-                      rng: np.random.Generator, xi: float, N: int, M: int, batch: int):
-    """Per-sample int e^{rate m} (a psi + sum_i c_i d_i psi) dm on F's plain
-    profile (mollified by Sigma = 0), with [a, c] = inputs(tb)."""
-
-    def fn(I, a, c):
-        out = a * I(rate, ("v",))
-        for i in range(F.dim):
-            out += c[i] * I(rate, ("g", i))
-        return out
-
-    plain = MollifiedProfile(F.profile, np.zeros((F.dim, F.dim)))
-    return _line_rows(F.symbols, plain, 0.0, inputs, fn, n_samples, rng, xi, N, M, batch)
 
 
 @dataclass
@@ -341,37 +367,31 @@ def invariance_check(F: CylindricalFunctional, params: CouplingParams,
     """
     xi = params.xi
     delta = params.zero_mode_weight
-    n = F.dim
+    rate = delta - xi
 
     coef_rhs_a = TWO_PI * (params.chi - params.alpha + TWO_PI * params.c)
     coef_rhs_b = -TWO_PI * (params.chi + 2.0 * xi + 1.0 / (2.0 * xi))
     coef_rhs_mass = -0.5 * ((TWO_PI * params.c) ** 2 - xi ** 2)
-    # the beta term of the drift, the same on both sides, does not scale with mu
-    beta_c = [-TWO_PI * params.beta * p.mean() for p in F.symbols]
 
-    def fn(I, b, sig, rhs_c, mass_c):
-        rate = delta - xi
-        grad = [I(rate, ("g", i)) for i in range(n)]
-        hess = [[I(rate, ("h", min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
-        lhs = _generator_term(b, sig, grad, hess)
-        rhs = mass_c * I(rate, ("v",))
-        for i in range(n):
-            mean_grad = I(delta, ("g", i))
-            lhs += beta_c[i] * mean_grad
-            rhs += rhs_c[i] * grad[i]
-            rhs += beta_c[i] * mean_grad
-        return np.stack([lhs, rhs], axis=-1)
+    def rhs_coef(p):
+        return lambda tb: (coef_rhs_a * tb.mu_int(p.values(M))
+                           + coef_rhs_b * tb.mu_int(p.dirichlet_to_neumann().values(M)))
 
-    def inputs(tb):
-        A = [tb.mu_int(p.values(M)) for p in F.symbols]
-        B = [tb.mu_int(p.dirichlet_to_neumann().values(M)) for p in F.symbols]
-        return [[tb.drift(p, params) for p in F.symbols],
-                [[tb.diffusion(p, q) for q in F.symbols] for p in F.symbols],
-                [coef_rhs_a * A[i] + coef_rhs_b * B[i] for i in range(n)],
-                coef_rhs_mass * tb.mass0]
+    # the beta term of the drift, the same on both sides, does not scale with
+    # mu; a mean-zero symbol has none
+    beta = {i: (lambda tb, c=-TWO_PI * params.beta * p.mean(): c, (delta, ("g", i)))
+            for i, p in enumerate(F.symbols) if p.mean() != 0.0}
+    terms = [(0, coef, (rate, key)) for coef, key in _generator_terms(
+        F.symbols, lambda tb, p: tb.drift(p, params))]
+    terms += [(0, *t) for t in beta.values()]
+    terms.append((1, lambda tb: coef_rhs_mass * tb.mass0, (rate, ("v",))))
+    for i, p in enumerate(F.symbols):
+        terms.append((1, rhs_coef(p), (rate, ("g", i))))
+        if i in beta:
+            terms.append((1, *beta[i]))
 
-    rows = _line_rows(F.symbols, F.mollified, _log_shift(F, params), inputs, fn,
-                      n_samples, rng, xi, N, M, batch)
+    rows = _line_rows(F.symbols, F.mollified, _log_shift(F, params), terms, n_samples, rng,
+                      xi, N, M, batch)
     return _paired_from_samples(rows[:, 0], rows[:, 1])
 
 
@@ -396,13 +416,10 @@ def invariance_local_value(F: CylindricalFunctional, params: CouplingParams,
     configuration: the generator term of the Monte Carlo estimators, with
     their _TraceBatch drift and diffusion on a batch of one."""
     tb, _, x = _configuration(F, params, h, m, M)
-    n = F.dim
-    psit = F.mollified
-    b = [tb.drift(p, params) - params.beta * p.integral() for p in F.symbols]
-    sig = [[tb.diffusion(p, q) for q in F.symbols] for p in F.symbols]
-    return float(_generator_term(b, sig, [psit.grad_entry(i, x) for i in range(n)],
-                                 [[psit.hess_entry(i, j, x) for j in range(n)]
-                                  for i in range(n)])[0])
+    terms = [(0, coef, key) for coef, key in _generator_terms(
+        F.symbols, lambda tb, p: tb.drift(p, params) - params.beta * p.integral())]
+    psi = F.mollified.eval_many(x, [key for _, _, key in terms])
+    return float(_column_sums(terms, tb, psi.__getitem__)[0][0])
 
 
 def invariance_bulk_value(F: CylindricalFunctional, params: CouplingParams,
@@ -452,41 +469,38 @@ def dirichlet_form(F: CylindricalFunctional, G: CylindricalFunctional,
     """
     params = CouplingParams.pure_gravity()
     xi = params.xi
-    delta = params.zero_mode_weight
-    nF, nG = F.dim, G.dim
-    slopesF, slopesG = F.slopes(), G.slopes()
-    a_grid = [[operator_a(p, q, M) for q in G.symbols] for p in F.symbols]
+    V = ("v",)
 
-    def fn(m, F_, G_, bF, bG, sigF, sigG, cross, across, mass0):
-        Fv, Fg, Fh = F_
-        Gv, Gg, Gh = G_
-        w = np.exp((delta - xi) * m)
-        LG = _generator_term(bG, sigG, Gg, Gh)
-        LF = _generator_term(bF, sigF, Fg, Fh)
-        sym = np.zeros_like(m)
-        anti = np.zeros_like(m)
-        for i in range(nF):
-            for j in range(nG):
-                sym += 0.5 * cross[i][j] * Fg[i] * Gg[j]
-                anti += 0.5 * across[i][j] * Fg[i] * Gg[j]
-        meanF = sum(g * s for g, s in zip(Fg, slopesF))
-        meanG = sum(g * s for g, s in zip(Gg, slopesG))
-        anti += (0.5 * TWO_PI ** 2 * xi * mass0
-                 * (meanF * Gv - meanG * Fv))
-        return np.stack([-Fv * LG * w, -Gv * LF * w, sym * w, anti * w], axis=-1)
+    def drift(tb, p):
+        return tb.drift(p, params)
 
-    def inputs(tb):
-        across = [[TWO_PI ** 2 * tb.mu_int(a_grid[i][j]) for j in range(nG)]
-                  for i in range(nF)]
-        # cross/across carry (2 pi)^2 and are halved in fn, landing the closed
-        # forms on their 2 pi^2 normalization; same for the mean-mass term
-        drifts = [[tb.drift(p, params) for p in H.symbols] for H in (F, G)]
-        sigmas = [[[tb.diffusion(p, q) for q in R.symbols] for p in L.symbols]
-                  for L, R in ((F, F), (G, G), (F, G))]
-        return drifts + sigmas + [across, tb.mass0]
+    def mean_mass(tb):
+        """The mean-mass term's coefficient, 1/2 (2 pi)^2 xi |mu|, in
+        1/2 (2 pi)^2 xi |mu| (d_m F G - d_m G F) with d_m the derivative
+        along the zero mode.  FOUND (ROADMAP item 18): against the
+        generator's own antisymmetric part (<F, -LG> - <G, -LF>)/2, computed
+        by quadrature at N = 2, this term is (2 pi)^2 too large; the
+        measurement points to the coefficient 1/2 xi |mu|."""
+        return 0.5 * TWO_PI ** 2 * xi * tb.mass0
 
-    rows = _zero_mode_rows([(F.symbols, F.profile, 2, 0.0), (G.symbols, G.profile, 2, 0.0)],
-                           inputs, fn, 4, n_samples, rng, xi, N, M, batch)
+    terms = [(0, lambda tb, c=c: -c(tb), (V, key))
+             for c, key in _generator_terms(G.symbols, drift)]
+    terms += [(1, lambda tb, c=c: -c(tb), (key, V))
+              for c, key in _generator_terms(F.symbols, drift)]
+    # the closed symmetric and conjugate-product parts carry (2 pi)^2 and are
+    # halved, landing on their 2 pi^2 normalization
+    for i, p in enumerate(F.symbols):
+        for j, q in enumerate(G.symbols):
+            keys, a = (("g", i), ("g", j)), operator_a(p, q, M)
+            terms += [(2, lambda tb, p=p, q=q: 0.5 * tb.diffusion(p, q), keys),
+                      (3, lambda tb, a=a: 0.5 * (TWO_PI ** 2 * tb.mu_int(a)), keys)]
+    terms += [(3, lambda tb, s=s: mean_mass(tb) * s, (("g", i), V))
+              for i, s in enumerate(F.slopes()) if s != 0.0]
+    terms += [(3, lambda tb, s=s: -mean_mass(tb) * s, (V, ("g", j)))
+              for j, s in enumerate(G.slopes()) if s != 0.0]
+
+    rows = _zero_mode_rows([(F.symbols, F.profile), (G.symbols, G.profile)], terms,
+                           params.zero_mode_weight - xi, n_samples, rng, xi, N, M, batch)
     lhs_f, lhs_s, sym, anti = rows.T
     fwd = _paired_from_samples(lhs_f, sym + anti)
     swp = _paired_from_samples(lhs_s, sym - anti)
@@ -509,13 +523,12 @@ def rotational_invariance_check(ell: BoundaryField, F: CylindricalFunctional,
     params = CouplingParams.pure_gravity()
     xi, delta = params.xi, params.zero_mode_weight
     dtl = ell.tangential_derivative().values(M)
-    lt = [ell.values(M) * p.conjugate().values(M) for p in F.symbols]
-
-    def inputs(tb):
-        return [tb.mu_int(dtl), [TWO_PI * xi * tb.mu_int(g) for g in lt]]
-
-    return mean_stderr(_first_order_rows(F, inputs, delta - xi, n_samples, rng, xi, N, M,
-                                         batch))
+    terms = [(0, lambda tb: tb.mu_int(dtl), (delta - xi, ("v",)))]
+    terms += [(0, lambda tb, g=ell.values(M) * p.conjugate().values(M):
+               TWO_PI * xi * tb.mu_int(g), (delta - xi, ("g", i)))
+              for i, p in enumerate(F.symbols)]
+    return mean_stderr(_line_rows(F.symbols, F.plain, 0.0, terms, n_samples, rng, xi, N, M,
+                                  batch)[:, 0])
 
 
 def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
@@ -529,29 +542,17 @@ def ibp_hdmuf_check(p: BoundaryField, F: CylindricalFunctional,
     xi, delta = params.xi, params.zero_mode_weight
     p0 = p.values(M) - p.mean()
     dnp = p.dirichlet_to_neumann().values(M)
-    left_F = [contract_left(q, p, M) for q in F.symbols]
-    left_G = [contract_left(q, p, M) for q in G.symbols]
-    w_rate = delta - xi
+    V = ("v",)
 
-    def fn(m, F_, G_, K1, KF, KG):
-        Fv, Fg, _ = F_
-        Gv, Gg, _ = G_
-        out = K1 * Fv * Gv
-        for i in range(F.dim):
-            out = out + KF[i] * Fg[i] * Gv
-        for j in range(G.dim):
-            out = out + KG[j] * Fv * Gg[j]
-        return (out * np.exp(w_rate * m))[..., None]
+    def left(q):
+        return lambda tb, g=contract_left(q, p, M): TWO_PI * tb.mu_int(g)
 
-    def inputs(tb):
-        K1 = (tb.vpair_dnh(p)
-              + TWO_PI * xi * tb.mu_int(p0)
-              + 2.0 * xi * TWO_PI * tb.mu_int(dnp))
-        return [K1, [TWO_PI * tb.mu_int(g) for g in left_F],
-                [TWO_PI * tb.mu_int(g) for g in left_G]]
-
-    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0), (G.symbols, G.profile, 1, 0.0)],
-                           inputs, fn, 1, n_samples, rng, xi, N, M, batch)
+    terms = [(0, lambda tb: (tb.vpair_dnh(p) + TWO_PI * xi * tb.mu_int(p0)
+                             + 2.0 * xi * TWO_PI * tb.mu_int(dnp)), (V, V))]
+    terms += [(0, left(q), (("g", i), V)) for i, q in enumerate(F.symbols)]
+    terms += [(0, left(q), (V, ("g", j))) for j, q in enumerate(G.symbols)]
+    rows = _zero_mode_rows([(F.symbols, F.profile), (G.symbols, G.profile)], terms,
+                           delta - xi, n_samples, rng, xi, N, M, batch)
     return mean_stderr(rows[:, 0])
 
 
@@ -575,20 +576,21 @@ def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
         c = params.c
     xi, delta = params.xi, params.zero_mode_weight
     lv = ell.values(M)
-    kv = k.values(M)
+    lk = lv * k.values(M)
     k_int = k.integral()
     pk = np.array([sum(p.coeffs[i] * k.coeffs[i]
                        for i in range(min(p.coeffs.size, k.coeffs.size)))
                    for p in F.symbols])
 
-    def inputs(tb):
+    def value_coef(tb):
         kdv = -pair_dnh(tb.coeffs, k) / TWO_PI + c * k_int   # int k DV dl per sample
-        Lmu = tb.mu_int(lv)
-        LK = tb.mu_int(lv * kv)
-        return [-kdv * Lmu - xi * LK, [pk_i * Lmu for pk_i in pk]]
+        return -kdv * tb.mu_int(lv) - xi * tb.mu_int(lk)
 
-    return mean_stderr(_first_order_rows(F, inputs, delta - xi, n_samples, rng, xi, N, M,
-                                         batch))
+    terms = [(0, value_coef, (delta - xi, ("v",)))]
+    terms += [(0, lambda tb, pk_i=pk_i: pk_i * tb.mu_int(lv), (delta - xi, ("g", i)))
+              for i, pk_i in enumerate(pk)]
+    return mean_stderr(_line_rows(F.symbols, F.plain, 0.0, terms, n_samples, rng, xi, N, M,
+                                  batch)[:, 0])
 
 
 def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
@@ -647,7 +649,6 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
         raise ValueError("symbols must be orthonormal in L^2 of the circle")
     params = CouplingParams.pure_gravity()
     xi, delta = params.xi, params.zero_mode_weight
-    nP, nG = len(P), G.dim
     s2 = np.zeros(M)
     pi1 = np.zeros(M)
     for p in P:
@@ -656,44 +657,33 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
     pgrid = np.stack([p.values(M) for p in P])
     qgrid = np.stack([q.values(M) for q in G.symbols])
     # Pi_P(q_j) on the grid
-    proj_q = np.zeros((nG, M))
+    proj_q = np.zeros((G.dim, M))
     for j, q in enumerate(G.symbols):
         for i, p in enumerate(P):
             proj_q[j] += p.l2_inner(q) * pgrid[i]
 
-    def fn(m, F_, G_, cross, projq_mu, kern_q, pi1_q):
-        Fv, Fg, _ = F_
-        _, Gg, Gh = G_
-        lhs = np.zeros_like(m)
-        for i in range(nP):
-            for j in range(nG):
-                lhs = lhs + cross[i][j] * Fg[i] * Gg[j]
-        inner = np.zeros_like(m)
-        for j in range(nG):
-            for j2 in range(nG):
-                inner = inner + projq_mu[j2][j] * Gh[j][j2]
-        for j in range(nG):
-            inner = inner + (xi / TWO_PI) * pi1_q[j] * Gg[j]
-            inner = inner + (1.0 / TWO_PI) * kern_q[j] * Gg[j]
-        rhs = -Fv * inner
-        w = np.exp((delta - xi) * m)
-        return np.stack([lhs * w, rhs * w], axis=-1)
+    def kern_q(q):
+        def coef(tb):
+            # Pi_P(d_nH h) per sample on the grid
+            proj_dnh = np.stack([pair_dnh(tb.coeffs, p) for p in P], axis=-1) @ pgrid
+            kern = xi * (-TWO_PI * s2)[None, :] + proj_dnh
+            return -(1.0 / TWO_PI) * tb.mu_int(kern * q[None, :])
+        return coef
 
-    def inputs(tb):
-        # Pi_P(d_nH h) per sample on the grid
-        coefs = np.stack([pair_dnh(tb.coeffs, p) for p in P], axis=-1)    # (B, nP)
-        proj_dnh = coefs @ pgrid                                   # (B, M)
-        cross = [[tb.mu_int(pgrid[i] * qgrid[j]) for j in range(nG)]
-                 for i in range(nP)]
-        projq_mu = [[tb.mu_int(proj_q[j2] * qgrid[j]) for j in range(nG)]
-                    for j2 in range(nG)]
-        kern = xi * (-TWO_PI * s2)[None, :] + proj_dnh             # (B, M)
-        kern_q = [tb.mu_int(kern * qgrid[j][None, :]) for j in range(nG)]
-        pi1_q = [tb.mu_int(pi1 * qgrid[j][None, :]) for j in range(nG)]
-        return [cross, projq_mu, kern_q, pi1_q]
-
-    rows = _zero_mode_rows([(P, F_profile, 1, 0.0), (G.symbols, G.profile, 2, 0.0)],
-                           inputs, fn, 2, n_samples, rng, xi, N, M, batch)
+    V = ("v",)
+    terms = [(0, lambda tb, g=pgrid[i] * qgrid[j]: tb.mu_int(g), (("g", i), ("g", j)))
+             for i in range(len(P)) for j in range(G.dim)]
+    # the rhs, -F (sum_jj2 <Pi_P q_j2 q_j, mu> G_jj2 + sum_j (xi/2pi <pi1 q_j, mu>
+    # + 1/2pi <kern q_j, mu>) G_j)
+    terms += [(1, lambda tb, g=proj_q[j2] * qgrid[j]: -tb.mu_int(g),
+               (V, ("h", min(j, j2), max(j, j2))))
+              for j in range(G.dim) for j2 in range(G.dim)]
+    for j in range(G.dim):
+        terms += [(1, lambda tb, g=pi1 * qgrid[j]: -(xi / TWO_PI) * tb.mu_int(g),
+                   (V, ("g", j))),
+                  (1, kern_q(qgrid[j]), (V, ("g", j)))]
+    rows = _zero_mode_rows([(P, F_profile), (G.symbols, G.profile)], terms, delta - xi,
+                           n_samples, rng, xi, N, M, batch)
     return _paired_from_samples(rows[:, 0], rows[:, 1])
 
 
@@ -757,44 +747,26 @@ def divergence_form_check(F: CylindricalFunctional, G: CylindricalFunctional,
     """
     params = CouplingParams.pure_gravity()
     xi, delta, c = params.xi, params.zero_mode_weight, params.c
-    nF, nG = F.dim, G.dim
-    left = [[contract_left(p, q, M) for q in G.symbols] for p in F.symbols]
-    row = [TWO_PI * (q.values(M) - q.mean()) for q in G.symbols]
+    nG = G.dim
     qv = [q.values(M) for q in G.symbols]
     qt = [q.conjugate().values(M) for q in G.symbols]
-    dn_q = [q.dirichlet_to_neumann().values(M) for q in G.symbols]
-    sym_qq = [[qv[j] * qv[k] + qt[j] * qt[k] - G.symbols[j].mean() * G.symbols[k].mean()
-               for k in range(nG)] for j in range(nG)]
+    V = ("v",)
 
-    def fn(m, F_, G_, lhs_c, div_h, div_g, dv_pair):
-        Fv, Fg, _ = F_
-        _, Gg, Gh = G_
-        lhs = np.zeros_like(m)
-        for i in range(nF):
-            for j in range(nG):
-                lhs = lhs + lhs_c[i][j] * Fg[i] * Gg[j]
-        div = np.zeros_like(m)
-        for j in range(nG):
-            for k in range(nG):
-                div = div + div_h[j][k] * Gh[j][k]
-        for j in range(nG):
-            div = div + div_g[j] * Gg[j]
-        dvp = np.zeros_like(m)
-        for j in range(nG):
-            dvp = dvp + dv_pair[j] * Gg[j]
-        rhs = -Fv * (div - dvp)
-        w = np.exp((delta - xi) * m)
-        return np.stack([lhs * w, rhs * w], axis=-1)
+    def dv_pair(j, q):
+        """<DV V_{q_j}, mu>: DV = -(1/2pi) d_nH h + c against the first slot."""
+        row = TWO_PI * (q.values(M) - q.mean())
+        return lambda tb: -tb.vpair_dnh(q) / TWO_PI + c * tb.mu_int(row)
 
-    def inputs(tb):
-        lhs_c = [[tb.mu_int(left[i][j]) for j in range(nG)] for i in range(nF)]
-        div_h = [[np.pi * tb.mu_int(sym_qq[j][k]) for k in range(nG)] for j in range(nG)]
-        div_g = [2.0 * xi * tb.mu_int(dn_q[j]) for j in range(nG)]
-        # <DV V_{q_j}, mu>: DV = -(1/2pi) d_nH h + c against the first slot
-        dv_pair = [-tb.vpair_dnh(q) / TWO_PI + c * tb.mu_int(row[j])
-                   for j, q in enumerate(G.symbols)]
-        return [lhs_c, div_h, div_g, dv_pair]
-
-    rows = _zero_mode_rows([(F.symbols, F.profile, 1, 0.0), (G.symbols, G.profile, 2, 0.0)],
-                           inputs, fn, 2, n_samples, rng, xi, N, M, batch)
+    terms = [(0, lambda tb, g=contract_left(p, q, M): tb.mu_int(g), (("g", i), ("g", j)))
+             for i, p in enumerate(F.symbols) for j, q in enumerate(G.symbols)]
+    # the rhs, -F (Div(e^{-xi h} V_{DG}) - <DV V_{DG}, mu>)
+    terms += [(1, lambda tb, g=(qv[j] * qv[k] + qt[j] * qt[k]
+                                - G.symbols[j].mean() * G.symbols[k].mean()):
+               -(np.pi * tb.mu_int(g)), (V, ("h", min(j, k), max(j, k))))
+              for j in range(nG) for k in range(nG)]
+    terms += [(1, lambda tb, g=q.dirichlet_to_neumann().values(M):
+               -(2.0 * xi * tb.mu_int(g)), (V, ("g", j))) for j, q in enumerate(G.symbols)]
+    terms += [(1, dv_pair(j, q), (V, ("g", j))) for j, q in enumerate(G.symbols)]
+    rows = _zero_mode_rows([(F.symbols, F.profile), (G.symbols, G.profile)], terms,
+                           delta - xi, n_samples, rng, xi, N, M, batch)
     return _paired_from_samples(rows[:, 0], rows[:, 1])

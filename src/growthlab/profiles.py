@@ -52,6 +52,15 @@ def _step(t):
     return s, s1, s2
 
 
+def _orders(key, dim: int) -> list[int]:
+    """Derivative order per axis of a profile entry key: ('v',) the value,
+    ('g', i) the gradient entry i, ('h', i, j) the Hessian entry ij."""
+    orders = [0] * dim
+    for axis in key[1:]:
+        orders[axis] += 1
+    return orders
+
+
 @dataclass(frozen=True)
 class PlateauBump1D:
     """C-infinity bump supported on [lo, hi], equal to 1 on the inner plateau."""
@@ -97,47 +106,29 @@ class ProductProfile:
         x = np.asarray(x, dtype=float)
         return [f.pieces(x[..., k]) for k, f in enumerate(self.factors)]
 
-    def _combine(self, pieces, order: int):
-        """value, grad[i] and hess[i][j] from per-factor (value, d1, d2).
+    def _entry(self, pieces, key):
+        """The derivative entry key from per-factor (value, d1, d2).
 
-        Products run factor by factor in index order, so every entry has
-        the same bits whatever the shapes of the pieces; grad and hess are
-        None below orders 1 and 2.
+        The product runs over the differentiated factors first, then the
+        others, each in index order, so every entry has the same bits
+        whatever the shapes of the pieces.
         """
-        vals = [p[0] for p in pieces]
-        value = vals[0]
-        for v in vals[1:]:
-            value = value * v
-        grad = hess = None
-        if order >= 1:
-            grad = []
-            for i in range(self.dim):
-                g = pieces[i][1]
-                for k in range(self.dim):
-                    if k != i:
-                        g = g * vals[k]
-                grad.append(g)
-        if order >= 2:
-            hess = [[None] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    h = pieces[i][2] if i == j else pieces[i][1] * pieces[j][1]
-                    for k in range(self.dim):
-                        if k != i and k != j:
-                            h = h * vals[k]
-                    hess[i][j] = hess[j][i] = h
-        return value, grad, hess
+        orders = _orders(key, self.dim)
+        factors = sorted(range(self.dim), key=lambda b: orders[b] == 0)
+        out = pieces[factors[0]][orders[factors[0]]]
+        for b in factors[1:]:
+            out = out * pieces[b][orders[b]]
+        return out
 
-    def along(self, base, slopes, m, order: int = 2):
-        """psi(base + m slopes) with its derivatives, in one pass per factor.
+    def along(self, base, slopes, m, keys):
+        """The entries keys of psi(base + m slopes), in one pass per factor.
 
         base (B, n) holds the arguments at m = 0, slopes (n,) their
-        m-derivatives and m (B, K) the line parameter per row.  Returns
-        (value, grad, hess) as in _combine: each entry equals the matching
-        entry of value/grad/hess at the same points, bit for bit.  A factor
-        with zero slope is constant along each row, so it is evaluated on
-        shape (B, 1) and broadcast; an entry none of whose factors moves
-        keeps that shape.
+        m-derivatives and m (B, K) the line parameter per row.  Returns a
+        dict of the entries by key, each equal to the matching entry of
+        value/grad/hess at the same points, bit for bit.  A factor with zero
+        slope is constant along each row, so it is evaluated on shape (B, 1)
+        and broadcast; an entry none of whose factors moves keeps that shape.
         """
         pieces = []
         for k, f in enumerate(self.factors):
@@ -145,17 +136,20 @@ class ProductProfile:
             if slopes[k] != 0.0:
                 y = y + m * slopes[k]
             pieces.append(f.pieces(y))
-        return self._combine(pieces, order)
+        return {key: self._entry(pieces, key) for key in keys}
 
     def value(self, x):
-        return self._combine(self._pieces(x), 0)[0]
+        return self._entry(self._pieces(x), ("v",))
 
     def grad(self, x):
-        return np.stack(self._combine(self._pieces(x), 1)[1], axis=-1)
+        pieces = self._pieces(x)
+        return np.stack([self._entry(pieces, ("g", i)) for i in range(self.dim)], axis=-1)
 
     def hess(self, x):
-        hess = self._combine(self._pieces(x), 2)[2]
-        return np.stack([np.stack(row, axis=-1) for row in hess], axis=-2)
+        pieces = self._pieces(x)
+        rows = [[self._entry(pieces, ("h", i, j)) for j in range(self.dim)]
+                for i in range(self.dim)]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 class BoundedSmoothProfile:
@@ -233,15 +227,6 @@ class MollifiedProfile:
             u = f.lo + (f.hi - f.lo) * t
             self._rules.append((u, (f.hi - f.lo) * wt * f.pieces(u)[0]))
 
-    def _orders(self, key):
-        orders = [0] * self.dim
-        if key[0] == "g":
-            orders[key[1]] = 1
-        elif key[0] == "h":
-            orders[key[1]] += 1
-            orders[key[2]] += 1
-        return orders
-
     def _convolved(self, b, k, y):
         """(P_v phi_b^{(k)})(y) on axis b, for k = 0, 1 or 2."""
         v = self.var[b]
@@ -274,12 +259,12 @@ class MollifiedProfile:
 
     def eval_many(self, x, keys):
         """Several derivative entries at the points x (..., n), sharing the
-        one-dimensional factors; keys are tuples ('v',), ('g', i) or
-        ('h', i, j).  Returns a dict of arrays of shape x.shape[:-1]."""
+        one-dimensional factors; keys as in _orders.  Returns a dict of
+        arrays of shape x.shape[:-1]."""
         factor = self._factors(np.asarray(x, dtype=float))
         out = {}
         for key in keys:
-            orders = self._orders(key)
+            orders = _orders(key, self.dim)
             val = factor(0, orders[0])
             for b in range(1, self.dim):
                 val = val * factor(b, orders[b])
@@ -302,7 +287,7 @@ class MollifiedProfile:
 
         def integral(rate, key):
             rho = rate / slope
-            orders = self._orders(key)
+            orders = _orders(key, self.dim)
             mass = np.exp(0.5 * rho * rho * self.var[axis]) * (wphi * np.exp(rho * u)).sum()
             out = np.exp(-rho * x[:, axis]) * (mass * (-rho) ** orders[axis] / abs(slope))
             for b, k in enumerate(orders):

@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,9 @@ from growthlab.disk import DiskTestFunction, realize_symbol
 from growthlab.fields import (CouplingParams, IntegrabilityError,
                               mean_stderr, sample_trace_batch)
 from growthlab.gmc import CircleMeasure, chaos_measure, weighted_field_check
-from growthlab.generator import (CylindricalFunctional, _generator_term,
-                                 _integrate_live, _line_rows, _m_interval,
+from growthlab.generator import (CylindricalFunctional, _column_sums,
+                                 _generator_terms, _integrate_live, _line_rows,
+                                 _m_interval,
                                  _TraceBatch, _zero_mode_rows,
                                  derivative_martingale_identity,
                                  dirichlet_form, divergence_form_check,
@@ -120,10 +122,11 @@ def test_generator_term_trivial_cases():
     grad, hess = F.profile.grad(x)[0], F.profile.hess(x)[0]
 
     def term(mu, grad, hess):
-        tb = _TraceBatch.at(h, mu)
-        b = [tb.drift(p, PG) for p in F.symbols]
-        sig = [[tb.diffusion(p, q) for q in F.symbols] for p in F.symbols]
-        return _generator_term(b, sig, grad, hess)[0]
+        entries = {("g", i): grad[None, i] for i in range(2)}
+        entries.update({("h", i, j): hess[None, i, j] for i in range(2) for j in range(2)})
+        terms = [(0, coef, key) for coef, key in _generator_terms(
+            F.symbols, lambda tb, p: tb.drift(p, PG))]
+        return _column_sums(terms, _TraceBatch.at(h, mu), entries.__getitem__)[0][0]
 
     # constant profile: generator vanishes
     chaos = chaos_measure(h, -1, PG.xi, M)
@@ -146,12 +149,15 @@ def test_invariance_pure_gravity_and_perturbations():
 
 def test_invariance_beta_residual_formula():
     # the beta perturbation shifts the generator expectation by exactly
-    # -2 pi beta sum_i mean(p_i) E[psi_i]; with common random numbers the
-    # shift of the estimate equals the closed rhs almost exactly
+    # -2 pi beta sum_i mean(p_i) E[psi_i]; the beta terms are the same listed
+    # terms on both sides, so with common random numbers the shift of the
+    # estimate equals the closed rhs to roundoff (it reads 2e-17 against a
+    # shift of 0.049; a sign error in either side's beta term reads 0.098)
     F = fixture_F()
     r0 = invariance_check(F, PG, 3000, make_rng(7), N=N, M=M)
     rb = invariance_check(F, PG.replace(beta=0.1), 3000, make_rng(7), N=N, M=M)
-    assert abs((rb.lhs - r0.lhs) - rb.rhs) < 1e-10 + 3 * np.hypot(r0.stderr, rb.stderr)
+    assert abs(rb.rhs) > 0.04
+    assert abs((rb.lhs - r0.lhs) - rb.rhs) < 1e-12
 
 
 def test_invariance_guard():
@@ -312,15 +318,16 @@ def test_divergence_form_route():
     assert res.consistent(3.0), (res.lhs, res.rhs, res.z)
 
 
-# Recorded from the estimators before they evaluated profiles in one pass on
-# live rows only (numpy 2.4, x86-64); the rewrite must keep every bit.
+# Recorded from the estimators as term tables (numpy 2.4, x86-64); the
+# values before, when each estimator wrote its own integrand, are kept in
+# TERM_TABLE_RECORDED.
 GOLDEN_FG = (-1.4009483422519824, 5.599249063224615, 3.7373256230578975,
-             3.433379202693432, -0.14072985612938255, 3.7404301967189246,
-             2.729259603547616, 2.869989459676998)
+             3.433379202693432, -0.14072985612938296, 3.740430196718924,
+             2.729259603547616, 2.869989459676999)
 GOLDEN_FF = (42.752397121634395, 36.93640149929286, 3.2617986380676056,
              42.752397121634395, 36.93640149929286, 3.2617986380676056,
-             36.93640149929286, 3.9563672406870223e-19)
-GOLDEN_DIV = (0.2712896826928716, 0.5738594155471081, 0.8702069172567649)
+             36.93640149929286, -1.5036428533303394e-17)
+GOLDEN_DIV = (0.2712896826928716, 0.5738594155471082, 0.8702069172567649)
 # Recorded from the estimators before they shared one Monte Carlo driver and
 # one integrand form (numpy 2.4, x86-64); paired results are (lhs, rhs,
 # stderr, lhs_stderr, rhs_stderr), single ones (estimate, stderr).  The
@@ -333,7 +340,7 @@ GOLDEN_INV_PG = (0.7982891213004858, 5.686448664907282e-17, 0.2902244923797735,
 GOLDEN_INV_ALPHA = (0.5934132165937825, -0.20487590470670328, 0.2902244923797735,
                     0.27966379054821316, 0.013354754864173363)
 GOLDEN_ROT = (-0.0931233574981303, 0.21467568790128935)
-GOLDEN_HDMUF = (1.8310762247661676, 0.8683396856050958)
+GOLDEN_HDMUF = (1.831076224766168, 0.8683396856050958)
 GOLDEN_POT = (-4.790052207892869, 0.175456114744748)
 GOLDEN_PROJ = (0.05130019509384791, 0.0388888590345318, 0.02561397653960413,
                0.017001667783138483, 0.01940847788058585)
@@ -355,6 +362,19 @@ LADDER_RECORDED = {
 # before: each re-pinned number stays within ROUNDOFF times its stderr.
 ONE_GENERATOR_RECORDED = {
     "HDMUF": (1.8310762247661683, 0.8683396856050958),
+}
+# The two-block goldens as recorded while each estimator wrote its own
+# integrand: the term tables sum the same terms grouped by the first block's
+# entry, and each re-pinned number stays within ROUNDOFF times its stderr.
+TERM_TABLE_RECORDED = {
+    "FG": (-1.4009483422519824, 5.599249063224615, 3.7373256230578975,
+           3.433379202693432, -0.14072985612938255, 3.7404301967189246,
+           2.729259603547616, 2.869989459676998),
+    "FF": (42.752397121634395, 36.93640149929286, 3.2617986380676056,
+           42.752397121634395, 36.93640149929286, 3.2617986380676056,
+           36.93640149929286, 3.9563672406870223e-19),
+    "DIV": (0.2712896826928716, 0.5738594155471081, 0.8702069172567649),
+    "HDMUF": (1.8310762247661676, 0.8683396856050958),
 }
 ROUNDOFF = 1e-12
 
@@ -383,8 +403,11 @@ def test_zero_mode_estimators_keep_their_bits():
     assert _dirichlet_numbers(res) == GOLDEN_FG
     res = dirichlet_form(F, F, 400, make_rng(1, 21), N=16, M=64)
     assert _dirichlet_numbers(res) == GOLDEN_FF
+    for name, golden in (("FG", GOLDEN_FG), ("FF", GOLDEN_FF)):
+        assert _near(golden, TERM_TABLE_RECORDED[name], min(golden[2], golden[5]))
     div = divergence_form_check(F, G, 400, make_rng(1, 22), N=16, M=64)
     assert (div.lhs, div.rhs, div.stderr) == GOLDEN_DIV
+    assert _near(GOLDEN_DIV, TERM_TABLE_RECORDED["DIV"], GOLDEN_DIV[2])
 
     kw = dict(N=16, M=64)
     for params, golden in ((PG, GOLDEN_INV_PG),
@@ -399,6 +422,7 @@ def test_zero_mode_estimators_keep_their_bits():
     hdmuf = ibp_hdmuf_check(p, F, G, 400, make_rng(1, 25), **kw)
     assert hdmuf == GOLDEN_HDMUF
     assert _near(hdmuf, ONE_GENERATOR_RECORDED["HDMUF"], GOLDEN_HDMUF[1])
+    assert _near(hdmuf, TERM_TABLE_RECORDED["HDMUF"], GOLDEN_HDMUF[1])
     ell2 = BoundaryField.constant(0.3, 2) + 0.5 * BoundaryField.basis(2, 2)
     assert ibp_potential_check(ell2, BoundaryField.constant(1.0, 2), F, 400,
                                make_rng(1, 26), c=PG.c + 0.2, **kw) == GOLDEN_POT
@@ -416,6 +440,87 @@ def test_zero_mode_estimators_keep_their_bits():
                                                  **kw)) == GOLDEN_DIV_REM
     assert rotational_invariance_check(ell, F, 400, make_rng(1, 24), batch=150,
                                        **kw) == GOLDEN_ROT
+
+
+# every estimator at a small configuration.  The invariance table takes
+# beta = 0.1, so that no coefficient is identically zero, and c x 1.3, so that
+# its rate delta - xi is not 0 (see test_every_term_reaches_its_column)
+TERM_ESTIMATORS = {
+    "invariance_check": lambda: invariance_check(
+        fixture_F(), PG.replace(beta=0.1, c=1.3 * PG.c), 50, make_rng(3), N=8, M=32),
+    "dirichlet_form": lambda: dirichlet_form(fixture_F(), fixture_G(), 50, make_rng(3),
+                                             N=8, M=32),
+    "divergence_form_check": lambda: divergence_form_check(fixture_F(), fixture_G(), 50,
+                                                           make_rng(3), N=8, M=32),
+    "rotational_invariance_check": lambda: rotational_invariance_check(
+        BoundaryField.basis(3, 4) + BoundaryField.constant(0.2, 4), fixture_F(), 50,
+        make_rng(3), N=8, M=32),
+    "ibp_hdmuf_check": lambda: ibp_hdmuf_check(
+        0.5 * BoundaryField.basis(1, 4) + BoundaryField.constant(0.1, 4), fixture_F(),
+        fixture_G(), 50, make_rng(3), N=8, M=32),
+    "ibp_potential_check": lambda: ibp_potential_check(
+        ELL, BoundaryField.constant(1.0, 2) + 0.5 * BoundaryField.basis(2, 2), fixture_F(),
+        50, make_rng(3), N=8, M=32),
+    "projected_symmetric_ibp_check": lambda: projected_symmetric_ibp_check(
+        [BoundaryField.basis(k, 2) for k in range(3)],
+        ProductProfile.bumps([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), fixture_G(), 50,
+        make_rng(3), N=8, M=32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERM_ESTIMATORS))
+def test_every_term_reaches_its_column(name, monkeypatch):
+    """Doubling any one listed term of an estimator moves the per-sample
+    rows of that term's column; on the closed-form route no other column
+    moves by a bit (the Gauss ladder's stopping test reads every column).
+
+    One exception, on the closed-form route: at rate 0 a derivative along
+    the moving axis integrates to exactly zero along the line, so such a
+    term keeps its column's bits.  The rate delta - xi is 0.0 at pure
+    gravity, where the rotation and potential estimators are fixed.
+    """
+    seen = []        # (route, arguments, rows) of every route call
+    routes = {route: getattr(generator, route) for route in ("_line_rows", "_zero_mode_rows")}
+
+    def wrap(route, scaled):
+        orig = routes[route]
+        sig = inspect.signature(orig)
+
+        def wrapper(*args, **kwargs):
+            ba = sig.bind(*args, **kwargs)
+            terms = list(ba.arguments["terms"])
+            if scaled is not None:
+                col, coef, keys = terms[scaled]
+                terms[scaled] = (col, lambda tb: 2.0 * coef(tb), keys)
+            ba.arguments["terms"] = terms
+            rows = orig(*ba.args, **ba.kwargs)
+            seen.append((route, ba.arguments, rows))
+            return rows
+
+        monkeypatch.setattr(generator, route, wrapper)
+
+    def run(scaled=None):
+        seen.clear()
+        for route in routes:
+            wrap(route, scaled)
+        TERM_ESTIMATORS[name]()
+        assert len(seen) == 1
+        return seen[0]
+
+    route, args, base = run()
+    terms = args["terms"]
+    assert len(terms) > 1
+    for t, (col, _, keys) in enumerate(terms):
+        rows = run(t)[2]
+        if route == "_zero_mode_rows":
+            assert not np.array_equal(rows[:, col], base[:, col]), (t, keys)
+            continue
+        rate, key = keys
+        axis = int(np.flatnonzero([p.integral() for p in args["symbols"]])[0])
+        vanishes = rate == 0.0 and axis in key[1:]
+        assert np.array_equal(rows[:, col], base[:, col]) == vanishes, (t, keys)
+        others = np.arange(rows.shape[1]) != col
+        assert np.array_equal(rows[:, others], base[:, others]), (t, keys)
 
 
 def test_integrate_live_skips_dead_rows():
@@ -520,14 +625,10 @@ def _sigma_finite_rows(p, profile, delta, n_samples, rng):
     """Per-sample int e^{delta m} psi(<h0, p> + m int p) dm through the
     suites' zero-mode routes."""
     if isinstance(profile, MollifiedProfile):
-        return _line_rows([p], profile, 0.0, lambda tb: [],
-                          lambda I: I(delta, ("v",)), n_samples, rng, PG.xi, 8, 32, 4096)
-
-    def fn(m, psi):
-        return (np.exp(delta * m) * psi[0])[..., None]
-
-    return _zero_mode_rows([([p], profile, 0, 0.0)], lambda tb: [], fn, 1, n_samples,
-                           rng, PG.xi, 8, 32, 4096)[:, 0]
+        return _line_rows([p], profile, 0.0, [(0, lambda tb: 1.0, (delta, ("v",)))],
+                          n_samples, rng, PG.xi, 8, 32, 4096)[:, 0]
+    return _zero_mode_rows([([p], profile)], [(0, lambda tb: 1.0, (("v",),))], delta,
+                           n_samples, rng, PG.xi, 8, 32, 4096)[:, 0]
 
 
 @pytest.mark.parametrize("path", sorted(ZERO_MODE_PROFILES))

@@ -24,6 +24,7 @@ REFERENCE_ROUTES = {
     "second_moment_truncated",       # gmc: chaos second moment by quadrature
     "drift_bulk",                    # generator: the drift in bulk form
     "rotate",                        # gmc: CircleMeasure.rotate
+    "hess",                          # profiles: ProductProfile.hess, pointwise side of along
 }
 
 

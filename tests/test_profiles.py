@@ -99,16 +99,22 @@ def test_product_profile_along_matches_pointwise(slopes):
     base = rng.uniform(-1.6, 1.6, size=(60, 3))     # some rows outside the box
     m = rng.uniform(-3.0, 3.0, size=(60, 30))
     x = base[:, None, :] + m[:, :, None] * slopes[None, None, :]
-    val, grad, hess = prof.along(base, slopes, m)
+    keys = ([("v",)] + [("g", i) for i in range(3)]
+            + [("h", i, j) for i in range(3) for j in range(3)])
+    psi = prof.along(base, slopes, m, keys)
+    val = psi[("v",)]
     assert np.array_equal(np.broadcast_to(val, m.shape), prof.value(x))
     g, h = prof.grad(x), prof.hess(x)
     for i in range(3):
-        assert np.array_equal(np.broadcast_to(grad[i], m.shape), g[..., i])
+        assert np.array_equal(np.broadcast_to(psi[("g", i)], m.shape), g[..., i])
         for j in range(3):
-            assert np.array_equal(np.broadcast_to(hess[i][j], m.shape), h[..., i, j])
+            assert np.array_equal(np.broadcast_to(psi[("h", i, j)], m.shape), h[..., i, j])
     assert np.any(g != 0.0) and np.any(prof.value(x) == 0.0)
-    v0, g0, h0 = prof.along(base, slopes, m, order=0)
-    assert np.array_equal(v0, val) and g0 is None and h0 is None
+    # only the requested entries, under their keys
+    only = prof.along(base, slopes, m, [("h", 2, 0), ("v",)])
+    assert list(only) == [("h", 2, 0), ("v",)]
+    assert np.array_equal(only[("v",)], val) and np.array_equal(only[("h", 2, 0)],
+                                                                 psi[("h", 0, 2)])
     if not slopes.any():
         assert val.shape == (60, 1)
 

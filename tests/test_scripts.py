@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,33 @@ def _script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _main(name, argv, monkeypatch, capsys):
+    """The lines a script's main() prints for the command-line arguments argv."""
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    _script(name).main()
+    return capsys.readouterr().out.splitlines()
+
+
+def test_invariance_experiment_runs_at_a_tiny_size(monkeypatch, capsys):
+    lines = _main("invariance_experiment", ["--n", "300", "--N", "8", "--M", "32"],
+                  monkeypatch, capsys)
+    rows = [line.split() for line in lines[1:]]
+    assert [r[0] for r in rows] == ["solved", "alpha+0.1", "chi+0.1", "beta=0.1", "c*1.1",
+                                    "alpha+0.2", "chi+0.2", "beta=0.2", "c*1.2"]
+    for _, lhs, rhs, z, gate in rows:
+        assert np.isfinite([float(lhs), float(rhs), float(z)]).all() and gate in ("PASS", "FAIL")
+    assert abs(float(rows[0][2])) < 1e-5        # the rhs vanishes at the solved couplings
+
+
+def test_seed_sweep_runs_the_dirichlet_suite(monkeypatch, capsys):
+    lines = _main("seed_sweep", ["--suite", "dirichlet", "--seeds", "2", "--param", "N=8",
+                                 "--param", "M=32", "--param", "n_samples=200",
+                                 "--param", "n_samples_main=200"], monkeypatch, capsys)
+    summaries = {line.split(":")[0] for line in lines if " seeds=2 " in line}
+    assert summaries >= {"dirichlet-form-split", "dirichlet-form-swapped",
+                         "dirichlet-exchange", "divergence-form"}
 
 
 def test_stationarity_diagnostic_reports():
