@@ -212,13 +212,18 @@ def _integrate_live(fn, rows, lo, hi, n_out: int):
     array, a block of rows at a time (_in_blocks); a row with an empty
     interval is an exact zero in the output and never reaches fn.  fn
     returns (B, K, n_out), and the output has shape (B, n_out).
+
+    The rule is fixed at the ladder's last level, 64 panels of 16 nodes: the
+    suites' batches never stopped below it, and tests/test_generator.py
+    holds each two-block estimator to a 128-panel rule.
     """
     live = hi > lo
     out = np.zeros(lo.shape + (n_out,))
     if live.any():
         sub = [r[live] for r in rows]
         out[live] = batched_gauss_panels(lambda m: _in_blocks(fn, m, sub),
-                                         lo[live], hi[live])
+                                         lo[live], hi[live],
+                                         start_panels=64, max_panels=64)
     return out
 
 

@@ -27,31 +27,6 @@ def _u(t):
     return e, e / t ** 2, e * (1.0 / t ** 4 - 2.0 / t ** 3)
 
 
-def _step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, with two derivatives.
-
-    Only points strictly inside (0, 1) need the exponentials; the rest are
-    the constants 0 or 1 with zero derivatives.
-    """
-    t = np.asarray(t, dtype=float)
-    mid = (t > 0) & (t < 1)
-    s = np.where(t >= 1, 1.0, 0.0)
-    s1 = np.zeros_like(t)
-    s2 = np.zeros_like(t)
-    tm = t[mid]
-    A, A1, A2 = _u(tm)
-    B, nB1, B2 = _u(1.0 - tm)
-    B1 = -nB1
-    D = A + B
-    num1 = A1 * B - A * B1
-    D1 = A1 + B1
-    num2 = A2 * B - A * B2
-    s[mid] = A / D
-    s1[mid] = num1 / D ** 2
-    s2[mid] = num2 / D ** 2 - 2.0 * num1 * D1 / D ** 3
-    return s, s1, s2
-
-
 def _orders(key, dim: int) -> list[int]:
     """Derivative order per axis of a profile entry key: ('v',) the value,
     ('g', i) the gradient entry i, ('h', i, j) the Hessian entry ij."""
@@ -74,14 +49,32 @@ class PlateauBump1D:
             raise ValueError("rise must fit inside the support")
 
     def pieces(self, y):
+        """Value, first and second derivative at the points y.
+
+        The bump is sigma((y - lo)/rise) sigma((hi - y)/rise), and its two
+        transitions do not overlap (rise is at most half the support): only
+        the step at the smaller argument t needs evaluating, the other factor
+        being 1.  Adding 0.0 turns a derivative of -0.0 into 0.0, as the other
+        factor's zero terms would; the bits are the product's, but for
+        d2 = -0.0 at the centre of a bump whose transitions touch.
+        """
         y = np.asarray(y, dtype=float)
-        sL, sL1, sL2 = _step((y - self.lo) / self.rise)
-        sR, sR1, sR2 = _step((self.hi - y) / self.rise)
-        sL1, sL2 = sL1 / self.rise, sL2 / self.rise ** 2
-        sR1, sR2 = -sR1 / self.rise, sR2 / self.rise ** 2
-        val = sL * sR
-        d1 = sL1 * sR + sL * sR1
-        d2 = sL2 * sR + 2.0 * sL1 * sR1 + sL * sR2
+        dL, dR = y - self.lo, self.hi - y
+        t = np.minimum(dL, dR) / self.rise
+        val = np.where(t >= 1, 1.0, 0.0)
+        d1, d2 = np.zeros_like(val), np.zeros_like(val)
+        mid = (t > 0) & (t < 1)
+        tm = t[mid]
+        A, A1, A2 = _u(tm)
+        B, nB1, B2 = _u(1.0 - tm)
+        D = A + B
+        num1 = A1 * B + A * nB1
+        num2 = A2 * B - A * B2
+        s1 = num1 / D ** 2
+        s2 = num2 / D ** 2 - 2.0 * num1 * (A1 - nB1) / D ** 3
+        val[mid] = A / D
+        d1[mid] = np.where(dR[mid] < dL[mid], -s1, s1) / self.rise + 0.0
+        d2[mid] = s2 / self.rise ** 2 + 0.0
         return val, d1, d2
 
     @property

@@ -50,7 +50,9 @@ def batched_gauss_panels(fn, a: np.ndarray, b: np.ndarray, rel_tol: float = 1e-8
     (B, nodes, outputs) for several integrands sharing the nodes.  Rows
     with empty intervals integrate to zero.  Panels double from
     start_panels until every live row agrees with the previous level to
-    rel_tol, or max_panels is reached.
+    rel_tol, or max_panels is reached.  start_panels = max_panels gives one
+    composite rule, which is all generator._integrate_live uses; the
+    doubling stays while perfbench/worker.py reads these arguments by name.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -28,10 +28,11 @@ HOOKS = {
 
 # exact counts of a traced round.  The quadrature wrapper counts one integrand
 # call per level of the Gauss ladder, so an integrand it saw once per row
-# block would inflate them; the dynamics counts come from one cir_exact_step
-# call per step with every cell of the ensemble.
+# block would inflate them; the zero modes run the ladder's 64-panel level
+# alone, 1,024 nodes per sample.  The dynamics counts come from one
+# cir_exact_step call per step with every cell of the ensemble.
 EXACT = {
-    "dirichlet": {"quadrature.gauss_calls": 4, "quadrature.nodes_per_sample": 2016},
+    "dirichlet": {"quadrature.gauss_calls": 4, "quadrature.nodes_per_sample": 1024},
     "dynamics": {"dynamics.cell_steps": 78_006_340},
 }
 

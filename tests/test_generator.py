@@ -442,28 +442,29 @@ def test_zero_mode_estimators_keep_their_bits():
                                        **kw) == GOLDEN_ROT
 
 
-# every estimator at a small configuration.  The invariance table takes
-# beta = 0.1, so that no coefficient is identically zero, and c x 1.3, so that
-# its rate delta - xi is not 0 (see test_every_term_reaches_its_column)
+# every estimator at a small configuration, on n samples.  The invariance
+# table takes beta = 0.1, so that no coefficient is identically zero, and
+# c x 1.3, so that its rate delta - xi is not 0 (see
+# test_every_term_reaches_its_column)
 TERM_ESTIMATORS = {
-    "invariance_check": lambda: invariance_check(
-        fixture_F(), PG.replace(beta=0.1, c=1.3 * PG.c), 50, make_rng(3), N=8, M=32),
-    "dirichlet_form": lambda: dirichlet_form(fixture_F(), fixture_G(), 50, make_rng(3),
-                                             N=8, M=32),
-    "divergence_form_check": lambda: divergence_form_check(fixture_F(), fixture_G(), 50,
-                                                           make_rng(3), N=8, M=32),
-    "rotational_invariance_check": lambda: rotational_invariance_check(
-        BoundaryField.basis(3, 4) + BoundaryField.constant(0.2, 4), fixture_F(), 50,
+    "invariance_check": lambda n=50: invariance_check(
+        fixture_F(), PG.replace(beta=0.1, c=1.3 * PG.c), n, make_rng(3), N=8, M=32),
+    "dirichlet_form": lambda n=50: dirichlet_form(fixture_F(), fixture_G(), n,
+                                                  make_rng(3), N=8, M=32),
+    "divergence_form_check": lambda n=50: divergence_form_check(
+        fixture_F(), fixture_G(), n, make_rng(3), N=8, M=32),
+    "rotational_invariance_check": lambda n=50: rotational_invariance_check(
+        BoundaryField.basis(3, 4) + BoundaryField.constant(0.2, 4), fixture_F(), n,
         make_rng(3), N=8, M=32),
-    "ibp_hdmuf_check": lambda: ibp_hdmuf_check(
+    "ibp_hdmuf_check": lambda n=50: ibp_hdmuf_check(
         0.5 * BoundaryField.basis(1, 4) + BoundaryField.constant(0.1, 4), fixture_F(),
-        fixture_G(), 50, make_rng(3), N=8, M=32),
-    "ibp_potential_check": lambda: ibp_potential_check(
+        fixture_G(), n, make_rng(3), N=8, M=32),
+    "ibp_potential_check": lambda n=50: ibp_potential_check(
         ELL, BoundaryField.constant(1.0, 2) + 0.5 * BoundaryField.basis(2, 2), fixture_F(),
-        50, make_rng(3), N=8, M=32),
-    "projected_symmetric_ibp_check": lambda: projected_symmetric_ibp_check(
+        n, make_rng(3), N=8, M=32),
+    "projected_symmetric_ibp_check": lambda n=50: projected_symmetric_ibp_check(
         [BoundaryField.basis(k, 2) for k in range(3)],
-        ProductProfile.bumps([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), fixture_G(), 50,
+        ProductProfile.bumps([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), fixture_G(), n,
         make_rng(3), N=8, M=32),
 }
 
@@ -523,6 +524,37 @@ def test_every_term_reaches_its_column(name, monkeypatch):
         assert np.array_equal(rows[:, others], base[:, others]), (t, keys)
 
 
+@pytest.mark.parametrize("name", ["dirichlet_form", "divergence_form_check",
+                                  "ibp_hdmuf_check", "projected_symmetric_ibp_check"])
+def test_gauss_panel_rows_match_a_finer_rule(name, monkeypatch):
+    """The two-block estimators integrate their zero modes by one fixed rule,
+    64 panels of 16 nodes, with no convergence check at run time.  Their
+    per-sample rows agree with a 128-panel rule within 1e-12 of each
+    column's largest |value| (64 panels: 3e-14 at most).  At 32 panels the
+    dirichlet_form and divergence_form_check rows miss it, by 1e-11 and
+    2e-12."""
+    seen = []
+    zero_mode_rows = generator._zero_mode_rows
+
+    def recorded(*args, **kwargs):
+        seen.append(zero_mode_rows(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(generator, "_zero_mode_rows", recorded)
+    TERM_ESTIMATORS[name](200)
+    rows = list(seen)
+    seen.clear()
+    gauss = generator.batched_gauss_panels
+    monkeypatch.setattr(generator, "batched_gauss_panels", lambda fn, a, b, **kw: gauss(
+        fn, a, b, **dict(kw, start_panels=128, max_panels=128)))
+    TERM_ESTIMATORS[name](200)
+    assert len(rows) == len(seen) > 0
+    for got, ref in zip(rows, seen):
+        assert got.shape == ref.shape and got.shape[0] == 200
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+        assert not np.array_equal(got, ref)
+
+
 def test_integrate_live_skips_dead_rows():
     rng = np.random.default_rng(4)
     lo = rng.uniform(-1.0, 0.0, 12)
@@ -542,7 +574,8 @@ def test_integrate_live_skips_dead_rows():
     assert set(seen) == {7}
     assert np.all(out[~live] == 0.0)
     # live rows get the bits of integrating them on their own
-    ref = batched_gauss_panels(lambda m: fn(m, coef[live]), lo[live], hi[live])
+    ref = batched_gauss_panels(lambda m: fn(m, coef[live]), lo[live], hi[live],
+                               start_panels=64)
     assert np.array_equal(out[live], ref)
 
     def never(m, *rows):

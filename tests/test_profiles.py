@@ -6,17 +6,42 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from growthlab.profiles import (BoundedSmoothProfile, CovarianceNotDiagonalError,
-                                MollifiedProfile, PlateauBump1D, ProductProfile, _step)
+                                MollifiedProfile, PlateauBump1D, ProductProfile, _u)
 from growthlab.quadrature import composite_rule
+from growthlab.suites import _fixture_functional, _fixture_g
 
 
 def test_step_endpoints_and_monotonicity():
-    t = np.linspace(-1.0, 2.0, 301)
-    s, s1, s2 = _step(t)
+    # the rising transition of a bump on [0, 3] with rise 1 is the step itself
+    t = np.linspace(-1.0, 1.5, 251)
+    s, s1, s2 = PlateauBump1D(0.0, 3.0, 1.0).pieces(t)
     assert np.all(s[t <= 0] == 0.0)
     assert np.all(s[t >= 1] == 1.0)
     assert np.all(np.diff(s) >= -1e-15)
     assert np.all(s1 >= -1e-15)
+
+
+def _step(t):
+    """The C-infinity step with two derivatives, masked: the exponentials on
+    (0, 1) only, the constants 0 or 1 with zero derivatives elsewhere.  The
+    bump's reference (_pieces_reference) is a product of two of these."""
+    t = np.asarray(t, dtype=float)
+    mid = (t > 0) & (t < 1)
+    s = np.where(t >= 1, 1.0, 0.0)
+    s1 = np.zeros_like(t)
+    s2 = np.zeros_like(t)
+    tm = t[mid]
+    A, A1, A2 = _u(tm)
+    B, nB1, B2 = _u(1.0 - tm)
+    B1 = -nB1
+    D = A + B
+    num1 = A1 * B - A * B1
+    D1 = A1 + B1
+    num2 = A2 * B - A * B2
+    s[mid] = A / D
+    s1[mid] = num1 / D ** 2
+    s2[mid] = num2 / D ** 2 - 2.0 * num1 * D1 / D ** 3
+    return s, s1, s2
 
 
 def _step_reference(t):
@@ -51,6 +76,50 @@ def test_step_matches_reference_bit_for_bit():
             for a, b in zip(_step(t), _step_reference(t)):
                 assert a.shape == b.shape
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _pieces_reference(f, y):
+    """The bump as the product of its rising and falling steps, each step
+    evaluated at every point."""
+    sL, sL1, sL2 = _step((y - f.lo) / f.rise)
+    sR, sR1, sR2 = _step((f.hi - y) / f.rise)
+    sL1, sL2 = sL1 / f.rise, sL2 / f.rise ** 2
+    sR1, sR2 = -sR1 / f.rise, sR2 / f.rise ** 2
+    return (sL * sR, sL1 * sR + sL * sR1,
+            sL2 * sR + 2.0 * sL1 * sR1 + sL * sR2)
+
+
+@pytest.mark.parametrize("bump", [
+    PlateauBump1D(-0.3, 1.7, 0.45),
+    PlateauBump1D(2.0, 2.5, 0.25),          # rise half the support
+    ProductProfile.bumps([0.7], [0.1], rise_frac=1.0).factors[0],     # and d2 = -0.0
+    *ProductProfile.bumps([0.1, -0.4], [1.5, 0.2]).factors,
+    *_fixture_functional(8).profile.factors,
+    *_fixture_g(8).profile.factors,
+])
+def test_pieces_keep_the_bits_of_the_two_step_product(bump):
+    rng = np.random.default_rng(5)
+    lo, hi, rise = bump.lo, bump.hi, bump.rise
+    edges = np.array([lo, lo + rise, hi - rise, hi])
+    width = hi - lo
+    near = rise * np.logspace(-15, -1, 29)       # where the exponentials underflow
+    points = {
+        "random": rng.uniform(lo - 0.2 * width, hi + 0.2 * width, (40, 50)),
+        "breakpoints": np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                       np.nextafter(edges, np.inf)]),
+        "outside": np.array([lo - width, lo - 1e-9, hi + 1e-9, hi + width, -np.inf, np.inf]),
+        "transition ends": (edges[:, None] + np.concatenate([near, -near])).ravel(),
+        "centre": 0.5 * (lo + hi) + np.array([0.0, -1e-15, 1e-15]),
+    }
+    for name, y in points.items():
+        for k, (new, ref) in enumerate(zip(bump.pieces(y), _pieces_reference(bump, y))):
+            assert new.shape == ref.shape and np.array_equal(new, ref), name
+            # where the transitions touch, the product's d2 may be -0.0 and
+            # this 0.0; every other entry has the product's bits
+            moved = new.view(np.int64) != ref.view(np.int64)
+            if k == 2 and 2.0 * rise >= width:
+                moved &= ~(np.signbit(ref) & (new == 0.0) & ~np.signbit(new))
+            assert not moved.any(), name
 
 
 @given(st.floats(-3.0, 3.0), st.floats(0.2, 2.0))
