@@ -36,7 +36,7 @@ def main():
         r = invariance_check(F, params, args.n, make_rng(args.seed),
                              N=args.N, M=args.M)
         print(f"{name:>12} {r.lhs:12.5f} {r.rhs:12.5f} {r.z:6.2f}  "
-              f"{'PASS' if r.consistent(3.0) else 'FAIL'}")
+              f"{'PASS' if r.consistent() else 'FAIL'}")
 
 
 if __name__ == "__main__":

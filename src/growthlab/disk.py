@@ -16,6 +16,11 @@ import numpy as np
 from .quadrature import gauss_legendre
 from .spectral import BoundaryField, eigenvalues
 
+# Gauss-Legendre nodes of the radial integrals.  A bump's moments r^j,
+# j <= 17, agree with a 400-node rule to 3e-13 relative at 80 nodes, and
+# to only 3e-8 at 40.
+_RADIAL_NODES = 80
+
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -41,9 +46,9 @@ class RadialProfile:
         out[inside] = self.dfn(r[inside])
         return out
 
-    def moment(self, j: float, n: int = 80) -> float:
+    def moment(self, j: float) -> float:
         """Integral of fn(r) r^j over the support."""
-        r, w = gauss_legendre(*self.support, n)
+        r, w = gauss_legendre(*self.support, _RADIAL_NODES)
         return float(np.sum(self(r) * r ** j * w))
 
     def scaled(self, c: float) -> "RadialProfile":
@@ -123,29 +128,28 @@ class DiskTestFunction:
         """Integral over the disk against area measure."""
         return sum(R.moment(1) * T.integral() for R, T in self.terms)
 
-    def log_pairing(self, n: int = 80) -> float:
+    def log_pairing(self) -> float:
         """Integral of f log|z| over the disk."""
         total = 0.0
         for R, T in self.terms:
-            r, w = gauss_legendre(*R.support, n)
+            r, w = gauss_legendre(*R.support, _RADIAL_NODES)
             total += float(np.sum(R(r) * np.log(r) * r * w)) * T.integral()
         return total
 
-    def poisson_adjoint(self, degree: int | None = None) -> BoundaryField:
+    def poisson_adjoint(self) -> BoundaryField:
         """Boundary trace H* f, band-limited at the angular degree of f.
 
         Coefficient k of H* f is the k-th angular coefficient of f paired
         with the radial moment r^{lam_k + 1}; exact because the angular
         factors are band-limited.
         """
-        N = self.degree if degree is None else degree
+        N = self.degree
         coeffs = np.zeros(2 * N + 1)
         lam = eigenvalues(N)
         for R, T in self.terms:
-            n = min(T.degree, N)
-            a = T.coeffs[: 2 * n + 1]
-            mom = np.array([R.moment(l + 1) for l in lam[: 2 * n + 1]])
-            coeffs[: 2 * n + 1] += a * mom
+            n = 2 * T.degree + 1
+            mom = np.array([R.moment(l + 1) for l in lam[:n]])
+            coeffs[:n] += T.coeffs * mom
         return BoundaryField(coeffs)
 
     def angular_modes(self, r, K: int) -> np.ndarray:
@@ -166,13 +170,13 @@ class DiskTestFunction:
     __rmul__ = __mul__
 
 
-def realize_symbol(p: BoundaryField, support: tuple[float, float] = (0.35, 0.75)) -> DiskTestFunction:
+def realize_symbol(p: BoundaryField) -> DiskTestFunction:
     """Disk test function f with H* f = p exactly.
 
     One bump term per active degree of p, normalized so the radial moment
     matching that degree is 1.
     """
-    base = bump(*support)
+    base = bump(0.35, 0.75)
     terms = []
     N = p.degree
     if p.coeffs[0] != 0.0:

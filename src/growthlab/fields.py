@@ -17,7 +17,7 @@ estimator draws its samples in batches through monte_carlo_rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class IntegrabilityError(ValueError):
 # -- coupling constants -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CouplingParams:
     """Metric-growth coupling constants with their algebraic relations."""
 
@@ -71,11 +71,8 @@ class CouplingParams:
                    beta=0.0, c=-xi / (2.0 * np.pi), omega=omega, d_gamma=4.0)
 
     def replace(self, **kw) -> "CouplingParams":
-        data = dict(xi=self.xi, gamma=self.gamma, Q=self.Q, alpha=self.alpha,
-                    chi=self.chi, beta=self.beta, c=self.c, omega=self.omega,
-                    d_gamma=self.d_gamma)
-        data.update(kw)
-        return CouplingParams(**data)
+        """A copy with the given fields changed, validated again."""
+        return dataclasses.replace(self, **kw)
 
     def invariance_residuals(self) -> tuple[float, float, float, float]:
         """Residuals of the four sufficient relations; all zero at pure gravity."""
@@ -313,14 +310,15 @@ def inverse_laplace_half(p: BoundaryField) -> BoundaryField:
     return BoundaryField(c)
 
 
-def tilde_shift_check(symbols, profile, h: BoundaryField, xi: float, M: int = 1024) -> float:
-    """Conjugate-gradient shift identity, per sample, on the angle grid.
+def tilde_shift_check(symbols, profile, h: BoundaryField, xi: float) -> float:
+    """Conjugate-gradient shift identity, per sample, on 1024 grid angles.
 
     Evaluates the conjugated gradient of the cylindrical functional at the
     field shifted by -xi times the boundary log kernel rooted at x, and
     compares with the tangential x-derivative of the shifted functional
     divided by 2 pi xi.  Returns the max grid residual.
     """
+    M = 1024
     base = np.array([mean_zero_pairing(h, q) + h.mean() * q.integral() for q in symbols])
     P = [inverse_laplace_half(q) for q in symbols]
     shifts = np.stack([2.0 * np.pi * xi * Pq.values(M) for Pq in P], axis=-1)

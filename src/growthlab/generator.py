@@ -48,7 +48,6 @@ class CylindricalFunctional:
 
     symbols: list
     profile: ProductProfile
-    annulus: tuple[float, float] = (0.35, 0.75)
     _realized: list | None = field(default=None, repr=False)
 
     @property
@@ -60,7 +59,7 @@ class CylindricalFunctional:
 
     def realized(self) -> list:
         if self._realized is None:
-            self._realized = [realize_symbol(p, self.annulus) for p in self.symbols]
+            self._realized = [realize_symbol(p) for p in self.symbols]
         return self._realized
 
     @cached_property
@@ -338,8 +337,9 @@ class PairedEstimate:
     def z(self) -> float:
         return abs(self.lhs - self.rhs) / self.stderr if self.stderr > 0 else 0.0
 
-    def consistent(self, k: float = 3.0) -> bool:
-        return abs(self.lhs - self.rhs) <= k * self.stderr
+    def consistent(self) -> bool:
+        """Whether the two sides agree within three standard errors."""
+        return abs(self.lhs - self.rhs) <= 3.0 * self.stderr
 
 
 def _paired_from_samples(lhs, rhs) -> PairedEstimate:
@@ -599,7 +599,7 @@ def ibp_potential_check(ell: BoundaryField, k: BoundaryField,
 
 
 def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
-                      nu: CircleMeasure, nr: int = 48) -> dict:
+                      nu: CircleMeasure) -> dict:
     """Drift of the growth generator versus the exploration-process drift.
 
     The exploration normalization fixes harmonic functions to vanish at
@@ -613,7 +613,7 @@ def qle_drift_compare(p: BoundaryField, f: DiskTestFunction, h: BoundaryField,
     params = CouplingParams.pure_gravity()
     xi, Q = params.xi, params.Q
     b_ours = float(_TraceBatch.at(h, nu).drift(p, params)[0])    # beta = 0 here
-    hterm = bulk_pairings(f, nu, nr, h)["harmonic"]
+    hterm = bulk_pairings(f, nu, 48, h)["harmonic"]
     b_ms = (hterm + TWO_PI * Q * nu.integrate_field(p.dirichlet_to_neumann())
             + TWO_PI * xi * nu.integrate_field(p - BoundaryField.constant(p.mean(), 1)))
     offset = TWO_PI * xi * p.mean() * nu.total_mass
@@ -692,9 +692,9 @@ def projected_symmetric_ibp_check(P: list, F_profile: ProductProfile,
     return _paired_from_samples(rows[:, 0], rows[:, 1])
 
 
-def derivative_martingale_identity(N: int, xi: float, rng: np.random.Generator,
-                                   M: int = 256) -> float:
-    """Grid residual of the tilted-exponential derivative representation.
+def derivative_martingale_identity(N: int, xi: float, rng: np.random.Generator) -> float:
+    """Residual on 256 grid angles of the tilted-exponential derivative
+    representation.
 
     The per-mode tilt product M_N and the sum of its mode derivatives are
     assembled factor by factor and compared against the spectral form
@@ -702,6 +702,7 @@ def derivative_martingale_identity(N: int, xi: float, rng: np.random.Generator,
     """
     X = rng.standard_normal(2 * N)
     lam = eigenvalues(N)[1:]
+    M = 256
     basis = batch_values(np.eye(2 * N + 1)[1:], M)
     # factor-by-factor route
     log_m = (-xi * X[:, None] * basis / np.sqrt(lam)[:, None]

@@ -45,11 +45,12 @@ class CircleMeasure:
         return cls(np.full(M, mass / (2.0 * np.pi)))
 
     @classmethod
-    def narrow_bump(cls, center: float, mass: float, M: int, cells: int = 2) -> "CircleMeasure":
-        """Near-atom of the given mass: a raised-cosine bump a few cells wide."""
+    def narrow_bump(cls, center: float, mass: float, M: int) -> "CircleMeasure":
+        """Near-atom of the given mass: a raised-cosine bump of half-width
+        two cells."""
         theta = grid_angles(M)
         d = np.angle(np.exp(1j * (theta - center)))
-        width = cells * (2.0 * np.pi / M)
+        width = 2 * (2.0 * np.pi / M)
         prof = np.where(np.abs(d) < width, 1.0 + np.cos(np.pi * d / width), 0.0)
         prof *= mass / (prof.sum() * (2.0 * np.pi / M))
         return cls(prof)
@@ -94,17 +95,17 @@ def chaos_measure(h: BoundaryField, sign: int, xi: float, M: int) -> CircleMeasu
 
 
 def chaos_derivative(p: BoundaryField, f: BoundaryField, h: BoundaryField,
-                     alpha: float, M: int, fd_step: float = 1e-4) -> tuple[float, float]:
+                     alpha: float, M: int) -> tuple[float, float]:
     """Directional derivative of the weighted chaos mass along p.
 
-    Returns (finite-difference value, alpha * integral of f p against the
-    chaos measure); the two agree to the finite-difference error.
+    Returns (central difference at step 1e-4, alpha * integral of f p
+    against the chaos measure); the two agree to the finite-difference
+    error.
     """
-    if not -1.0 < alpha < 1.0:
-        raise ValueError("chaos exponent must lie in (-1, 1)")
-    hv = h.values(M)
-    base = chaos_density_batch(hv, 1, abs(alpha), h.degree) if alpha >= 0 else \
-        chaos_density_batch(hv, -1, abs(alpha), h.degree)
+    if not 0.0 < abs(alpha) < 1.0:
+        raise ValueError(f"chaos exponent must satisfy 0 < |alpha| < 1, got {alpha!r}")
+    fd_step = 1e-4
+    base = chaos_density_batch(h.values(M), 1 if alpha > 0 else -1, abs(alpha), h.degree)
     fv, pv = f.values(M), p.values(M)
     dtheta = 2.0 * np.pi / M
     plus = float(np.sum(fv * base * np.exp(alpha * fd_step * pv)) * dtheta)

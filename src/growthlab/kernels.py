@@ -12,8 +12,6 @@ spectral form; the spectral forms are what the measure-level checks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .disk import DiskTestFunction
@@ -117,30 +115,18 @@ def bulk_pairings(f: DiskTestFunction, mu: CircleMeasure, nr: int,
     return out
 
 
-def dmu(f: DiskTestFunction, mu: CircleMeasure, r, theta, route: str = "split"):
-    """Transport derivative D_mu f = 2 f Re(L') + L_mu f on a polar mesh.
-
-    route 'split' assembles the two vector-field quadratures separately;
-    route 'combined' quadratures the differentiated product in one pass.
-    The two orderings agree to roundoff.
-    """
+def dmu(f: DiskTestFunction, mu: CircleMeasure, r, theta):
+    """Transport derivative D_mu f = 2 f Re(L') + L_mu f on a polar mesh,
+    with L_mu and L_mu' by direct grid quadrature (the M^2 route that
+    dmu_polar's power series is checked against)."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     z = r * np.exp(1j * theta)
     fz = f.eval_polar(r, theta)
     dfz = f.dz(r, theta)
-    if route == "split":
-        L = loewner_field(mu, z)
-        L1 = loewner_field_deriv(mu, z)
-        return 2.0 * fz * L1.real + 2.0 * (L * dfz).real
-    if route == "combined":
-        w = np.exp(1j * mu.angles)
-        zz = z[..., None]
-        dK = (zz + w) / (zz - w) - 2.0 * zz * w / (zz - w) ** 2
-        K = zz * (zz + w) / (zz - w)
-        integrand = (dK * fz[..., None] + K * dfz[..., None]).real
-        return -2.0 * (integrand * mu.density).sum(axis=-1) * (2.0 * np.pi / mu.M)
-    raise ValueError(f"unknown route {route!r}")
+    L = loewner_field(mu, z)
+    L1 = loewner_field_deriv(mu, z)
+    return 2.0 * fz * L1.real + 2.0 * (L * dfz).real
 
 
 def dmu_modes(f: DiskTestFunction, mu: CircleMeasure, K: int):
@@ -152,19 +138,7 @@ def dmu_modes(f: DiskTestFunction, mu: CircleMeasure, K: int):
 # -- kernel V ------------------------------------------------------------------
 
 
-@dataclass
-class KernelV:
-    """Grid table of V_p with its source symbol."""
-
-    values: np.ndarray
-    p: BoundaryField
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-
-def kernel_v(p: BoundaryField, M: int) -> KernelV:
+def kernel_v(p: BoundaryField, M: int) -> np.ndarray:
     """Assemble V_p on the M x M angle grid, continuity value on the diagonal."""
     theta = grid_angles(M)
     pt = p.conjugate().values(M)
@@ -173,7 +147,7 @@ def kernel_v(p: BoundaryField, M: int) -> KernelV:
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (pt[None, :] - pt[:, None]) / np.tan(diff / 2.0)
     np.fill_diagonal(vals, -2.0 * dn)
-    return KernelV(vals, p)
+    return vals
 
 
 def contract_left(p: BoundaryField, q: BoundaryField, M: int) -> np.ndarray:
@@ -207,18 +181,18 @@ def vkernel_pair_dnh(p: BoundaryField, h: BoundaryField, M: int) -> np.ndarray:
     return vkernel_dnh_grid(p.conjugate().values(M), dnh, grid_conjugate(dnh))
 
 
-def contraction_suite(p: BoundaryField, q: BoundaryField, M: int | None = None) -> dict:
+def contraction_suite(p: BoundaryField, q: BoundaryField) -> dict:
     """Residuals of the contraction identities of the kernel V.
 
     Grid double sums of the assembled kernel versus the closed spectral
     forms: row integral, diagonal, symmetric and antisymmetric product
-    contractions, and the degree sign formula for pure modes.
+    contractions, and the degree sign formula for pure modes.  The grid
+    has max(64, 8 (deg p + deg q + 1)) angles.
     """
-    if M is None:
-        M = max(64, 8 * (p.degree + q.degree + 1))
+    M = max(64, 8 * (p.degree + q.degree + 1))
     dtheta = 2.0 * np.pi / M
-    Vp = kernel_v(p, M).values
-    Vq = kernel_v(q, M).values
+    Vp = kernel_v(p, M)
+    Vq = kernel_v(q, M)
     out = {}
 
     row = Vp.sum(axis=0) * dtheta
@@ -243,10 +217,11 @@ def contraction_suite(p: BoundaryField, q: BoundaryField, M: int | None = None) 
     return out
 
 
-def sign_formula_residual(deg_p: int, deg_q: int, M: int = 256,
-                          rng: np.random.Generator | None = None) -> float:
-    """A(p, q) = -sgn(p, q)(pq + ptilde qtilde) for pure-degree p, q."""
-    rng = rng or np.random.default_rng(0)
+def sign_formula_residual(deg_p: int, deg_q: int) -> float:
+    """A(p, q) = -sgn(p, q)(pq + ptilde qtilde) for pure-degree p, q with
+    coefficients from numpy's default generator at seed 0, on 256 angles."""
+    rng = np.random.default_rng(0)
+    M = 256
     N = max(deg_p, deg_q, 1)
 
     def pure(deg):
@@ -264,14 +239,16 @@ def sign_formula_residual(deg_p: int, deg_q: int, M: int = 256,
     return float(np.abs(operator_a(p, q, M) - target).max())
 
 
-def finite_rank_truncation(p: BoundaryField, ranks, M: int = 256) -> list[float]:
-    """Sup-norm residual of the rank-K truncation of V_p for K in ranks.
+def finite_rank_truncation(p: BoundaryField, ranks) -> list[float]:
+    """Sup-norm residual of the rank-K truncation of V_p on 256 angles, for
+    K in ranks.
 
     Truncation keeps 2-D Fourier modes with both indices at most K; for a
     band-limited symbol the kernel is exactly finite rank, so residuals
     decay to roundoff once K reaches the symbol degree.
     """
-    V = kernel_v(p, M).values
+    M = 256
+    V = kernel_v(p, M)
     spec = np.fft.fft2(V)
     freqs = np.fft.fftfreq(M, d=1.0 / M)
     out = []
@@ -323,11 +300,12 @@ def boundary_localization_suite(f1: DiskTestFunction, f2: DiskTestFunction,
     return out
 
 
-def kernel_u_check(f: DiskTestFunction, h: BoundaryField, mu: CircleMeasure,
-                   nr: int = 48) -> tuple[float, float, float]:
-    """Bulk pairing of D_mu f with the harmonic extension of h versus the
-    kernel-V spectral form; returns (lhs, rhs, relative residual)."""
-    lhs = bulk_pairings(f, mu, nr, h)["harmonic"]
+def kernel_u_check(f: DiskTestFunction, h: BoundaryField,
+                   mu: CircleMeasure) -> tuple[float, float, float]:
+    """Bulk pairing of D_mu f with the harmonic extension of h, on 48
+    Gauss-Legendre radii, versus the kernel-V spectral form; returns (lhs,
+    rhs, relative residual)."""
+    lhs = bulk_pairings(f, mu, 48, h)["harmonic"]
     p = f.poisson_adjoint()
     rhs = mu.integrate(vkernel_pair_dnh(p, h, mu.M))
     return lhs, rhs, _rel(lhs, rhs)

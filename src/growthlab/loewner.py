@@ -84,12 +84,16 @@ class FlowResult:
         return self.values[-1]
 
 
+# a trajectory's lifetime ends when |g| reaches 1 - LIFETIME_TOL
+LIFETIME_TOL = 1e-6
+
+
 def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
-         rtol: float = 1e-10, lifetime_tol: float = 1e-6) -> FlowResult:
+         rtol: float = 1e-10) -> FlowResult:
     """Integrate the measure-driven flow of one interior point.
 
     Adaptive RK4 with step doubling; a trajectory terminates when |g|
-    reaches 1 - lifetime_tol, reported with the last bracketing step.
+    reaches 1 - LIFETIME_TOL, reported with the last bracketing step.
     """
     if abs(z0) >= 1.0:
         raise ValueError("starting point must be inside the disk")
@@ -97,7 +101,7 @@ def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
     t = 0.0
     ts = [0.0]
     gs = [g]
-    barrier = 1.0 - lifetime_tol
+    barrier = 1.0 - LIFETIME_TOL
 
     def rk4(coeffs, g, h):
         k1 = _velocity(coeffs, g)
@@ -151,22 +155,21 @@ def flow(driving: DrivingPath, z0: complex, dt: float = 1e-2,
 _RADIUS_PROBE = 0.03
 
 
-def conformal_radius(driving: DrivingPath, T: float, dt: float = 1e-3,
-                     rtol: float = 1e-12) -> tuple[float, float]:
+def conformal_radius(driving: DrivingPath, T: float) -> tuple[float, float]:
     """Derivative of the flow map at the origin, by two routes.
 
     Returns (flow_route, mass_route).  The flow route flows the 8 points
-    z_j = r e^{2 pi i j/8}, r = 0.03, to time T, each with rtol relative to
-    r, and takes the Cauchy average of g_T(z_j)/z_j: the mean over the
-    circle keeps g_T'(0) and cancels every Taylor term below order r^8,
-    whatever the driving measures.  The mass route is the closed form exp
+    z_j = r e^{2 pi i j/8}, r = 0.03, to time T, each from step 1e-3 with
+    tolerance 1e-12 relative to r, and takes the Cauchy average of
+    g_T(z_j)/z_j: the mean over the circle keeps g_T'(0) and cancels every
+    Taylor term below order r^8, whatever the driving measures.  The mass route is the closed form exp
     of the time-integrated mass.
     """
     T = min(T, driving.horizon)
     keep = driving.times < T
     path = DrivingPath(np.append(driving.times[keep], T), driving.measures[: keep.sum()])
     probes = _RADIUS_PROBE * np.exp(2j * np.pi * np.arange(8) / 8)
-    flows = [flow(path, z, dt=dt, rtol=rtol * _RADIUS_PROBE) for z in probes]
+    flows = [flow(path, z, dt=1e-3, rtol=1e-12 * _RADIUS_PROBE) for z in probes]
     if any(res.lifetime is not None for res in flows):
         raise ValueError("a probe point reached the boundary before T")
     return (float(np.mean([res.at_end() / z for res, z in zip(flows, probes)]).real),
@@ -174,6 +177,10 @@ def conformal_radius(driving: DrivingPath, T: float, dt: float = 1e-3,
 
 
 # -- nearly circular conformal map -------------------------------------------
+
+# step at which the mapper's correspondence iteration and the inverse map's
+# Newton iteration stop: a few hundred ulps of angles and points of order one
+_MAPPER_TOL = 1e-13
 
 
 @dataclass
@@ -241,16 +248,16 @@ class NearlyCircularMap:
         w = np.asarray(w, dtype=complex)
         return w * np.exp(self._logF(w))
 
-    def to_disk(self, z, tol: float = 1e-13, maxit: int = 60):
-        """g(z) = F^{-1}(z) by Newton iteration."""
+    def to_disk(self, z):
+        """g(z) = F^{-1}(z) by Newton iteration, at most 60 steps."""
         z = np.asarray(z, dtype=complex)
         w = z / self.forward_deriv0
-        for _ in range(maxit):
+        for _ in range(60):
             Fw = self.from_disk(w)
             dF = np.exp(self._logF(w)) * (1.0 + w * self._logF_deriv(w))
             step = (Fw - z) / dF
             w = w - step
-            if np.max(np.abs(step)) < tol:
+            if np.max(np.abs(step)) < _MAPPER_TOL:
                 break
         return w
 
@@ -261,14 +268,14 @@ class NearlyCircularMap:
         return np.log(np.abs((w1 - w2) / (1.0 - w1 * np.conj(w2)))) / (2.0 * np.pi)
 
 
-def nearly_circular_map(domain: StarDomain, tol: float = 1e-13,
-                        maxit: int = 400) -> NearlyCircularMap:
+def nearly_circular_map(domain: StarDomain, maxit: int = 400) -> NearlyCircularMap:
     """Boundary-correspondence iteration for a star-shaped domain.
 
     Iterates theta(phi) = phi + conj(log r(theta(phi))) until the
-    correspondence is fixed; raises MapperError with the residual when the
-    iteration stalls above 1e3 * tol.  A stall between tol and 1e3 * tol is
-    accepted, and the map keeps its residual and iteration count.
+    correspondence moves less than _MAPPER_TOL; raises MapperError with the
+    residual when maxit steps leave it above 1e3 * _MAPPER_TOL.  A stall
+    between the two is accepted, and the map keeps its residual and
+    iteration count.
     """
     M = domain.M
     phi = grid_angles(M)
@@ -280,10 +287,10 @@ def nearly_circular_map(domain: StarDomain, tol: float = 1e-13,
         theta_new = phi + grid_conjugate(u)
         residual = float(np.abs(theta_new - theta).max())
         theta = theta_new
-        if residual < tol:
+        if residual < _MAPPER_TOL:
             break
     else:
-        if residual > 1e3 * tol:
+        if residual > 1e3 * _MAPPER_TOL:
             raise MapperError(residual)
     u = logr.value_at(theta)
     spec = fourier_coeffs(u)
@@ -300,9 +307,9 @@ def nearly_circular_map(domain: StarDomain, tol: float = 1e-13,
 
 
 def hadamard_check(speed: BoundaryField, z1: complex, z2: complex,
-                   dts=(2e-3, 1e-3, 5e-4), M: int = 256) -> dict:
+                   M: int = 256) -> dict:
     """Finite-difference Green variation under inward normal flow versus
-    the boundary-integral formula, over a sweep of flow times.
+    the boundary-integral formula, over the flow times 2e-3, 1e-3, 5e-4.
 
     Returns the formula value, per-dt finite differences with relative
     errors, and the observed convergence order.
@@ -315,6 +322,7 @@ def hadamard_check(speed: BoundaryField, z1: complex, z2: complex,
     formula = float(np.sum(poisson_kernel(z1, w) * poisson_kernel(z2, w) * s)
                     * (2.0 * np.pi / M))
     g0 = np.log(np.abs((z1 - z2) / (1.0 - z1 * np.conj(z2)))) / (2.0 * np.pi)
+    dts = (2e-3, 1e-3, 5e-4)
     rows = []
     for dt in dts:
         dom = StarDomain(1.0 - dt * s)
@@ -328,14 +336,14 @@ def hadamard_check(speed: BoundaryField, z1: complex, z2: complex,
             "order": float(np.mean(orders)) if orders else float("nan")}
 
 
-def fit_driving_measure(cmap: NearlyCircularMap, dt: float, r0: float = 0.5,
-                        K: int = 8) -> CircleMeasure:
+def fit_driving_measure(cmap: NearlyCircularMap, dt: float) -> CircleMeasure:
     """Extract the first-order driving measure of a one-step growth.
 
-    Fits (g(z) - z)/dt on |z| = r0 against the vector-field series
+    Fits (g(z) - z)/dt on |z| = r0 = 0.5 against the vector-field series
     L(z)/z = 2 pi c_0 + 4 pi sum_k c_k z^k and rebuilds the density from
-    the recovered Fourier coefficients up to mode K.
+    the recovered Fourier coefficients up to mode K = 8.
     """
+    r0, K = 0.5, 8
     M = cmap.domain.M
     theta = grid_angles(M)
     z = r0 * np.exp(1j * theta)
@@ -352,7 +360,7 @@ def fit_driving_measure(cmap: NearlyCircularMap, dt: float, r0: float = 0.5,
 
 
 def smooth_metric_driving(phi: BoundaryField, xi: float, dt: float,
-                          M: int = 256, K: int = 8) -> dict:
+                          M: int = 256) -> dict:
     """Driving measure of the first-order growth of a smooth conformal metric.
 
     Flows the circle inward by normal distance dt e^{-xi phi}, maps the
@@ -363,7 +371,7 @@ def smooth_metric_driving(phi: BoundaryField, xi: float, dt: float,
     speed = np.exp(-xi * pv)
     dom = StarDomain(1.0 - dt * speed)
     cmap = nearly_circular_map(dom)
-    fitted = fit_driving_measure(cmap, dt, K=K)
+    fitted = fit_driving_measure(cmap, dt)
     target = speed / (2.0 * np.pi)
     rel = float(np.abs(fitted.density - target).max() / np.abs(target).max())
     return {"fitted": fitted, "target": CircleMeasure(target), "rel_error": rel}

@@ -91,8 +91,9 @@ class ProductProfile:
         self.box = [f.support for f in factors]
 
     @classmethod
-    def bumps(cls, centers, halfwidths, rise_frac: float = 0.5) -> "ProductProfile":
-        facs = [PlateauBump1D(c - h, c + h, rise_frac * h) for c, h in zip(centers, halfwidths)]
+    def bumps(cls, centers, halfwidths) -> "ProductProfile":
+        """Bumps on c - h < x < c + h, each transition h/2 wide."""
+        facs = [PlateauBump1D(c - h, c + h, 0.5 * h) for c, h in zip(centers, halfwidths)]
         return cls(facs)
 
     def _pieces(self, x):

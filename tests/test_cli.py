@@ -38,6 +38,19 @@ def test_config_validation():
     assert ExperimentConfig(suite="invariance", n_samples_main=100).heavy_n == 100
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_the_key_range_is_an_invalid_config(seed, tmp_path, capsys):
+    """make_rng keys Philox with a uint64, so a seed outside [0, 2**64)
+    overflowed there; the config rejects it by name before any run."""
+    with pytest.raises(ValueError, match="seed must lie in"):
+        ExperimentConfig(suite="identities", seed=seed)
+    rc = main(["run", "--suite", "identities", "--seed", str(seed), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "invalid config: seed must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "identities").exists()
+    assert ExperimentConfig(suite="identities", seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("# comment\nN = 16\nM=64\nn_samples = 500\n")

@@ -144,7 +144,7 @@ def test_invariance_pure_gravity_and_perturbations():
     for params in (PG.replace(beta=0.1), PG.replace(alpha=PG.alpha + 0.2),
                    PG.replace(chi=PG.chi + 0.15), PG.replace(c=PG.c * 1.3)):
         r = invariance_check(F, params, 4000, make_rng(42), N=N, M=M)
-        assert r.consistent(3.0), (params, r.lhs, r.rhs, r.z)
+        assert r.consistent(), (params, r.lhs, r.rhs, r.z)
 
 
 def test_invariance_beta_residual_formula():
@@ -267,7 +267,7 @@ def test_dirichlet_pairs_take_a_second_functional_without_zero_mode():
     div = divergence_form_check(F, D, 2000, make_rng(1), N=16, M=64)
     for est in (res.forward, res.swapped, div):
         assert np.isfinite([est.lhs, est.rhs, est.stderr]).all() and est.stderr > 0.0
-        assert est.consistent(3.0), (est.lhs, est.rhs, est.z)
+        assert est.consistent(), (est.lhs, est.rhs, est.z)
 
 
 def test_generator_bulk_vs_localized_integrand():
@@ -299,8 +299,8 @@ def test_bulk_route_sees_the_estimators_terms(term, monkeypatch):
 def test_dirichlet_form_split_and_exchange():
     F, G = fixture_F(), fixture_G()
     res = dirichlet_form(F, G, 6000, make_rng(8), N=N, M=M)
-    assert res.forward.consistent(3.0), (res.forward.lhs, res.forward.rhs, res.forward.z)
-    assert res.swapped.consistent(3.0)
+    assert res.forward.consistent(), (res.forward.lhs, res.forward.rhs, res.forward.z)
+    assert res.swapped.consistent()
     # exchange: E(F,G) + E(G,F) = 2 sym
     exch = res.forward.lhs + res.swapped.lhs - 2 * res.sym
     assert abs(exch) < 3 * (res.forward.stderr + res.swapped.stderr)
@@ -315,7 +315,7 @@ def test_dirichlet_form_self_antisymmetry():
 def test_divergence_form_route():
     F, G = fixture_F(), fixture_G()
     res = divergence_form_check(F, G, 6000, make_rng(10), N=N, M=M)
-    assert res.consistent(3.0), (res.lhs, res.rhs, res.z)
+    assert res.consistent(), (res.lhs, res.rhs, res.z)
 
 
 # Recorded from the estimators as term tables (numpy 2.4, x86-64); the
@@ -764,7 +764,7 @@ def test_projected_symmetric_ibp():
     Fprof = ProductProfile.bumps([0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
     G = fixture_G()
     res = projected_symmetric_ibp_check(P, Fprof, G, 6000, make_rng(18), N=N, M=M)
-    assert res.consistent(3.0), (res.lhs, res.rhs, res.z)
+    assert res.consistent(), (res.lhs, res.rhs, res.z)
     with pytest.raises(ValueError):
         projected_symmetric_ibp_check([BoundaryField.basis(1, 2) * 2.0], Fprof,
                                       G, 100, make_rng(19), N=8, M=32)

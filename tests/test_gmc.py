@@ -118,6 +118,16 @@ def test_chaos_derivative_cases():
     assert abs(fd - exact) < 1e-6 * max(abs(exact), 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.0, 1.0, -1.0, 1.5])
+def test_chaos_derivative_rejects_an_exponent_outside_its_range(alpha):
+    """alpha = 0 used to pass the range check and then fail inside
+    chaos_density_batch with that function's message."""
+    h = BoundaryField(sample_trace_batch(4, 1, make_rng(7))[0])
+    one = BoundaryField.constant(1.0, 2)
+    with pytest.raises(ValueError, match=r"0 < \|alpha\| < 1"):
+        chaos_derivative(one, one, h, alpha, 32)
+
+
 def test_weighted_field_trivial_cases():
     rng = make_rng(9)
     # F constant: both sides reduce to the f integral

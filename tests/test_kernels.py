@@ -7,7 +7,7 @@ from growthlab.disk import DiskTestFunction, bump
 from growthlab.fields import sample_trace_batch
 from growthlab.gmc import CircleMeasure, chaos_measure
 from growthlab.kernels import (boundary_localization_suite, contract_left,
-                               contraction_suite, dmu,
+                               contraction_suite, dmu, dmu_polar,
                                finite_rank_truncation, kernel_u_check, kernel_v,
                                loewner_field, loewner_field_deriv,
                                loewner_field_polar, operator_a,
@@ -80,8 +80,9 @@ def test_dmu_routes_and_zero_mean():
     rng = np.random.default_rng(3)
     f = DiskTestFunction.separable(bump(0.3, 0.6), BoundaryField(rng.standard_normal(7)))
     r = np.linspace(0.35, 0.55, 4)[:, None]
+    direct = dmu(f, mu, r, grid_angles(mu.M)[None, :])
+    assert np.abs(direct - dmu_polar(f, mu, r[:, 0])).max() < 1e-8
     th = np.linspace(0.0, 6.0, 5)[None, :]
-    assert np.abs(dmu(f, mu, r, th, "split") - dmu(f, mu, r, th, "combined")).max() < 1e-8
     total = integrate_polar(lambda rr, tt: dmu(f, mu, rr, tt), *f.support, nr=48, M=256)
     assert abs(total) < 1e-7
     assert np.abs(dmu(f, CircleMeasure(np.zeros(mu.M)), r, th)).max() == 0.0
@@ -89,7 +90,7 @@ def test_dmu_routes_and_zero_mean():
 
 def test_kernel_v_cosine_example():
     p = BoundaryField.basis(1, 8)
-    V = kernel_v(p, 64).values
+    V = kernel_v(p, 64)
     th = grid_angles(64)
     target = (np.cos(th)[:, None] + np.cos(th)[None, :]) / np.sqrt(np.pi)
     assert np.abs(V - target).max() < 1e-12
@@ -98,9 +99,9 @@ def test_kernel_v_cosine_example():
 def test_kernel_v_symmetry_and_diagonal():
     rng = np.random.default_rng(5)
     p = BoundaryField(rng.standard_normal(13))
-    K = kernel_v(p, 128)
-    assert np.abs(K.values - K.values.T).max() < 1e-10
-    assert np.abs(np.diag(K.values) + 2 * p.dirichlet_to_neumann().values(128)).max() < 1e-12
+    V = kernel_v(p, 128)
+    assert np.abs(V - V.T).max() < 1e-10
+    assert np.abs(np.diag(V) + 2 * p.dirichlet_to_neumann().values(128)).max() < 1e-12
 
 
 @given(st.integers(0, 10 ** 6))
@@ -223,6 +224,6 @@ def test_contract_left_matches_matrix_route():
     p = BoundaryField(rng.standard_normal(9))
     q = BoundaryField(rng.standard_normal(11))
     M = 128
-    Vq = kernel_v(q, M).values
+    Vq = kernel_v(q, M)
     matrix = (p.values(M)[:, None] * Vq).sum(axis=0) * (2 * np.pi / M)
     assert np.abs(matrix - contract_left(p, q, M)).max() < 1e-10

@@ -92,7 +92,7 @@ def _pieces_reference(f, y):
 @pytest.mark.parametrize("bump", [
     PlateauBump1D(-0.3, 1.7, 0.45),
     PlateauBump1D(2.0, 2.5, 0.25),          # rise half the support
-    ProductProfile.bumps([0.7], [0.1], rise_frac=1.0).factors[0],     # and d2 = -0.0
+    PlateauBump1D(0.7 - 0.1, 0.7 + 0.1, 0.1),     # rise the half-width, and d2 = -0.0
     *ProductProfile.bumps([0.1, -0.4], [1.5, 0.2]).factors,
     *_fixture_functional(8).profile.factors,
     *_fixture_g(8).profile.factors,

@@ -3,11 +3,12 @@
 import concurrent.futures
 import os
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from growthlab import generator, suites
+from growthlab import generator, kernels, suites
 from growthlab.fields import CouplingParams
 from growthlab.suites import (CHECKS, CheckResult, CheckTableError, ExperimentConfig,
                               describe, not_decaying, run_suite)
@@ -136,6 +137,24 @@ def test_potential_gradient_gate_sees_c(monkeypatch, scale):
     rows = run_suite(ExperimentConfig(suite="appendix", seed=1, **LIGHT["appendix"]))
     row = next(r for r in rows if r.name == "potential-gradient-ibp")
     assert abs(row.lhs - row.rhs) > 5.0 * row.stderr and not row.passed
+
+
+def test_transport_two_routes_gate_sees_the_power_series(monkeypatch):
+    """transport-two-routes holds dmu's direct grid quadrature against
+    dmu_polar's power series.  With the series' k >= 1 Fourier coefficients
+    of the density scaled by 1.01 the row exceeds its 1e-8 gate and fails."""
+    row = {r.name: r for r in light_run("identities")}["transport-two-routes"]
+    assert row.passed and row.lhs <= 1e-8
+    orig = kernels.loewner_field_polar
+
+    def scaled(mu, r):
+        d = mu.density
+        return orig(SimpleNamespace(density=d.mean() + 1.01 * (d - d.mean()), M=mu.M), r)
+
+    monkeypatch.setattr(kernels, "loewner_field_polar", scaled)
+    results = run_suite(ExperimentConfig(suite="identities", seed=1, **LIGHT["identities"]))
+    row = {r.name: r for r in results}["transport-two-routes"]
+    assert row.lhs > 1e-8 and not row.passed
 
 
 # (tol, passing (lhs, rhs, stderr), failing (lhs, rhs, stderr)) of each gate
