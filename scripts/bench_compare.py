@@ -135,8 +135,8 @@ def summarize(spec, parent_runs, change_runs, same_report: bool) -> dict:
 def machine() -> dict:
     """The machine a comparison ran on: CPUs, usable CPUs and versions.
 
-    `usable_cpus` is the CPUs this process may run on, which bounds a
-    suite's thread pool; `cpus` is every CPU of the machine.
+    `usable_cpus` is the CPUs this process may run on (its affinity mask);
+    `cpus` is every CPU of the machine.  Each suite runs on one thread.
     """
     return {"cpus": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": numpy.__version__}

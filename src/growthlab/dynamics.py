@@ -191,6 +191,8 @@ def bracket_stats(paths: np.ndarray, xi: float, dt: float):
     qv - pred is the mean over paths of q_i - p_i, each path's sums of
     (dX - c)^2 about the drift c = 2 pi^2 xi^2 dt and of sigma^2 X dt, so
     its stderr is their sd / sqrt(n)."""
+    if paths.shape[0] < 2:
+        raise ValueError("need at least 2 paths")
     sq = (np.diff(paths, axis=1) - 2.0 * np.pi ** 2 * xi ** 2 * dt) ** 2
     qv = sq.mean(axis=0).sum()
     pred = ((TWO_PI * xi) ** 2 * paths[:, :-1].mean(axis=0) * dt).sum()
@@ -296,6 +298,21 @@ def mass_law_paths(mass0: float, xi: float, dt: float, T: float,
     target = 2.0 * np.pi ** 2 * xi ** 2
     sd = 1.05 * mass_law_slope_sd(mass0, xi, dt, T)
     return int(np.ceil((4.0 * sd / (rel_tol * target)) ** 2))
+
+
+def bracket_paths(dt: float, T: float, rel_tol: float) -> int:
+    """Path count at which a `rel_tol` relative bracket gate is 6 se wide.
+
+    A path's excess of `bracket_stats` has sd about sigma^2 X sqrt(2 T dt)
+    against the prediction sigma^2 X T, so se / pred is sqrt(2 dt / T) /
+    sqrt(n) and the mass cancels.  The sd takes `mass_law_paths`'s 5% margin;
+    6 se rather than 4, because the excess is kurtotic and the sampled
+    stderr of a small ensemble scatters by about 25%.
+    """
+    n = int(np.ceil((6.0 * 1.05 * np.sqrt(2.0 * dt / T) / rel_tol) ** 2))
+    if n < 2:
+        raise ValueError("need at least 2 paths")
+    return n
 
 
 def ou_baseline(h0: BoundaryField, dt: float, T: float,

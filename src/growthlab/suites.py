@@ -10,12 +10,12 @@ errors of the paired difference under common random numbers.  The
 squared-Bessel mass slope is a Monte Carlo estimate against a known
 target: it gates at a fixed 2% relative tolerance, reports its stderr,
 and takes its path count from the slope's closed-form standard error so
-that the 2% sits at least four standard errors out.
+that the 2% sits at least four standard errors out; the mass bracket does
+the same at 5% and six.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -530,21 +530,25 @@ def run_dirichlet(cfg: ExperimentConfig) -> dict:
 
 
 def run_dynamics(cfg: ExperimentConfig) -> dict:
-    """The seven ensembles draw from their own streams, so they run as jobs on
-    a thread pool, one thread per usable CPU (numpy's draws and ufuncs release
-    the GIL), with the bits of a one-after-another run.  Each job returns only
-    what its checks read."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    """The seven ensembles run one after another, each drawing from its own
+    `make_rng(seed, stream)`.  The mass law and the two brackets take their
+    path counts from closed-form standard errors, not from n_samples, so
+    that each fixed relative gate sits a set number of them out."""
     xi = run_xi(cfg)
-    n_paths = min(max(cfg.heavy_n, 1000), 3000)
+    out = {}
 
-    def mass_law():
-        # one-cell mass law: the path count comes from the slope's closed-form
-        # standard error, not from n_samples, so that the fixed two-percent
-        # relative gate sits at least four standard errors out
-        n_mass = dyn.mass_law_paths(0.1, xi, cfg.dt, cfg.T, rel_tol=0.02)
-        return dyn.mass_law_stats(0.1, xi, cfg.dt, cfg.T, n_mass, make_rng(cfg.seed, 30))
+    # one-cell mass law: the two-percent gate at least four standard errors out
+    n_mass = dyn.mass_law_paths(0.1, xi, cfg.dt, cfg.T, rel_tol=0.02)
+    stats = dyn.mass_law_stats(0.1, xi, cfg.dt, cfg.T, n_mass, make_rng(cfg.seed, 30))
+    out["mass-drift-slope"] = (stats.slope, stats.slope_target, stats.slope_stderr,
+                               {"t": stats.times.tolist()[::50],
+                                "mean": stats.mean_curve.tolist()[::50]})
+    out["mass-scaled-drift"] = (stats.scaled_drift, 0.5,
+                                stats.slope_stderr / (TWO_PI * xi) ** 2)
+
+    # the bracket at the step and at half of it, both ensembles sized at the
+    # full step, where the five-percent gate is the fewer standard errors wide
+    n_paths = dyn.bracket_paths(cfg.dt, cfg.T, rel_tol=0.05)
 
     def bracket(dt, stream):
         """`dyn.bracket_stats` and the mean drift of one ensemble."""
@@ -553,60 +557,29 @@ def run_dynamics(cfg: ExperimentConfig) -> dict:
         return (*dyn.bracket_stats(paths, xi, dt),
                 (paths[:, -1].mean() - paths[:, 0].mean()) / cfg.T)
 
-    def martingale():
-        """(t, mean, se) of the compensated mass at three checkpoints."""
-        reps = 200
-        ens = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, cfg.dt, 0.12, reps,
-                                         make_rng(cfg.seed, 34), M=16, N=4)
-        drift_line = 2.0 * np.pi ** 2 * xi ** 2 * np.arange(ens.shape[1]) * cfg.dt
-        resid = ens - ens[:, :1] - drift_line[None, :]
-        ks = [int(frac * (ens.shape[1] - 1)) for frac in (0.33, 0.66, 1.0)]
-        return [(k * cfg.dt, resid[:, k].mean(), resid[:, k].std(ddof=1) / np.sqrt(reps))
-                for k in ks]
-
-    def ou_end(h0, dt, T, stream, n):
-        """Final coefficients (n, 2N+1) of a flat-noise baseline, copied so
-        that the paths die in the job."""
-        return dyn.ou_baseline(h0, dt, T, make_rng(cfg.seed, stream), n_paths=n)[:, -1].copy()
-
-    jobs = {    # longest first, so the short jobs fill in beside the long ones
-        "mass_law": mass_law,
-        "bracket_half": lambda: bracket(cfg.dt / 2.0, 32),
-        "bracket_full": lambda: bracket(cfg.dt, 31),
-        "positivity": lambda: dyn.simulate_symmetric(
-            gmc.CircleMeasure.uniform(40.0 * np.pi, 32), xi, cfg.dt, 0.12, 8,
-            make_rng(cfg.seed, 33)).masses.min(),
-        "martingale": martingale,
-        "ou": lambda: ou_end(BoundaryField.zeros(8), 0.02, 5.0 / np.pi, 35,
-                             max(cfg.n_samples, 2000)),
-        "ou_gap": lambda: ou_end(BoundaryField.basis(1, 2) * 10.0, 0.01, 0.2, 36,
-                                 max(cfg.n_samples, 20000)),
-    }
-    with ThreadPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0)))) as pool:
-        futures = {name: pool.submit(job) for name, job in jobs.items()}
-    done = {name: f.result() for name, f in futures.items()}
-
-    out = {}
-    stats = done["mass_law"]
-    out["mass-drift-slope"] = (stats.slope, stats.slope_target, stats.slope_stderr,
-                               {"t": stats.times.tolist()[::50],
-                                "mean": stats.mean_curve.tolist()[::50]})
-    out["mass-scaled-drift"] = (stats.scaled_drift, 0.5,
-                                stats.slope_stderr / (TWO_PI * xi) ** 2)
-
-    qv, pred, se, drift_full = done["bracket_full"]
+    qv, pred, se, drift_full = bracket(cfg.dt, 31)
     out["mass-bracket"] = (qv, pred, se)
-    # half-step run: the bracket gate holds at both resolutions and the two
-    # slopes are reported side by side
-    qv2, pred2, se2, drift_half = done["bracket_half"]
+    # half-step run: the gate holds at both resolutions, and the two slopes
+    # are reported side by side
+    qv2, pred2, se2, drift_half = bracket(cfg.dt / 2.0, 32)
     out["mass-step-convergence"] = (qv2, pred2, se2,
                                     {"dt": [cfg.dt, cfg.dt / 2.0],
                                      "slope": [drift_full, drift_half],
                                      "bracket": [qv / pred, qv2 / pred2]})
 
+    out["mass-positivity"] = float(dyn.simulate_symmetric(
+        gmc.CircleMeasure.uniform(40.0 * np.pi, 32), xi, cfg.dt, 0.12, 8,
+        make_rng(cfg.seed, 33)).masses.min() < 0.0)
+
     # martingale increments at three checkpoints
-    out["mass-positivity"] = float(done["positivity"] < 0.0)
-    mart_rows = done["martingale"]
+    reps = 200
+    ens = dyn.simulate_mass_ensemble(40.0 * np.pi, xi, cfg.dt, 0.12, reps,
+                                     make_rng(cfg.seed, 34), M=16, N=4)
+    drift_line = 2.0 * np.pi ** 2 * xi ** 2 * np.arange(ens.shape[1]) * cfg.dt
+    resid = ens - ens[:, :1] - drift_line[None, :]
+    ks = [int(frac * (ens.shape[1] - 1)) for frac in (0.33, 0.66, 1.0)]
+    mart_rows = [(k * cfg.dt, resid[:, k].mean(), resid[:, k].std(ddof=1) / np.sqrt(reps))
+                 for k in ks]
     ok = all(abs(mean) <= 3.0 * se for _, mean, se in mart_rows)
     out["mass-martingale"] = (float(not ok), 0.0, 0.0,
                               {"t": [r[0] for r in mart_rows],
@@ -614,15 +587,19 @@ def run_dynamics(cfg: ExperimentConfig) -> dict:
                                "se": [r[2] for r in mart_rows]})
 
     # flat-noise baseline: stationary mode variances and the spectral gap; the
-    # stderr of a sample variance under the null is the target's, not v's
-    ou = done["ou"]
+    # stderr of a sample variance under the null is the target's, not v's.
+    # Only the final coefficients are kept, copied so that the paths go.
+    ou = dyn.ou_baseline(BoundaryField.zeros(8), 0.02, 5.0 / np.pi, make_rng(cfg.seed, 35),
+                         n_paths=max(cfg.n_samples, 2000))[:, -1].copy()
     worst_z = 0.0
     for k in (1, 2, 3, 4, 6):
         target = TWO_PI / np.ceil(k / 2.0)
         se = target * np.sqrt(2.0 / (ou.shape[0] - 1))
         worst_z = max(worst_z, abs(ou[:, k].var(ddof=1) - target) / se)
     out["ou-stationary-variance"] = worst_z
-    gap_end = done["ou_gap"][:, 1]
+    gap_end = dyn.ou_baseline(BoundaryField.basis(1, 2) * 10.0, 0.01, 0.2,
+                              make_rng(cfg.seed, 36),
+                              n_paths=max(cfg.n_samples, 20000))[:, -1, 1].copy()
     out["ou-spectral-gap"] = (gap_end.mean() / 10.0, np.exp(-np.pi * 0.2),
                               gap_end.std(ddof=1) / np.sqrt(gap_end.size) / 10.0)
 

@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HOOKS = {
     "invariance": (12_000, "generator.invariance_check_s", "profiles.spline_points"),
     "dirichlet": (5_100, "generator.dirichlet_form_s", "quadrature.gauss_calls"),
-    "dynamics": (32_642_620, "dynamics.cir_s", "dynamics.cell_steps"),
+    "dynamics": (29_738_620, "dynamics.cir_s", "dynamics.cell_steps"),
 }
 
 # exact counts of a traced round.  The quadrature wrapper counts one integrand
@@ -33,7 +33,7 @@ HOOKS = {
 # cir_exact_step call per step with every cell of the ensemble.
 EXACT = {
     "dirichlet": {"quadrature.gauss_calls": 4, "quadrature.nodes_per_sample": 1024},
-    "dynamics": {"dynamics.cell_steps": 78_006_340},
+    "dynamics": {"dynamics.cell_steps": 31_542_340},
 }
 
 

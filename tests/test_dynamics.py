@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from growthlab.dynamics import (MeasurePath, bracket_stats, cir_exact_step,
-                                driving_from_state, evolve, mass_law_paths,
-                                mass_law_slope_sd, mass_law_stats, ou_baseline,
-                                recovered_drift, simulate_mass_ensemble,
+from growthlab.dynamics import (MeasurePath, bracket_paths, bracket_stats,
+                                cir_exact_step, driving_from_state, evolve,
+                                mass_law_paths, mass_law_slope_sd, mass_law_stats,
+                                ou_baseline, recovered_drift, simulate_mass_ensemble,
                                 simulate_symmetric, total_mass_stats)
 from growthlab.gmc import CircleMeasure
 from growthlab.loewner import flow
@@ -205,6 +205,32 @@ def test_bracket_structure():
                                    M=16, N=4)
     qv, pred, se = bracket_stats(paths, XI, 1e-3)
     assert abs(qv / pred - 1.0) < 0.05 and abs(qv - pred) < 3 * se
+
+
+def test_bracket_paths_places_the_gate_six_stderrs_out():
+    # bracket_paths promises 6 closed-form se with a 5% margin on the sd; the
+    # per-path excess is kurtotic, so one seed's sampled se scatters by about
+    # 25%, but their median over seeds sits at the closed form.  A shorter
+    # horizon and a wider gate keep the ensembles small (80 paths)
+    dt, T, tol = 1e-3, 0.1, 0.1
+    n = bracket_paths(dt, T, tol)
+    widths = []
+    for seed in range(1, 9):
+        paths = simulate_mass_ensemble(40 * np.pi, XI, dt, T, n, make_rng(seed, 50),
+                                       M=16, N=4)
+        qv, pred, se = bracket_stats(paths, XI, dt)
+        assert abs(qv / pred - 1.0) < tol
+        widths.append(tol * pred / se)
+    assert abs(np.median(widths) / (6.0 * 1.05) - 1.0) < 0.15
+
+
+def test_bracket_needs_two_paths():
+    # one path has no stderr: both the statistic and the sizing refuse it
+    with pytest.raises(ValueError):
+        bracket_stats(np.ones((1, 5)), XI, 1e-3)
+    with pytest.raises(ValueError):
+        bracket_paths(1e-3, 0.5, 1.0)
+    assert bracket_paths(1e-3, 0.5, 0.05) == 64
 
 
 def test_martingale_residual():
